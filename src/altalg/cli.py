@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .algebra import Algebra, TableFormatError, algebra_from_json, algebra_to_json
@@ -19,7 +20,7 @@ from .catalog import CATALOG_NAMES, UnknownInstanceError, build
 from .fields import FieldError
 from .linalg import Matrix
 from .operators import (derivation_space, invertible_values_check, is_inner,
-                        leibniz_space, qder_equals_end, quasider_space)
+                        leibniz_space, quasider_space)
 from .suites import (SUITE_ORDER, CheckResult, Config, SuiteReport, run_all,
                      run_suite, _enc)
 
@@ -180,7 +181,7 @@ def _verb_quasiderivations(args) -> list:
     A = _resolve_target(args.target)
     space = quasider_space(A)
     return _operator_report(args, "quasiderivations", space,
-                            extra={"equals_end": qder_equals_end(A)})
+                            extra={"equals_end": space.dim == A.dim ** 2})
 
 
 def _verb_powers(args) -> list:
@@ -243,7 +244,7 @@ def _verb_verify(args) -> list:
 
 # ---- output -----------------------------------------------------------------
 
-def _emit(reports: list, args) -> int:
+def _emit(reports: list, args, wall: float) -> int:
     payload = [r.to_json(__version__) for r in reports]
     doc = payload[0] if len(payload) == 1 else payload
     if args.json:
@@ -268,8 +269,7 @@ def _emit(reports: list, args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    wall = sum(r.wall_time for r in reports)
-    if wall:
+    if any(r.wall_time for r in reports):
         print(f"elapsed: {wall:.2f}s", file=sys.stderr)
     return 0 if all(r.overall for r in reports) else 1
 
@@ -304,14 +304,16 @@ def main(argv=None) -> int:
             "invertible-values": _verb_invertible_values,
             "verify": _verb_verify,
         }[args.verb]
+        t0 = time.perf_counter()
         reports = handler(args)
+        wall = time.perf_counter() - t0
     except CliUsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return _emit(reports, args)
+    return _emit(reports, args, wall)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,19 @@ and subspace calculus.
 Matrices are row-major lists of field elements.  Subspaces are always stored
 as reduced row-echelon bases, so two subspaces are equal iff their stored
 rows are equal (entrywise, by field equality).  Elimination is Gauss-Jordan
-with the leftmost-nonzero pivot column and first-nonzero-row tie-breaking;
-over rational-function fields rows are cross-multiplied instead of divided
-and only normalized at the end, which keeps entries polynomial for as long
-as possible.
+with the leftmost-nonzero pivot column and first-nonzero-row tie-breaking.
+GF(p) runs on plain int residues.  Over Q each row is scaled to integers and
+eliminated fraction-free (cross-multiplication, then division by the row's
+content), and pivot rows become Fractions only at the end; the RREF is
+unique, so this equals elimination over Fractions.  Over rational-function
+fields rows are cross-multiplied instead of divided and only normalized at
+the end, which keeps entries polynomial for as long as possible.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field
 
@@ -142,6 +148,51 @@ def _rref_prime(p: int, rows: list, ncols: int):
     return rows, r, pivots
 
 
+def _rref_rationals(rows: list, ncols: int):
+    # Gauss-Jordan over Q on integer rows, fraction-free in the spirit of
+    # Bareiss: each row is scaled to a primitive integer vector, eliminated
+    # by cross-multiplication and divided by its content again, and pivot
+    # rows become Fractions only at the end.  The RREF is unique, so this
+    # equals elimination over Fractions entrywise.
+    irows = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        irows.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    nrows = len(irows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if irows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            irows[r], irows[pr] = irows[pr], irows[r]
+        prow = irows[r]
+        piv = prow[c]
+        for i in range(nrows):
+            f = irows[i][c]
+            if f and i != r:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                irows[i] = _primitive([a * x - b * y for x, y in zip(irows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(irows, pivots)]
+    out.extend([Fraction(0)] * ncols for _ in range(nrows - r))
+    return out, r, pivots
+
+
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _rref_generic(F: Field, rows: list, ncols: int, defer_division: bool):
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -189,6 +240,8 @@ def rref(m: Matrix):
     F = m.field
     if F.kind == "prime":
         rows, rank, pivots = _rref_prime(F.p, m.rows, m.ncols)
+    elif F.kind == "rationals":
+        rows, rank, pivots = _rref_rationals(m.rows, m.ncols)
     else:
         rows, rank, pivots = _rref_generic(F, m.rows, m.ncols,
                                            defer_division=(F.kind == "ratfun2"))

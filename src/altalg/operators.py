@@ -5,7 +5,10 @@ derivation constructions on split quadratic algebras.
 
 Linear maps live in the d^2-dimensional coordinate space of matrices
 (row-major flattening); every defining law is stacked into one linear system
-and solved through the exact kernel routine.
+and solved through the exact kernel routine.  Derivations, Leibniz-derivations
+and quasiderivations share one system builder: it computes the left-normed
+products of basis tuples once per node of their prefix trie and drops zero
+and repeated rows as they are emitted.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import Algebra, _dedupe_rows
+from .algebra import Algebra
 from .linalg import Matrix, Subspace, kernel
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
 
@@ -46,31 +49,76 @@ class OperatorSpace:
         return self.space.contains_vector(flatten_map(m))
 
 
-def _basis_products(A: Algebra) -> list:
-    e = A.basis()
-    return [[A.mul(e[r], e[j]) for j in range(A.dim)] for r in range(A.dim)]
+def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
+    """Rows of phi([x1..xn]) - sum_t [x1.. phi(x_t) ..xn] = 0 over basis
+    n-tuples in ``itertools.product`` order, zero rows and (over hashable
+    fields) repeats dropped; the phi([x1..xn]) block starts at column
+    ``q_offset`` (d^2 for the Q unknowns of quasiderivations).  A slot
+    vector [x1.. e_r ..xn] is the prefix of another tuple, so each trie node
+    is one right multiplication of its parent; vectors are sparse nonzero
+    ``(index, value)`` lists, ``None`` when zero."""
+    F = A.field
+    d = A.dim
+    zero, one = F.zero, F.one
+    is_zero, add, mul = F.is_zero, F.add, F.mul
+    by_col = [[A.table.get((i, j)) for i in range(d)] for j in range(d)]
+
+    def rmul(v, j):
+        # A.mul(v, e_j), replaying its field operations so that unreduced
+        # rational-function entries come out in the same form
+        out = {}
+        for i, x in v or ():
+            if by_col[j][i]:
+                s = mul(x, one)
+                for k, c in by_col[j][i]:
+                    out[k] = add(out.get(k, zero), mul(s, c))
+        return [(k, a) for k, a in sorted(out.items()) if not is_zero(a)] or None
+
+    level = [[(r, one)] for r in range(d)]      # indexed by base-d tuple code
+    for _ in range(n - 1):
+        level = [rmul(v, j) for v in level for j in range(d)]
+    negated = [v and [(m, F.neg(a)) for m, a in v] for v in level]
+    strides = [d ** (n - 1 - t) for t in range(n)]
+    rows, seen = [], set()
+    for code, idx in enumerate(itertools.product(range(d), repeat=n)):
+        # slot t: the codes of idx with x_t replaced by e_0 .. e_{d-1}
+        slots = [negated[code - x * s:code + (d - x) * s:s] for x, s in zip(idx, strides)]
+        if level[code] is None and all(vs.count(None) == d for vs in slots):
+            continue
+        # per entry: F.zero + total[k], then minus each slot term, in that
+        # order; 0 + a and 0 - a are exactly a and -a in every field
+        sparse = [{q_offset + m * d + k: a for k, a in level[code] or ()}
+                  for m in range(d)]
+        for x, vecs in zip(idx, slots):
+            for r, v in enumerate(vecs):
+                c = r * d + x
+                for m, na in v or ():
+                    row = sparse[m]
+                    row[c] = add(row[c], na) if c in row else na
+        for row in sparse:
+            if F.hashable_elements:
+                key = tuple(sorted((c, a) for c, a in row.items() if not is_zero(a)))
+                if not key or key in seen:
+                    continue
+                seen.add(key)
+            elif all(is_zero(a) for a in row.values()):
+                continue
+            dense = [zero] * (q_offset + d * d)
+            for c, a in row.items():
+                dense[c] = a
+            rows.append(dense)
+    return rows
+
+
+def _law_space(A: Algebra, n: int, label: str) -> OperatorSpace:
+    rows = _law_rows(A, n)
+    return OperatorSpace(A, label, kernel(Matrix(A.field, rows, A.dim ** 2)))
 
 
 def derivation_space(A: Algebra) -> OperatorSpace:
-    """Kernel of D(e_i e_j) - D(e_i) e_j - e_i D(e_j) = 0 over basis pairs."""
-    F = A.field
-    d = A.dim
-    P = _basis_products(A)
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            terms = A.table.get((i, j), ())
-            for m in range(d):
-                row = [F.zero] * (d * d)
-                for k, c in terms:
-                    row[m * d + k] = F.add(row[m * d + k], c)
-                for r in range(d):
-                    row[r * d + i] = F.sub(row[r * d + i], P[r][j][m])
-                    row[r * d + j] = F.sub(row[r * d + j], P[i][r][m])
-                rows.append(row)
-    rows = _dedupe_rows(F, rows)
-    ker = kernel(Matrix(F, rows, d * d))
-    return OperatorSpace(A, "derivations", ker)
+    """Kernel of D(e_i e_j) - D(e_i) e_j - e_i D(e_j) = 0 over basis pairs:
+    the Leibniz law of order 2."""
+    return _law_space(A, 2, "derivations")
 
 
 def leibniz_space(A: Algebra, n: int) -> OperatorSpace:
@@ -78,63 +126,13 @@ def leibniz_space(A: Algebra, n: int) -> OperatorSpace:
     left-normed basis n-tuples."""
     if n < 2:
         raise ValueError("Leibniz order must be at least 2")
-    F = A.field
-    d = A.dim
-    e = A.basis()
-    rows = []
-    for idx in itertools.product(range(d), repeat=n):
-        prefixes = [e[idx[0]]]
-        for t in range(1, n):
-            prefixes.append(A.mul(prefixes[-1], e[idx[t]]))
-        total = prefixes[-1]
-        # slot_vecs[t][r] = [x1 .. x_{t-1} e_r x_{t+1} .. xn]
-        slot_vecs = []
-        for t in range(n):
-            vecs_t = []
-            for r in range(d):
-                v = e[r] if t == 0 else A.mul(prefixes[t - 1], e[r])
-                for u in range(t + 1, n):
-                    v = A.mul(v, e[idx[u]])
-                vecs_t.append(v)
-            slot_vecs.append(vecs_t)
-        for m in range(d):
-            row = [F.zero] * (d * d)
-            for k in range(d):
-                if not F.is_zero(total[k]):
-                    row[m * d + k] = F.add(row[m * d + k], total[k])
-            for t in range(n):
-                col = idx[t]
-                vecs_t = slot_vecs[t]
-                for r in range(d):
-                    a = vecs_t[r][m]
-                    if not F.is_zero(a):
-                        row[r * d + col] = F.sub(row[r * d + col], a)
-            rows.append(row)
-    rows = _dedupe_rows(F, rows)
-    ker = kernel(Matrix(F, rows, d * d))
-    return OperatorSpace(A, f"leibniz({n})", ker)
+    return _law_space(A, n, f"leibniz({n})")
 
 
 def quasider_condition_rows(A: Algebra) -> list:
     """Rows of the linear system for pairs (f, Q), unknowns f then Q
     (2 d^2 columns): Q(e_i e_j) - f(e_i) e_j - e_i f(e_j) = 0."""
-    F = A.field
-    d = A.dim
-    P = _basis_products(A)
-    nf = d * d
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            terms = A.table.get((i, j), ())
-            for m in range(d):
-                row = [F.zero] * (2 * nf)
-                for k, c in terms:
-                    row[nf + m * d + k] = F.add(row[nf + m * d + k], c)
-                for r in range(d):
-                    row[r * d + i] = F.sub(row[r * d + i], P[r][j][m])
-                    row[r * d + j] = F.sub(row[r * d + j], P[i][r][m])
-                rows.append(row)
-    return _dedupe_rows(F, rows)
+    return _law_rows(A, 2, q_offset=A.dim ** 2)
 
 
 def quasider_space(A: Algebra) -> OperatorSpace:

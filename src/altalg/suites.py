@@ -23,7 +23,7 @@ from .linalg import Matrix, Subspace, kernel
 from .operators import (derivation_space, flatten_map, invertible_in_space,
                         invertible_values_check, is_derivation, is_inner,
                         is_leibniz, leibniz_space, lemma22_derivation,
-                        moens_construction, mult_lie_algebra, qder_equals_end,
+                        moens_construction, mult_lie_algebra,
                         quasider_condition_rows, quasider_space)
 from .quadratic import (cd_inverse, cd_tower, find_isotropic,
                         orthocomplement, zorn, zorn_isomorphism)
@@ -619,17 +619,17 @@ def suite_moens(cfg: Config) -> list:
 def suite_qder_classification(cfg: Config) -> list:
     F5 = PrimeField(5)
     checks = []
-    fa = field_algebra(F5)
-    checks.append(CheckResult("GF5-as-field/QDer=End", qder_equals_end(fa),
-                              "certified", detail=f"dim = {quasider_space(fa).dim}"))
-    za = zero_algebra(F5, 2)
+    fa = quasider_space(field_algebra(F5))
+    checks.append(CheckResult("GF5-as-field/QDer=End", fa.dim == fa.algebra.dim ** 2,
+                              "certified", detail=f"dim = {fa.dim}"))
+    za = quasider_space(zero_algebra(F5, 2))
     checks.append(CheckResult("2-dim-zero-multiplication/QDer=End",
-                              qder_equals_end(za), "certified",
-                              detail=f"dim = {quasider_space(za).dim}"))
+                              za.dim == za.algebra.dim ** 2, "certified",
+                              detail=f"dim = {za.dim}"))
     Z5 = zorn(F5).algebra
     S = quasider_space(Z5)
     checks.append(CheckResult("zorn-GF5/dim-QDer=15-strictly-below-End",
-                              S.dim == 15 and not qder_equals_end(Z5),
+                              S.dim == 15 and S.dim < Z5.dim ** 2,
                               "certified", detail=f"dim = {S.dim} < 64"))
     # oracle: re-solve with the 2 d^2 unknowns in reversed order
     rows = quasider_condition_rows(Z5)

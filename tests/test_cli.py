@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import time
 
 import pytest
 
@@ -205,3 +207,37 @@ def test_cli_seed_changes_are_honored(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "moens", "--seed", "7", "--json")
     doc = json.loads(out1)
     assert doc["seed"] == 7 and code1 == 0
+
+
+def test_cli_parallel_elapsed_is_wall_time(capsys, monkeypatch):
+    # four suites sleeping 0.3 s side by side: the stderr line must show the
+    # real wall time, not the 1.2 s sum of the per-suite times
+    from altalg import suites
+
+    def sleepy(cfg):
+        time.sleep(0.3)
+        return [suites.CheckResult("slept", True, "certified")]
+
+    fake = {f"sleep-{i}": sleepy for i in range(4)}
+    monkeypatch.setattr(suites, "SUITES", fake)
+    monkeypatch.setattr(suites, "SUITE_ORDER", tuple(fake))
+    code, _, err = run_cli(capsys, "verify", "all", "--parallel", "--json")
+    assert code == 0
+    elapsed = float(re.search(r"elapsed: ([0-9.]+)s", err).group(1))
+    assert 0.3 <= elapsed < 0.9
+
+
+@pytest.mark.parametrize("argv, dim, key, value", [
+    (("leibniz", "remark22", "--order", "5"), 49, "contains_identity", True),
+    (("leibniz", "split-octonions-Q", "--order", "4"), 14, "contains_identity", False),
+    (("quasiderivations", "split-octonions-Q"), 15, "equals_end", False),
+    (("derivations", "split-octonions-Q"), 14, None, None),
+], ids=["leibniz-remark22-5", "leibniz-split-octonions-Q-4",
+        "quasiderivations-split-octonions-Q", "derivations-split-octonions-Q"])
+def test_cli_operator_space_answers(capsys, argv, dim, key, value):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    witness = json.loads(out)["checks"][0]["witness"]
+    assert witness["dim"] == dim
+    if key is not None:
+        assert witness[key] is value

@@ -126,6 +126,31 @@ def test_rref_prime_path_matches_generic(rng):
         assert fast.rows == [[v % 5 for v in r] for r in rows_g]
 
 
+def test_rref_rationals_matches_fraction_elimination(rng):
+    # integer elimination must give the Fraction Gauss-Jordan RREF entrywise
+    from altalg.linalg import _rref_generic, _rref_rationals
+
+    F = RationalField()
+    big = 10 ** 30 + 7
+
+    def entry():
+        return Fraction(rng.choice([0, 0, 0, 1, -1, 3, -big, big]),
+                        rng.choice([1, 1, 2, 7, -5, big]))
+
+    cases = [[], [[Fraction(0)] * 4, [Fraction(0)] * 4],
+             [[Fraction(-big, 3), Fraction(big, 2), Fraction(0)]] * 3]
+    for nr, nc in [(3, 4), (5, 5), (6, 3), (4, 7)]:
+        m = [[entry() for _ in range(nc)] for _ in range(nr)]
+        cases.append(m + [list(m[0]), [Fraction(0)] * nc])
+    for rows in cases:
+        nc = len(rows[0]) if rows else 5
+        got, rank_i, piv_i = _rref_rationals(rows, nc)
+        want, rank_g, piv_g = _rref_generic(F, rows, nc, defer_division=False)
+        assert rank_i == rank_g and piv_i == piv_g
+        assert got == want
+        assert all(type(a) is Fraction for row in got for a in row)
+
+
 def test_subspace_sum_basis_vectors():
     F = PrimeField(3)
     e1 = Subspace.from_vectors(F, 3, [[1, 0, 0]])

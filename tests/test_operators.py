@@ -1,18 +1,22 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 
+from altalg.algebra import Algebra
 from altalg.catalog import build, field_algebra, mat2, zero_algebra
-from altalg.fields import PrimeField, RationalField
+from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
 from altalg.operators import (derivation_space, flatten_map,
                               invertible_in_space, invertible_values_check,
                               is_derivation, is_inner, is_leibniz,
                               leibniz_space, lemma22_derivation,
                               moens_construction, mult_lie_algebra,
-                              qder_equals_end, quasider_space,
-                              quasider_witness_q, unflatten_map)
+                              qder_equals_end, quasider_condition_rows,
+                              quasider_space, quasider_witness_q,
+                              unflatten_map)
 from altalg.quadratic import cd_double, zorn
 
 
@@ -45,12 +49,12 @@ def test_derivation_space_dim_14_in_every_catalog_characteristic():
 def test_derivation_space_stable_under_unknown_reordering():
     # independent solve: reverse the d^2 unknown columns, solve, map back
     for A in (build("remark22").algebra, mat2(PrimeField(3))):
-        from altalg.operators import _basis_products
         from altalg.algebra import _dedupe_rows
 
         F = A.field
         d = A.dim
-        P = _basis_products(A)
+        e = A.basis()
+        P = [[A.mul(e[r], e[j]) for j in range(d)] for r in range(d)]
         rows = []
         for i in range(d):
             for j in range(d):
@@ -70,6 +74,81 @@ def test_derivation_space_stable_under_unknown_reordering():
         unperm = [[row[rev.index(c)] for c in range(d * d)] for row in ker_p.rows]
         oracle = Subspace.from_vectors(F, d * d, unperm)
         assert oracle == derivation_space(A).space
+
+
+def reference_leibniz_rows(A, n, q_offset=0):
+    """The tuple-by-tuple builder the prefix-trie builder replaced: every
+    basis n-tuple from scratch with Algebra.mul, dense rows, then
+    _dedupe_rows.  q_offset moves the phi([x1..xn]) block, as for the
+    Q unknowns of quasiderivations."""
+    from altalg.algebra import _dedupe_rows
+
+    F = A.field
+    d = A.dim
+    e = A.basis()
+    rows = []
+    for idx in itertools.product(range(d), repeat=n):
+        prefixes = [e[idx[0]]]
+        for t in range(1, n):
+            prefixes.append(A.mul(prefixes[-1], e[idx[t]]))
+        total = prefixes[-1]
+        slot_vecs = []
+        for t in range(n):
+            vecs_t = []
+            for r in range(d):
+                v = e[r] if t == 0 else A.mul(prefixes[t - 1], e[r])
+                for u in range(t + 1, n):
+                    v = A.mul(v, e[idx[u]])
+                vecs_t.append(v)
+            slot_vecs.append(vecs_t)
+        for m in range(d):
+            row = [F.zero] * (q_offset + d * d)
+            for k in range(d):
+                if not F.is_zero(total[k]):
+                    col = q_offset + m * d + k
+                    row[col] = F.add(row[col], total[k])
+            for t in range(n):
+                for r in range(d):
+                    a = slot_vecs[t][r][m]
+                    if not F.is_zero(a):
+                        col = r * d + idx[t]
+                        row[col] = F.sub(row[col], a)
+            rows.append(row)
+    return _dedupe_rows(F, rows)
+
+
+def random_sparse_algebra(F, d, rng):
+    table = {}
+    for i in range(d):
+        for j in range(d):
+            if rng.random() < 0.4:
+                ks = rng.sample(range(d), rng.randint(1, 2))
+                table[(i, j)] = [(k, F.random_nonzero(rng)) for k in ks]
+    return Algebra(F, d, table)
+
+
+def encoded(F, rows):
+    return [[F.encode(a) for a in row] for row in rows]
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), RationalField(), RatFunField(2)],
+                         ids=["gf3", "rationals", "ratfun2"])
+def test_trie_builder_matches_tuple_by_tuple_reference(F):
+    # byte-identical encodings also pin the unreduced GF(2)(s,t) forms
+    from altalg.operators import _law_rows
+
+    rng = random.Random(7)
+    shapes = [(d, n) for d in (2, 3, 4) for n in (2, 3, 4) if d ** n <= 81]
+    for d, n in shapes:
+        A = random_sparse_algebra(F, d, rng)
+        ref = reference_leibniz_rows(A, n)
+        assert encoded(F, _law_rows(A, n)) == encoded(F, ref)
+        want = encoded(F, kernel(Matrix(F, ref, d * d)).rows)
+        assert encoded(F, leibniz_space(A, n).space.rows) == want
+        if n == 2:
+            assert encoded(F, derivation_space(A).space.rows) == want
+            assert (encoded(F, quasider_condition_rows(A))
+                    == encoded(F, reference_leibniz_rows(A, 2, q_offset=d * d)))
 
 
 def test_derivations_kill_unit():
