@@ -150,13 +150,19 @@ class Algebra:
         """Matrix of L_a (side='left') or R_a (side='right') on the basis."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if len(a) != self.dim:
+            raise ValueError("element dimension mismatch")
         F = self.field
+        tab = self.table
         m = Matrix.zeros(F, self.dim, self.dim)
+        rows = m.rows
+        # column c is a e_c (left) or e_c a (right)
         for c in range(self.dim):
-            e = self.basis_vec(c)
-            col = self.mul(a, e) if side == "left" else self.mul(e, a)
-            for r in range(self.dim):
-                m.rows[r][c] = col[r]
+            for i, s in enumerate(a):
+                if F.is_zero(s):
+                    continue
+                for k, coeff in tab.get((i, c) if side == "left" else (c, i), ()):
+                    rows[k][c] = F.add(rows[k][c], F.mul(s, coeff))
         return m
 
     def find_unit(self):

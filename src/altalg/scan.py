@@ -2,14 +2,23 @@
 
 Pure-Python evaluation is exact but too slow to sweep |F|^d elements when
 |F|^d runs into the hundreds of thousands, so the whole-space scans run on
-numpy tensors.  Arithmetic is done in floating point to keep BLAS in play;
-a magnitude bound picks the narrowest dtype whose integers stay exact, and
-residues are only reduced mod p where the bound requires it.  Identity
-arguments the law is *linear* in range over basis vectors only, which by
-linearity loses nothing; the nonlinear slot is swept over every field vector.
+numpy arrays.  A scanned law is a polynomial map of degree k in one swept
+argument and linear in the others; the linear arguments range over basis
+vectors only, which by linearity loses nothing.  The law's coefficients are
+exact integer contractions of the structure tensor (the linearization of
+Zhevlakov-Slinko-Shestakov-Shirshov, *Rings that are nearly associative*),
+summed over the orderings of each degree-k monomial and reduced mod p, once
+per sweep.  Each block of swept vectors then costs one GEMM of its monomials
+against that (monomials) x (basis tuples * d) matrix and an exact
+divisibility test mod p, so all p^d vectors are evaluated against every
+output.  The GEMM runs in float32 or float64 when a bound on its sums keeps
+every integer exact, and on Python integers otherwise.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,139 +50,124 @@ def vector_blocks(p: int, d: int, block: int = BLOCK):
         yield start, ((idx[:, None] // weights[None, :]) % p).astype(np.float64)
 
 
-def _strategy(p: int, d: int):
-    """(dtype, staged_reduction) so that every intermediate stays exact."""
-    bound = (d ** 4) * (p - 1) ** 5
-    if bound < 2 ** 24:
-        return np.float32, False
-    if bound < 2 ** 53:
-        return np.float64, False
-    return np.float64, True
+class Law(NamedTuple):
+    """A law as signed einsum contractions of copies of the structure tensor.
+
+    Output subscripts: `degree` copies of the swept argument, then one per
+    linear argument, then the output coordinate.  Witnesses list the swept
+    argument first, or last when basis_first is set.
+    """
+
+    degree: int
+    terms: tuple
+    basis_first: bool = False
+
+    @property
+    def linear(self) -> int:
+        """Number of linear arguments."""
+        return len(self.terms[0][1].split("->")[1]) - self.degree - 1
 
 
-def _first_bad(lhs: np.ndarray, rhs: np.ndarray, p: int):
-    """First multi-index whose residual is nonzero mod p, or None."""
-    it = np.int32 if lhs.dtype == np.float32 else np.int64
-    diff = (lhs - rhs).astype(it) % p
-    if not diff.any():
-        return None
-    bad = np.argwhere(diff.any(axis=-1))
-    return tuple(int(v) for v in bad[0])
+# (xy)(zx) - (x(yz))x
+MIDDLE_MOUFANG = Law(2, ((1, "aju,kbv,uvm->abjkm"), (-1, "jku,auv,vbm->abjkm")))
+# (x^2, y, x) = ((xx)y)x - (xx)(yx)
+JORDAN = Law(3, ((1, "abu,ujv,vcm->abcjm"), (-1, "abu,jcv,uvm->abcjm")))
+
+SWEEP_BYTES = 1 << 21   # cap on one block's GEMM operands; about an L2 cache
+
+
+def coefficients(A, law: Law):
+    """(monomials, T) for a sweep of `law` over the prime-field algebra A.
+
+    monomials: (M, degree) indices of the degree-`degree` monomials of the
+    swept argument, in lexicographic order.  T: (M, d^r * d) coefficients
+    mod p, columns ordered (linear basis indices..., output coordinate).
+    """
+    p, d, k = A.field.p, A.dim, law.degree
+    # a term sums d^(summed indices) products of (operands) residues < p
+    bound = 0
+    for _, spec in law.terms:
+        ins, out = spec.split("->")
+        summed = set(ins) - set(out) - {","}
+        bound += d ** len(summed) * (p - 1) ** (ins.count(",") + 1)
+    C = structure_tensor(A).astype(np.int64)
+    if bound >= 2 ** 63:
+        C = C.astype(object)
+    K = sum(sign * np.einsum(spec, *[C] * (spec.count(",") + 1), optimize=True)
+            for sign, spec in law.terms) % p
+    monomials = list(itertools.combinations_with_replacement(range(d), k))
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [index[tuple(sorted(t))] for t in itertools.product(range(d), repeat=k)]
+    T = np.zeros((len(monomials), K.size // d ** k), dtype=K.dtype)
+    np.add.at(T, rows, K.reshape(d ** k, -1))
+    return np.array(monomials), T % p
+
+
+def gemm_dtype(p: int, monomials: int, degree: int):
+    """Narrowest dtype holding every partial sum of the sweep GEMM exactly:
+    each of its `monomials` terms is at most (p-1)^degree * (p-1)."""
+    bound = monomials * (p - 1) ** (degree + 1)
+    if bound <= 2 ** 24:
+        return np.float32
+    if bound <= 2 ** 53:
+        return np.float64
+    return object
+
+
+def _gemm(X: np.ndarray, monomials: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Unreduced law values at the rows of X, computed in T's dtype."""
+    # one row per coordinate, so gathering a monomial factor copies a row
+    Xt = X.T.astype(np.int64, order="C").astype(T.dtype)
+    mono = Xt[monomials[:, 0]]
+    for c in range(1, monomials.shape[1]):
+        mono *= Xt[monomials[:, c]]
+    return mono.T @ T
+
+
+def _nonzero_mod(R: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the entries of R, exact non-negative integers, not divisible
+    by p."""
+    if R.dtype == object:
+        return R % p != 0
+    ut, w = (np.uint32, 32) if R.dtype == np.float32 else (np.uint64, 64)
+    u = R.astype(ut)
+    if p == 2:
+        return (u & 1).astype(bool)
+    # for odd p, n * p^-1 mod 2^w is at most (2^w - 1) // p iff p divides n
+    u *= ut(pow(p, -1, 2 ** w))
+    return u > ut((2 ** w - 1) // p)
+
+
+def sweep(A, law: Law, block: int | None = None):
+    """Witness arguments at which `law` fails on A, or None if it holds.
+
+    Every vector of vector_blocks is evaluated; the witness is the first
+    failing vector, then the first failing tuple of basis vectors.
+    """
+    p, d = A.field.p, A.dim
+    monomials, T = coefficients(A, law)
+    T = T.astype(gemm_dtype(p, len(monomials), law.degree))
+    if block is None:
+        block = max(1, SWEEP_BYTES // (max(T.shape) * T.itemsize))
+    for _, X in vector_blocks(p, d, block):
+        bad = _nonzero_mod(_gemm(X, monomials, T), p)
+        if bad.any():
+            bad = bad.reshape(len(X), -1, d).any(axis=2)
+            ni, col = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
+            idx = np.unravel_index(col, (d,) * law.linear)
+            return _witness_args(A, X[ni], idx, law.basis_first)
+    return None
 
 
 def scan_middle_moufang(A):
-    """Witness (x, y, z) with (xy)(zx) != (x(yz))x, or None.
-
-    x sweeps all field vectors; y, z sweep basis vectors (the law is linear
-    in both, so this decides the law for all arguments).
-    """
-    C = structure_tensor(A)
-    p, d = A.field.p, A.dim
-    dt, staged = _strategy(p, d)
-
-    def red(a):
-        return a % p if staged else a
-
-    Cf = C.astype(dt)
-    C2 = Cf.reshape(d, d * d)
-    # M2[j, k, c, a] = sum_e C[j,k,e] C[c,e,a]  (matrix of x -> x (e_j e_k))
-    M2 = np.tensordot(C, C, axes=([2], [1])) % p
-    M2f = np.ascontiguousarray(M2.transpose(2, 0, 1, 3)).reshape(d, d ** 3).astype(dt)
-    for start, X in vector_blocks(p, d):
-        n = X.shape[0]
-        Xf = X.astype(dt)
-        P = red(np.tensordot(Xf, Cf, axes=([1], [0])))     # P[n,j,:] = x e_j
-        G = red(np.tensordot(Xf, Cf, axes=([1], [1])))     # G[n,k,:] = e_k x
-        T = red(np.matmul(P, C2)).reshape(n, d, d, d)      # T[n,j,b,m]
-        # lhs[n,j,k,m] = sum_b G[n,k,b] T[n,j,b,m]
-        T2 = np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(n, d, d * d)
-        lhs = np.matmul(G, T2).reshape(n, d, d, d).transpose(0, 2, 1, 3)
-        S = red(np.matmul(Xf, M2f)).reshape(n, d * d, d)   # x (e_j e_k)
-        rhs = np.matmul(S, G).reshape(n, d, d, d)
-        hit = _first_bad(lhs, rhs, p)
-        if hit is not None:
-            ni, j, k = hit
-            return _witness_args(A, X[ni], (j, k))
-    return None
+    """Witness (x, y, z) with (xy)(zx) != (x(yz))x, or None; y and z sweep
+    the basis, x every field vector."""
+    return sweep(A, MIDDLE_MOUFANG)
 
 
 def scan_jordan(A):
     """Witness (x, y) with (x^2, y, x) != 0, or None; y sweeps the basis."""
-    C = structure_tensor(A)
-    p, d = A.field.p, A.dim
-    dt, staged = _strategy(p, d)
-
-    def red(a):
-        return a % p if staged else a
-
-    Cf = C.astype(dt)
-    C2 = Cf.reshape(d, d * d)
-    for start, X in vector_blocks(p, d):
-        n = X.shape[0]
-        Xf = X.astype(dt)
-        H = np.matmul(Xf, C2).reshape(n, d, d)             # sum_a x_a C[a,b,m]
-        XX = red((Xf[:, :, None] * H).sum(axis=1))         # x x
-        BJ = red(np.tensordot(XX, Cf, axes=([1], [0])))    # x^2 e_j
-        G = red(np.tensordot(Xf, Cf, axes=([1], [1])))     # G[n,a,m]
-        lhs = np.matmul(BJ, G)                             # (x^2 e_j) x
-        rhs = np.matmul(G, BJ)                             # x^2 (e_j x)
-        hit = _first_bad(lhs, rhs, p)
-        if hit is not None:
-            ni, j = hit
-            return _witness_args(A, X[ni], (j,))
-    return None
-
-
-def scan_left_alternative(A):
-    """Witness (x, y) with (x, x, y) != 0, or None (exhaustive in x)."""
-    C = structure_tensor(A)
-    p, d = A.field.p, A.dim
-    dt, staged = _strategy(p, d)
-
-    def red(a):
-        return a % p if staged else a
-
-    Cf = C.astype(dt)
-    C2 = Cf.reshape(d, d * d)
-    for start, X in vector_blocks(p, d):
-        n = X.shape[0]
-        Xf = X.astype(dt)
-        H = np.matmul(Xf, C2).reshape(n, d, d)
-        XX = red((Xf[:, :, None] * H).sum(axis=1))
-        lhs = np.tensordot(XX, Cf, axes=([1], [0]))        # (xx) e_j
-        P = red(np.tensordot(Xf, Cf, axes=([1], [0])))     # P[n,j,:] = x e_j
-        rhs = np.matmul(P, P)                              # x (x e_j)
-        hit = _first_bad(lhs, rhs, p)
-        if hit is not None:
-            ni, j = hit
-            return _witness_args(A, X[ni], (j,))
-    return None
-
-
-def scan_right_alternative(A):
-    """Witness (x, y) with (x, y, y) != 0, or None (exhaustive in y)."""
-    C = structure_tensor(A)
-    p, d = A.field.p, A.dim
-    dt, staged = _strategy(p, d)
-
-    def red(a):
-        return a % p if staged else a
-
-    Cf = C.astype(dt)
-    C2 = Cf.reshape(d, d * d)
-    for start, Y in vector_blocks(p, d):
-        n = Y.shape[0]
-        Yf = Y.astype(dt)
-        G = red(np.tensordot(Yf, Cf, axes=([1], [1])))     # G[n,j,:] = e_j y
-        H = np.matmul(Yf, C2).reshape(n, d, d)
-        YY = red((Yf[:, :, None] * H).sum(axis=1))
-        lhs = np.matmul(G, G)                              # (e_j y) y
-        rhs = np.tensordot(YY, Cf, axes=([1], [1]))        # e_j (y y)
-        hit = _first_bad(lhs, rhs, p)
-        if hit is not None:
-            ni, j = hit
-            return _witness_args(A, Y[ni], (j,), basis_first=True)
-    return None
+    return sweep(A, JORDAN)
 
 
 def _witness_args(A, x, basis_idx, basis_first=False):

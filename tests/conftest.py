@@ -3,6 +3,13 @@ import random
 import pytest
 
 from altalg.fields import PrimeField, RatFunField, RationalField
+from altalg.scan import Law
+
+# Laws the program decides by basis conditions, swept here as an oracle for
+# the certified route: (x, x, y) = (xx)y - x(xy), and (x, y, y) swept in y.
+LEFT_ALTERNATIVE = Law(2, ((1, "abu,ujm->abjm"), (-1, "bju,aum->abjm")))
+RIGHT_ALTERNATIVE = Law(2, ((1, "jau,ubm->abjm"), (-1, "abu,jum->abjm")),
+                        basis_first=True)
 
 
 @pytest.fixture

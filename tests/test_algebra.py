@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 
 from altalg.algebra import (Algebra, TableFormatError, algebra_from_json,
                             algebra_to_json, check_identity, derived_algebra,
@@ -10,7 +11,7 @@ from altalg.algebra import (Algebra, TableFormatError, algebra_from_json,
                             special_product, special_subspace,
                             subspace_product)
 from altalg.catalog import build, mat2, zero_algebra
-from altalg.fields import PrimeField, RationalField
+from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Subspace, rref
 from altalg.quadratic import zorn
 
@@ -149,6 +150,40 @@ def test_mult_operator_rank_of_left_idempotent(z3):
     assert rank == 4
 
 
+def reference_mult_operator(A, side, a):
+    """The column-by-column construction: one Algebra.mul per basis vector."""
+    from altalg.linalg import Matrix
+
+    m = Matrix.zeros(A.field, A.dim, A.dim)
+    for c in range(A.dim):
+        e = A.basis_vec(c)
+        col = A.mul(a, e) if side == "left" else A.mul(e, a)
+        for r in range(A.dim):
+            m.rows[r][c] = col[r]
+    return m
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), RationalField(), RatFunField(2)],
+                         ids=["gf3", "rationals", "ratfun2"])
+def test_mult_operator_matches_column_by_column_products(F):
+    # equal encodings also pin the unreduced GF(2)(s,t) forms
+    rng = random.Random(5)
+    for _ in range(30):
+        d = rng.randint(1, 4)
+        table = {(i, j): [(k, F.random_nonzero(rng))
+                          for k in rng.sample(range(d), rng.randint(1, d))]
+                 for i in range(d) for j in range(d) if rng.random() < 0.5}
+        A = Algebra(F, d, table)
+        a = A.random_element(rng)
+        for side in ("left", "right"):
+            got = A.mult_operator(side, a).rows
+            want = reference_mult_operator(A, side, a).rows
+            assert ([[F.encode(v) for v in row] for row in got]
+                    == [[F.encode(v) for v in row] for row in want])
+    with pytest.raises(ValueError):
+        A.mult_operator("left", a + a)
+
+
 def test_find_unit_none_for_zero_algebra():
     assert zero_algebra(PrimeField(3), 2).find_unit() is None
 
@@ -236,9 +271,9 @@ def test_identity_scan_agrees_with_certified_on_zorn():
     for p in (2, 3):
         A = zorn(PrimeField(p)).algebra
         assert check_identity(A, "left-alternative").holds
-        assert scan.scan_left_alternative(A) is None
+        assert scan.sweep(A, LEFT_ALTERNATIVE) is None
         assert check_identity(A, "right-alternative").holds
-        assert scan.scan_right_alternative(A) is None
+        assert scan.sweep(A, RIGHT_ALTERNATIVE) is None
 
 
 def test_identity_scan_agrees_on_failing_algebra():
@@ -247,7 +282,7 @@ def test_identity_scan_agrees_on_failing_algebra():
     F = PrimeField(3)
     A = Algebra(F, 3, {(0, 0): [(1, 1)], (1, 0): [(0, 1)], (0, 2): [(1, 2)]})
     cert = check_identity(A, "left-alternative")
-    witness = scan.scan_left_alternative(A)
+    witness = scan.sweep(A, LEFT_ALTERNATIVE)
     assert not cert.holds and witness is not None
     assert not A.is_zero_vec(evaluate_identity(A, "left-alternative", witness))
 

@@ -2,14 +2,16 @@
 plain Python evaluation."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 
 from altalg import scan
 from altalg.algebra import Algebra, evaluate_identity
-from altalg.fields import PrimeField
+from altalg.fields import PrimeField, is_prime
 from altalg.linalg import Matrix, rref
 from altalg.operators import derivation_space
 from altalg.quadratic import zorn
@@ -64,13 +66,210 @@ def test_alternativity_scans_match_brute_force():
     rng = random.Random(99)
     for trial in range(6):
         A = random_sparse_algebra(2, 3, rng)
-        for name, scanner in (("left-alternative", scan.scan_left_alternative),
-                              ("right-alternative", scan.scan_right_alternative)):
+        for name, law in (("left-alternative", LEFT_ALTERNATIVE),
+                          ("right-alternative", RIGHT_ALTERNATIVE)):
             brute = brute_identity_holds(A, name, 2)
-            witness = scanner(A)
+            witness = scan.sweep(A, law)
             assert (witness is None) == brute
             if witness is not None:
                 assert not A.is_zero_vec(evaluate_identity(A, name, witness))
+
+
+# ---- the four-tensordot kernels the coefficient-tensor sweep replaced -------
+
+def _reference_strategy(p, d):
+    bound = (d ** 4) * (p - 1) ** 5
+    if bound < 2 ** 24:
+        return np.float32, False
+    if bound < 2 ** 53:
+        return np.float64, False
+    return np.float64, True
+
+
+def _reference_first_bad(lhs, rhs, p):
+    it = np.int32 if lhs.dtype == np.float32 else np.int64
+    diff = (lhs - rhs).astype(it) % p
+    if not diff.any():
+        return None
+    bad = np.argwhere(diff.any(axis=-1))
+    return tuple(int(v) for v in bad[0])
+
+
+def reference_middle_moufang(A):
+    C = scan.structure_tensor(A)
+    p, d = A.field.p, A.dim
+    dt, staged = _reference_strategy(p, d)
+
+    def red(a):
+        return a % p if staged else a
+
+    Cf = C.astype(dt)
+    C2 = Cf.reshape(d, d * d)
+    M2 = np.tensordot(C, C, axes=([2], [1])) % p
+    M2f = np.ascontiguousarray(M2.transpose(2, 0, 1, 3)).reshape(d, d ** 3).astype(dt)
+    for start, X in scan.vector_blocks(p, d):
+        n = X.shape[0]
+        Xf = X.astype(dt)
+        P = red(np.tensordot(Xf, Cf, axes=([1], [0])))
+        G = red(np.tensordot(Xf, Cf, axes=([1], [1])))
+        T = red(np.matmul(P, C2)).reshape(n, d, d, d)
+        T2 = np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(n, d, d * d)
+        lhs = np.matmul(G, T2).reshape(n, d, d, d).transpose(0, 2, 1, 3)
+        S = red(np.matmul(Xf, M2f)).reshape(n, d * d, d)
+        rhs = np.matmul(S, G).reshape(n, d, d, d)
+        hit = _reference_first_bad(lhs, rhs, p)
+        if hit is not None:
+            ni, j, k = hit
+            return scan._witness_args(A, X[ni], (j, k))
+    return None
+
+
+def reference_jordan(A):
+    C = scan.structure_tensor(A)
+    p, d = A.field.p, A.dim
+    dt, staged = _reference_strategy(p, d)
+
+    def red(a):
+        return a % p if staged else a
+
+    Cf = C.astype(dt)
+    C2 = Cf.reshape(d, d * d)
+    for start, X in scan.vector_blocks(p, d):
+        n = X.shape[0]
+        Xf = X.astype(dt)
+        H = np.matmul(Xf, C2).reshape(n, d, d)
+        XX = red((Xf[:, :, None] * H).sum(axis=1))
+        BJ = red(np.tensordot(XX, Cf, axes=([1], [0])))
+        G = red(np.tensordot(Xf, Cf, axes=([1], [1])))
+        lhs = np.matmul(BJ, G)
+        rhs = np.matmul(G, BJ)
+        hit = _reference_first_bad(lhs, rhs, p)
+        if hit is not None:
+            ni, j = hit
+            return scan._witness_args(A, X[ni], (j,))
+    return None
+
+
+def test_sweep_matches_reference_kernels():
+    # block 7 and 64 leave a ragged last block for most p^d
+    rng = random.Random(2024)
+    outcomes = set()
+    for trial in range(240):
+        p = (2, 3, 5, 7)[trial % 4]
+        A = random_sparse_algebra(p, 2 + trial % 3, rng)
+        for law, reference in ((scan.MIDDLE_MOUFANG, reference_middle_moufang),
+                               (scan.JORDAN, reference_jordan)):
+            want = reference(A)
+            outcomes.add(want is None)
+            for block in (7, 64, None):
+                assert scan.sweep(A, law, block) == want, (trial, law, block)
+    assert outcomes == {True, False}
+
+
+def test_zorn_sweep_evaluates_every_vector(monkeypatch):
+    # the coefficient matrix is 0 mod 5 here; the sweep must still run
+    from altalg.algebra import check_identity
+
+    drawn = []
+    blocks = scan.vector_blocks
+
+    def counted(p, d, block=scan.BLOCK):
+        for start, X in blocks(p, d, block):
+            drawn.append(len(X))
+            yield start, X
+
+    monkeypatch.setattr(scan, "vector_blocks", counted)
+    A = zorn(PrimeField(5)).algebra
+    assert scan.scan_middle_moufang(A) is None
+    assert sum(drawn) == 5 ** 8
+    drawn.clear()
+    assert check_identity(A, "middle-moufang").provenance == "exhaustive"
+    assert sum(drawn) == 5 ** 8
+
+
+# ---- exactness of the sweep GEMM at its dtype switch points ---------------
+
+def _prime_near(n, step):
+    while not is_prime(n):
+        n += step
+    return n
+
+
+def _root(limit, m, e):
+    """Largest r with m * r^e <= limit."""
+    r = int(round((limit / m) ** (1 / e)))
+    while m * r ** e > limit:
+        r -= 1
+    while m * (r + 1) ** e <= limit:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("law", [scan.MIDDLE_MOUFANG, scan.JORDAN],
+                         ids=["middle-moufang", "jordan"])
+def test_gemm_dtype_switch_points_are_exact(law):
+    d, k = 2, law.degree
+    monomials = np.array(list(itertools.combinations_with_replacement(range(d), k)))
+    m = len(monomials)
+    cols = d ** (law.linear + 1)
+    for limit, dt in ((2 ** 24, np.float32), (2 ** 53, np.float64)):
+        top = _root(limit, m, k + 1)         # largest exact p - 1
+        assert scan.gemm_dtype(top + 1, m, k) is dt
+        assert scan.gemm_dtype(top + 2, m, k) is not dt
+        # worst case: every coordinate and every coefficient is p - 1
+        X = np.full((3, d), top, dtype=np.float64)
+        T = np.full((m, cols), top, dtype=np.int64).astype(dt)
+        R = scan._gemm(X, monomials, T)
+        assert R.dtype == dt
+        assert {int(v) for v in R.ravel()} == {m * top ** (k + 1)}
+
+
+@pytest.mark.parametrize("law,name", [(scan.MIDDLE_MOUFANG, "middle-moufang"),
+                                      (scan.JORDAN, "jordan")])
+def test_sweep_gemm_matches_python_evaluation_across_dtypes(law, name):
+    # primes on both sides of each switch point, and one whose structure
+    # constant contractions overflow int64 as well
+    d, k = 2, law.degree
+    m = math.comb(d + k - 1, k)
+    primes = [2 ** 31 - 1]
+    for limit in (2 ** 24, 2 ** 53):
+        top = _root(limit, m, k + 1)
+        primes += [_prime_near(top + 1, -1), _prime_near(top + 2, 1)]
+    rng = random.Random(77)
+    seen = set()
+    for p in primes:
+        F = PrimeField(p)
+        table = {(i, j): [(kk, rng.randrange(1, p)) for kk in range(d)]
+                 for i in range(d) for j in range(d)}
+        A = Algebra(F, d, table)
+        monomials, T = scan.coefficients(A, law)
+        dt = scan.gemm_dtype(p, len(monomials), k)
+        seen.add(dt)
+        rows = [[p - 1] * d] + [[rng.randrange(p) for _ in range(d)]
+                                for _ in range(12)]
+        X = np.array(rows, dtype=np.float64)
+        R = scan._gemm(X, monomials, T.astype(dt))
+        exact = scan._gemm(X, monomials, T.astype(object))
+        assert [int(v) for v in R.ravel()] == list(exact.ravel())
+        assert (scan._nonzero_mod(R, p) == (exact % p != 0)).all()
+        linear = (d,) * law.linear
+        for n, x in enumerate(rows):
+            got = exact[n].reshape(linear + (d,))
+            for idx in itertools.product(range(d), repeat=len(linear)):
+                args = [x] + [A.basis_vec(j) for j in idx]
+                want = evaluate_identity(A, name, args)
+                assert [int(v) % p for v in got[idx]] == want
+    assert seen == {np.float32, np.float64, object}
+
+
+def test_nonzero_mod_matches_remainder():
+    rng = np.random.default_rng(3)
+    for p in (2, 3, 5, 7, 251, 65521):
+        for dt, top in ((np.float32, 2 ** 24), (np.float64, 2 ** 53)):
+            vals = np.concatenate([rng.integers(0, top, 500), np.arange(50),
+                                   top - np.arange(50), p * rng.integers(0, top // p, 50)])
+            R = vals.astype(dt)
+            assert (scan._nonzero_mod(R, p) == (vals % p != 0)).all()
 
 
 def test_vector_blocks_match_itertools_product():
