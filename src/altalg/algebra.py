@@ -9,10 +9,11 @@ lists of length d.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
-from .fields import Field, make_field
+from .fields import Field, is_json_int, make_field
 from .linalg import Matrix, Subspace, kernel, solve
 
 
@@ -27,7 +28,7 @@ class Algebra:
     __slots__ = ("field", "dim", "table", "names", "_unit")
 
     def __init__(self, field: Field, dim: int, table: dict, names=None):
-        if not isinstance(dim, int) or dim < 1:
+        if not is_json_int(dim) or dim < 1:
             raise TableFormatError(f"dimension must be a positive integer, got {dim!r}")
         F = make_field(field)
         clean: dict = {}
@@ -205,8 +206,6 @@ class Algebra:
 
     def elements(self):
         """All elements of a finite-field algebra, deterministic order."""
-        import itertools
-
         scalars = list(self.field.elements())
         for combo in itertools.product(scalars, repeat=self.dim):
             yield list(combo)
@@ -237,19 +236,22 @@ def special_product(A: Algebra, kind: str, *args) -> list:
 
 # ---- identity checking ----------------------------------------------------
 
-IDENTITY_NAMES = (
-    "left-alternative", "right-alternative", "flexible", "middle-moufang",
-    "jordan", "associative", "commutative", "anticommutative",
-)
-
-# Identities at most linear in each argument (or quadratic, which the probe
-# conditions below decide over every field); checked through basis conditions.
-_CERTIFIED = {"left-alternative", "right-alternative", "flexible",
-              "associative", "commutative", "anticommutative"}
-# Degree >= 3 in one argument: basis linearization is not conservative in
-# small characteristic, so these are scanned or sampled.  Middle Moufang is
-# grouped with them per the enumeration policy even though it is quadratic.
-_SCANNED = {"middle-moufang", "jordan"}
+# name -> (degree of the swept argument x, number of arguments the law is
+# linear in, whether x is the last argument).  Laws of degree <= 2 in x are
+# decided by basis conditions over every field; middle Moufang is quadratic
+# but is scanned or sampled by the enumeration policy, as is Jordan (degree 3,
+# where basis linearization is not conservative in small characteristic).
+_LAWS = {
+    "left-alternative": (2, 1, False),      # (x, x, y)
+    "right-alternative": (2, 1, True),      # (y, x, x)
+    "flexible": (2, 1, False),              # (x, y, x)
+    "middle-moufang": (2, 2, False),        # (xy)(zx) - (x(yz))x
+    "jordan": (3, 1, False),                # (x^2, y, x)
+    "associative": (1, 2, False),           # (x, y, z)
+    "commutative": (1, 1, False),           # [x, y]
+    "anticommutative": (2, 0, False),       # x x
+}
+IDENTITY_NAMES = tuple(_LAWS)
 
 
 @dataclass
@@ -303,93 +305,19 @@ def _fail(A, name, provenance, args):
 
 
 def _check_certified(A: Algebra, name: str) -> IdentityReport:
-    d = A.dim
+    """A law f of degree <= 2 in x and linear in its other arguments vanishes
+    identically iff it vanishes with those arguments on basis vectors and x
+    at every e_i, then (degree 2) at every e_i + e_j, i < j: once the square
+    coefficients f(e_i) are zero, f(e_i + e_j) is the cross coefficient.
+    This holds over every field, characteristic 2 included."""
+    degree, n_linear, last = _LAWS[name]
     e = A.basis()
-    F = A.field
-
-    def nz(v):
-        return not A.is_zero_vec(v)
-
-    if name == "associative":
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if nz(A.associator(e[i], e[j], e[k])):
-                        return _fail(A, name, "certified", (e[i], e[j], e[k]))
-        return IdentityReport(name, True, "certified")
-
-    if name == "commutative":
-        for i in range(d):
-            for j in range(i + 1, d):
-                if nz(A.commutator(e[i], e[j])):
-                    return _fail(A, name, "certified", (e[i], e[j]))
-        return IdentityReport(name, True, "certified")
-
-    if name == "anticommutative":
-        for i in range(d):
-            if nz(A.mul(e[i], e[i])):
-                return _fail(A, name, "certified", (e[i],))
-        for i in range(d):
-            for j in range(i + 1, d):
-                if nz(A.vadd(A.mul(e[i], e[j]), A.mul(e[j], e[i]))):
-                    return _fail(A, name, "certified", (A.vadd(e[i], e[j]),))
-        return IdentityReport(name, True, "certified")
-
-    # The three alternativity-type laws are quadratic in one slot.  The
-    # square coefficients (e_i in both copies of the slot) plus the cross
-    # coefficients (e_i, e_j symmetrized) are exactly the coefficients of
-    # the quadratic expansion, so they decide the law over any field.
-    if name == "left-alternative":
-        def diag(i, k):
-            return A.associator(e[i], e[i], e[k])
-
-        def cross(i, j, k):
-            return A.vadd(A.associator(e[i], e[j], e[k]),
-                          A.associator(e[j], e[i], e[k]))
-
-        def diag_wit(i, k):
-            return (e[i], e[k])
-
-        def cross_wit(i, j, k):
-            return (A.vadd(e[i], e[j]), e[k])
-    elif name == "right-alternative":
-        def diag(i, k):
-            return A.associator(e[k], e[i], e[i])
-
-        def cross(i, j, k):
-            return A.vadd(A.associator(e[k], e[i], e[j]),
-                          A.associator(e[k], e[j], e[i]))
-
-        def diag_wit(i, k):
-            return (e[k], e[i])
-
-        def cross_wit(i, j, k):
-            return (e[k], A.vadd(e[i], e[j]))
-    elif name == "flexible":
-        def diag(i, k):
-            return A.associator(e[i], e[k], e[i])
-
-        def cross(i, j, k):
-            return A.vadd(A.associator(e[i], e[k], e[j]),
-                          A.associator(e[j], e[k], e[i]))
-
-        def diag_wit(i, k):
-            return (e[i], e[k])
-
-        def cross_wit(i, j, k):
-            return (A.vadd(e[i], e[j]), e[k])
-    else:
-        raise ValueError(f"unknown identity {name!r}")
-
-    for i in range(d):
-        for k in range(d):
-            if nz(diag(i, k)):
-                return _fail(A, name, "certified", diag_wit(i, k))
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                if nz(cross(i, j, k)):
-                    return _fail(A, name, "certified", cross_wit(i, j, k))
+    sums = (A.vadd(a, b) for a, b in itertools.combinations(e, 2))
+    for x in itertools.chain(e, sums if degree == 2 else ()):
+        for ys in itertools.product(e, repeat=n_linear):
+            args = (*ys, x) if last else (x, *ys)
+            if not A.is_zero_vec(evaluate_identity(A, name, args)):
+                return _fail(A, name, "certified", args)
     return IdentityReport(name, True, "certified")
 
 
@@ -406,7 +334,7 @@ def _check_scanned(A: Algebra, name: str, seed: int, samples: int,
             return IdentityReport(name, True, "exhaustive")
         return _fail(A, name, "exhaustive", witness)
     rng = random.Random(seed)
-    arity = 3 if name == "middle-moufang" else 2
+    arity = 1 + _LAWS[name][1]
     for _ in range(samples):
         args = tuple(A.random_element(rng) for _ in range(arity))
         if not A.is_zero_vec(evaluate_identity(A, name, args)):
@@ -421,11 +349,11 @@ def check_identity(A: Algebra, name: str, *, seed: int = 42, samples: int = 128,
     Verdict provenance is 'certified' when basis conditions decide the law
     over any field, 'exhaustive' for a full finite scan, 'sampled' otherwise.
     """
-    if name not in IDENTITY_NAMES:
+    if name not in _LAWS:
         raise ValueError(f"unknown identity {name!r}")
-    if name in _CERTIFIED:
-        return _check_certified(A, name)
-    return _check_scanned(A, name, seed, samples, enum_cap)
+    if _LAWS[name][0] > 2 or name == "middle-moufang":
+        return _check_scanned(A, name, seed, samples, enum_cap)
+    return _check_certified(A, name)
 
 
 # ---- distinguished subspaces ----------------------------------------------
@@ -614,8 +542,12 @@ def algebra_from_json(data) -> Algebra:
             raise TableFormatError(f"missing required key {key!r}")
     F = make_field(data["field"])
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not is_json_int(dim) or dim < 1:
         raise TableFormatError(f"bad dimension {dim!r}")
+    names = data.get("basis")
+    if names is not None and (not isinstance(names, list)
+                              or not all(isinstance(n, str) for n in names)):
+        raise TableFormatError("'basis' must be a list of names")
     if not isinstance(data["table"], list):
         raise TableFormatError("'table' must be a list of product entries")
     table: dict = {}
@@ -623,16 +555,20 @@ def algebra_from_json(data) -> Algebra:
         if not isinstance(entry, dict) or not {"i", "j", "terms"} <= set(entry):
             raise TableFormatError(f"table entry #{pos} must have keys i, j, terms")
         i, j = entry["i"], entry["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not is_json_int(i) or not is_json_int(j):
             raise TableFormatError(f"table entry #{pos}: indices must be integers")
         if (i, j) in table:
             raise TableFormatError(f"table entry #{pos}: duplicate product ({i},{j})")
+        if not isinstance(entry["terms"], list):
+            raise TableFormatError(f"table entry #{pos}: 'terms' must be a list")
         terms = []
         for term in entry["terms"]:
             if not isinstance(term, dict) or "k" not in term or "c" not in term:
                 raise TableFormatError(
                     f"table entry #{pos}: terms need keys k and c")
+            if not is_json_int(term["k"]):
+                raise TableFormatError(
+                    f"table entry #{pos}: term index k must be an integer")
             terms.append((term["k"], F.parse(term["c"])))
         table[(i, j)] = terms
-    names = data.get("basis")
     return Algebra(F, dim, table, names)

@@ -82,33 +82,28 @@ class CliUsageError(Exception):
     """Unknown verb, suite, target, or bad option (exit 2)."""
 
 
-def parse_algebra_file(path: str) -> Algebra:
-    """Load an algebra from the normative JSON format with diagnostics."""
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise CliInputError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise CliInputError(
             f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+
+
+def parse_algebra_file(path: str) -> Algebra:
+    """Load an algebra from the normative JSON format with diagnostics."""
     try:
-        return algebra_from_json(doc)
+        return algebra_from_json(_read_json(path))
     except (TableFormatError, FieldError) as e:
         raise CliInputError(f"{path}: {e}") from None
 
 
 def _load_map(path: str, A: Algebra) -> Matrix:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise CliInputError(f"{path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
-        raise CliInputError(
-            f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise CliInputError(f"{path}: map file needs a 'matrix' key")
     rows = doc["matrix"]
@@ -219,11 +214,8 @@ def _verb_invertible_values(args) -> list:
                                     enum_cap=args.enum_cap)
     except ValueError as e:
         raise CliInputError(f"{args.map}: {e}") from None
-    provenance = {"pass-exhaustive": "exhaustive", "pass-certified": "certified",
-                  "pass-sampled": "sampled", "fail": "exhaustive",
-                  "not-applicable": "sampled"}[v.kind]
     checks = [CheckResult(f"invertible-values[{args.mode}]",
-                          v.kind.startswith("pass"), provenance,
+                          v.kind.startswith("pass"), v.provenance,
                           detail=f"{v.kind}: {v.detail}",
                           witness=None if v.witness is None else
                           {"x": _enc(A.field, v.witness[0]),
@@ -243,6 +235,15 @@ def _verb_verify(args) -> list:
 
 
 # ---- output -----------------------------------------------------------------
+
+def _write(text: str, out: str | None) -> None:
+    """Write to the ``--out`` path, or to stdout when there is none."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
 
 def _emit(reports: list, args, wall: float) -> int:
     payload = [r.to_json(__version__) for r in reports]
@@ -264,11 +265,7 @@ def _emit(reports: list, args, wall: float) -> int:
         failed = sum(1 for r in reports for c in r.checks if not c.passed)
         lines.append(f"{total - failed}/{total} checks passed")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     if any(r.wall_time for r in reports):
         print(f"elapsed: {wall:.2f}s", file=sys.stderr)
     return 0 if all(r.overall for r in reports) else 1
@@ -287,12 +284,8 @@ def main(argv=None) -> int:
             except UnknownInstanceError as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 2
-            text = json.dumps(algebra_to_json(inst.algebra), indent=2) + "\n"
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(json.dumps(algebra_to_json(inst.algebra), indent=2) + "\n",
+                   args.out)
             return 0
         handler = {
             "identities": _verb_identities,

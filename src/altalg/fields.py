@@ -26,6 +26,10 @@ class TermBudgetError(FieldError):
     """A rational-function operand outgrew the configured term budget."""
 
 
+class ZeroDenominatorError(FieldError, ZeroDivisionError):
+    """A decoded rational function whose denominator is zero."""
+
+
 DEFAULT_TERM_BUDGET = 2 ** 16
 
 
@@ -42,6 +46,12 @@ def is_prime(n: int) -> bool:
             return False
         k += 6
     return True
+
+
+def is_json_int(obj) -> bool:
+    """Whether a decoded JSON value is an integer (a bool is a Python int,
+    but not a JSON number)."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 class Poly2:
@@ -422,7 +432,10 @@ class RatFunField(Field):
     def parse(self, obj):
         if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
             raise FieldError(f"bad ratfun2 element encoding: {obj!r}")
-        return RatFun(self._parse_poly(obj["num"]), self._parse_poly(obj["den"]))
+        den = self._parse_poly(obj["den"])
+        if den.is_zero():
+            raise ZeroDenominatorError(f"ratfun2 element with zero denominator: {obj!r}")
+        return RatFun(self._parse_poly(obj["num"]), den)
 
     def _parse_poly(self, monos) -> Poly2:
         if not isinstance(monos, list):
@@ -434,8 +447,8 @@ class RatFunField(Field):
             else:
                 e, c = m, 1
             if (not isinstance(e, (list, tuple)) or len(e) != 2
-                    or not all(isinstance(x, int) and x >= 0 for x in e)
-                    or not isinstance(c, int)):
+                    or not all(is_json_int(x) and x >= 0 for x in e)
+                    or not is_json_int(c)):
                 raise FieldError(f"bad ratfun2 monomial: {m!r}")
             key = (e[0], e[1])
             terms[key] = (terms.get(key, 0) + c) % self.p
@@ -468,15 +481,18 @@ def make_field(desc) -> Field:
         raise FieldError(f"bad field descriptor: {desc!r}")
     kind = desc["kind"]
     if kind == "prime":
-        if "p" not in desc or not isinstance(desc["p"], int):
+        if not is_json_int(desc.get("p")):
             raise FieldError(f"prime field descriptor needs integer p: {desc!r}")
         return PrimeField(desc["p"])
     if kind == "rationals":
         return RationalField()
     if kind == "ratfun2":
-        if "p" not in desc or not isinstance(desc["p"], int):
+        if not is_json_int(desc.get("p")):
             raise FieldError(f"ratfun2 descriptor needs integer p: {desc!r}")
-        return RatFunField(desc["p"], tuple(desc.get("vars", ("s", "t"))))
+        names = desc.get("vars", ["s", "t"])
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise FieldError(f"ratfun2 'vars' must be a list of two names: {desc!r}")
+        return RatFunField(desc["p"], tuple(names))
     raise FieldError(f"unknown field kind {kind!r}")
 
 

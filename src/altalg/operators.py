@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel, solve
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
 
 
@@ -158,8 +158,6 @@ def quasider_witness_q(S: OperatorSpace, fmap: Matrix):
     if pairs.dim == 0:
         return None
     cols = Matrix(F, [[row[i] for row in pairs.rows] for i in range(nf)], pairs.dim)
-    from .linalg import solve
-
     sol = solve(cols, flatten_map(fmap))
     if sol is None:
         return None
@@ -204,14 +202,7 @@ def mult_lie_algebra(A: Algebra) -> OperatorSpace:
 
 
 def is_derivation(A: Algebra, m: Matrix) -> bool:
-    e = A.basis()
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = m.mulvec(A.mul(e[i], e[j]))
-            rhs = A.vadd(A.mul(m.mulvec(e[i]), e[j]), A.mul(e[i], m.mulvec(e[j])))
-            if not A.veq(lhs, rhs):
-                return False
-    return True
+    return is_leibniz(A, m, 2)[0]
 
 
 def is_inner(A: Algebra, dmap: Matrix) -> bool:
@@ -248,6 +239,26 @@ def is_leibniz(A: Algebra, phi: Matrix, n: int):
     return True, None
 
 
+def _map_from_images(A: Algebra, sources: list, images: list) -> Matrix:
+    """The matrix sending each of the d independent ``sources`` to its image:
+    column k sums the images weighted by the coordinates of e_k in the
+    sources (zero images contribute nothing)."""
+    F = A.field
+    d = A.dim
+    bmat = Matrix(F, [[src[r] for src in sources] for r in range(d)], d)
+    weighted = [(c, img) for c, img in enumerate(images) if not A.is_zero_vec(img)]
+    phi = Matrix.zeros(F, d, d)
+    for k in range(d):
+        coords = solve(bmat, A.basis_vec(k))
+        col = A.zero()
+        for c, img in weighted:
+            if not F.is_zero(coords[c]):
+                col = A.vadd(col, A.smul(coords[c], img))
+        for r in range(d):
+            phi.rows[r][k] = col[r]
+    return phi
+
+
 @dataclass
 class MoensResult:
     map: Matrix
@@ -274,27 +285,15 @@ def moens_construction(A: Algebra) -> MoensResult:
     d = A.dim
     an = chain[n - 1]
     span = Subspace(F, d, [list(r) for r in an.rows])
-    w_idx = []
+    w = []
     for i in range(d):
         ei = A.basis_vec(i)
         if not span.contains_vector(ei):
             span = span.add(Subspace.from_vectors(F, d, [ei]))
-            w_idx.append(i)
-    combined = [list(r) for r in an.rows] + [A.basis_vec(i) for i in w_idx]
+            w.append(ei)
     n_scalar = F.from_int(n)
-    images = [A.smul(n_scalar, v) for v in an.rows] + [A.basis_vec(i) for i in w_idx]
-    bmat = Matrix(F, [[combined[c][r] for c in range(d)] for r in range(d)], d)
-    from .linalg import solve
-
-    phi = Matrix.zeros(F, d, d)
-    for k in range(d):
-        coords = solve(bmat, A.basis_vec(k))
-        col = A.zero()
-        for c, img in zip(coords, images):
-            if not F.is_zero(c):
-                col = A.vadd(col, A.smul(c, img))
-        for r in range(d):
-            phi.rows[r][k] = col[r]
+    phi = _map_from_images(A, [list(r) for r in an.rows] + w,
+                           [A.smul(n_scalar, v) for v in an.rows] + w)
     ok, witness = is_leibniz(A, phi, n)
     if not ok:
         raise ValueError(f"constructed map fails the Leibniz law at {witness[0]}")
@@ -372,6 +371,7 @@ def invertible_in_space(S: OperatorSpace, *, seed: int = 42, samples: int = 128,
 class InvertibleValuesVerdict:
     kind: str                       # pass-exhaustive | pass-certified |
                                     # pass-sampled | fail | not-applicable
+    provenance: str                 # certified | exhaustive | sampled
     detail: str = ""
     witness: tuple | None = None    # (x, d(x)) with d(x) != 0 not invertible
 
@@ -410,21 +410,21 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
         count = A.element_count()
         if count is None or count > enum_cap:
             return InvertibleValuesVerdict(
-                "not-applicable",
+                "not-applicable", "sampled",
                 detail="element space too large for exhaustive sweep")
         for x in A.elements():
             v = dmap.mulvec(x)
             if A.is_zero_vec(v):
                 continue
             if A.invert_element(v) is None:
-                return InvertibleValuesVerdict("fail", witness=(x, v))
+                return InvertibleValuesVerdict("fail", "exhaustive", witness=(x, v))
         return InvertibleValuesVerdict(
-            "pass-exhaustive", detail=f"all {count} elements checked")
+            "pass-exhaustive", "exhaustive", detail=f"all {count} elements checked")
 
     if mode == "norm-certificate":
         if certificate is None:
             return InvertibleValuesVerdict(
-                "not-applicable", detail="no certificate data supplied")
+                "not-applicable", "sampled", detail="no certificate data supplied")
         return _norm_certificate_check(A, dmap, certificate, seed, samples)
 
     if mode == "sample":
@@ -435,9 +435,10 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
             if A.is_zero_vec(v):
                 continue
             if A.invert_element(v) is None:
-                return InvertibleValuesVerdict("fail", witness=(x, v))
+                return InvertibleValuesVerdict("fail", "sampled", witness=(x, v))
         return InvertibleValuesVerdict(
-            "pass-sampled", detail=f"{samples} seeded samples, no witness")
+            "pass-sampled", "sampled",
+            detail=f"{samples} seeded samples, no witness")
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -452,14 +453,14 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
         col = [dmap.rows[r][j] for r in range(d)]
         if not cert.image_space.contains_vector(col):
             return InvertibleValuesVerdict(
-                "fail", detail="image leaves the certified subspace",
+                "fail", "certified", detail="image leaves the certified subspace",
                 witness=(A.basis_vec(j), col))
     rng = random.Random(seed)
     if cert.case == "I":
         m = d // 2
         nu = C.norm(cert.u)
         if F.is_zero(nu):
-            return InvertibleValuesVerdict("fail", detail="n(u) = 0",
+            return InvertibleValuesVerdict("fail", "certified", detail="n(u) = 0",
                                            witness=(cert.u, dmap.mulvec(cert.u)))
         for _ in range(samples):
             z = A.random_element(rng)
@@ -468,9 +469,10 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
             expected = F.neg(F.mul(cert.gamma, F.mul(C.norm(b), nu)))
             if not F.eq(C.norm(img), expected):
                 return InvertibleValuesVerdict(
-                    "fail", detail="norm factorization violated", witness=(z, img))
+                    "fail", "sampled", detail="norm factorization violated",
+                    witness=(z, img))
         return InvertibleValuesVerdict(
-            "pass-certified",
+            "pass-certified", "sampled",
             detail="n(d(a+vb)) = -gamma n(b) n(u) on "
                    f"{samples} seeded samples; anisotropy of the kernel "
                    "subalgebra is sampled evidence, not a certificate")
@@ -486,9 +488,10 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
             y = cd_inverse(C, img)
             if y is None or not A.veq(A.mul(img, y), unit):
                 return InvertibleValuesVerdict(
-                    "fail", detail="non-invertible value", witness=(z, img))
+                    "fail", "sampled", detail="non-invertible value",
+                    witness=(z, img))
         return InvertibleValuesVerdict(
-            "pass-certified",
+            "pass-certified", "sampled",
             detail="d(C) lies in the kernel subfield (exact); norm-based "
                    f"inverses of {samples} sampled values verified")
     raise ValueError(f"unknown certificate case {cert.case!r}")
@@ -564,25 +567,12 @@ def _lemma22_case2(C: QuadraticAlgebra, b_space: Subspace, x=None):
             raise ValueError("x must have trace zero")
         if b_space.contains_vector(x):
             raise ValueError("x must be independent of B")
-    xb = [A.mul(x, b) for b in b_space.rows]
-    combined = [list(r) for r in b_space.rows] + xb
+    bs = [list(b) for b in b_space.rows]
+    combined = bs + [A.mul(x, b) for b in bs]
     span = Subspace.from_vectors(F, d, combined)
     if span.dim != d:
         raise ValueError("B + xB does not span the algebra (no direct sum)")
-    from .linalg import solve
-
-    bmat = Matrix(F, [[combined[c][r] for c in range(d)] for r in range(d)], d)
-    m = b_space.dim
-    dmap = Matrix.zeros(F, d, d)
-    for k in range(d):
-        coords = solve(bmat, A.basis_vec(k))
-        col = A.zero()
-        for r in range(m):
-            c = coords[m + r]
-            if not F.is_zero(c):
-                col = A.vadd(col, A.smul(c, list(b_space.rows[r])))
-        for r in range(d):
-            dmap.rows[r][k] = col[r]
+    dmap = _map_from_images(A, combined, [A.zero() for _ in bs] + bs)
     if not is_derivation(A, dmap):
         raise ValueError("constructed case II map fails the derivation law")
     cert = Lemma22Certificate("II", C, b_space, b_space)

@@ -465,3 +465,127 @@ def test_json_rejects_bad_documents():
             {"i": 0, "j": 0, "terms": []}, {"i": 0, "j": 0, "terms": []}]})
     with pytest.raises(TableFormatError):
         algebra_from_json({"field": F, "dim": 2})
+
+
+# --- the hand-written basis conditions as an oracle for the law table ------
+
+def reference_check_certified(A, name):
+    """Per-identity diag/cross basis conditions, as the certified route
+    spelled them out before it became one loop over the law table."""
+    from altalg.algebra import IdentityReport, IdentityWitness
+
+    d = A.dim
+    e = A.basis()
+
+    def nz(v):
+        return not A.is_zero_vec(v)
+
+    def fail(args):
+        return IdentityReport(name, False, "certified", IdentityWitness(
+            list(args), evaluate_identity(A, name, args)))
+
+    if name == "associative":
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    if nz(A.associator(e[i], e[j], e[k])):
+                        return fail((e[i], e[j], e[k]))
+        return IdentityReport(name, True, "certified")
+    if name == "commutative":
+        for i in range(d):
+            for j in range(i + 1, d):
+                if nz(A.commutator(e[i], e[j])):
+                    return fail((e[i], e[j]))
+        return IdentityReport(name, True, "certified")
+    if name == "anticommutative":
+        for i in range(d):
+            if nz(A.mul(e[i], e[i])):
+                return fail((e[i],))
+        for i in range(d):
+            for j in range(i + 1, d):
+                if nz(A.vadd(A.mul(e[i], e[j]), A.mul(e[j], e[i]))):
+                    return fail((A.vadd(e[i], e[j]),))
+        return IdentityReport(name, True, "certified")
+    # (diag(i, k), cross(i, j, k), diag witness, cross witness)
+    asc = A.associator
+    laws = {
+        "left-alternative": (
+            lambda i, k: asc(e[i], e[i], e[k]),
+            lambda i, j, k: A.vadd(asc(e[i], e[j], e[k]), asc(e[j], e[i], e[k])),
+            lambda i, k: (e[i], e[k]),
+            lambda i, j, k: (A.vadd(e[i], e[j]), e[k])),
+        "right-alternative": (
+            lambda i, k: asc(e[k], e[i], e[i]),
+            lambda i, j, k: A.vadd(asc(e[k], e[i], e[j]), asc(e[k], e[j], e[i])),
+            lambda i, k: (e[k], e[i]),
+            lambda i, j, k: (e[k], A.vadd(e[i], e[j]))),
+        "flexible": (
+            lambda i, k: asc(e[i], e[k], e[i]),
+            lambda i, j, k: A.vadd(asc(e[i], e[k], e[j]), asc(e[j], e[k], e[i])),
+            lambda i, k: (e[i], e[k]),
+            lambda i, j, k: (A.vadd(e[i], e[j]), e[k])),
+    }
+    diag, cross, diag_wit, cross_wit = laws[name]
+    for i in range(d):
+        for k in range(d):
+            if nz(diag(i, k)):
+                return fail(diag_wit(i, k))
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d):
+                if nz(cross(i, j, k)):
+                    return fail(cross_wit(i, j, k))
+    return IdentityReport(name, True, "certified")
+
+
+CERTIFIED_LAWS = ("left-alternative", "right-alternative", "flexible",
+                  "associative", "commutative", "anticommutative")
+
+
+def random_law_algebra(F, d, rng):
+    """Sparse table at a random density, optionally symmetric or
+    antisymmetric, so that every certified law both holds and fails."""
+    density = rng.choice((0.05, 0.2, 0.5, 0.9))
+    shape = rng.choice(("free", "free", "symmetric", "antisymmetric"))
+    table = {}
+    for i in range(d):
+        for j in range(i if shape != "free" else 0, d):
+            if rng.random() >= density or (shape == "antisymmetric" and i == j):
+                continue
+            ks = rng.sample(range(d), rng.randint(1, min(2, d)))
+            table[(i, j)] = [(k, F.random_nonzero(rng)) for k in ks]
+            if shape != "free" and i != j:
+                table[(j, i)] = [(k, c if shape == "symmetric" else F.neg(c))
+                                 for k, c in table[(i, j)]]
+    return Algebra(F, d, table)
+
+
+def encoded_report(F, r):
+    w = r.witness
+    return (r.holds, r.provenance, None if w is None else
+            ([[F.encode(a) for a in v] for v in w.args], [F.encode(a) for a in w.value]))
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), RationalField(),
+                               RatFunField(2)],
+                         ids=["gf2", "gf3", "rationals", "ratfun2"])
+def test_certified_route_matches_hand_written_basis_conditions(F):
+    # 4 fields x 104 algebras: verdicts and witnesses byte-identical
+    rng = random.Random(11)
+    outcomes = set()
+    for n in range(104):
+        A = random_law_algebra(F, 1 + n % 4, rng)
+        for name in CERTIFIED_LAWS:
+            got = check_identity(A, name)
+            assert encoded_report(F, got) == encoded_report(
+                F, reference_check_certified(A, name)), (name, A.table)
+            outcomes.add((name, got.holds))
+    assert outcomes == {(name, h) for name in CERTIFIED_LAWS for h in (True, False)}
+
+
+def test_certified_route_matches_reference_on_zorn():
+    for p in (2, 3, 5):
+        A = zorn(PrimeField(p)).algebra
+        for name in CERTIFIED_LAWS:
+            assert (encoded_report(A.field, check_identity(A, name))
+                    == encoded_report(A.field, reference_check_certified(A, name)))

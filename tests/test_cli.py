@@ -241,3 +241,66 @@ def test_cli_operator_space_answers(capsys, argv, dim, key, value):
     assert witness["dim"] == dim
     if key is not None:
         assert witness[key] is value
+
+
+def test_cli_invertible_values_sample_fail_is_sampled(capsys, tmp_path):
+    # a derivation of the split octonions over GF(3) takes non-invertible
+    # values; found by seeded sampling, the verdict is tagged sampled
+    from altalg.catalog import build
+    from altalg.operators import derivation_space
+
+    A = build("zorn").algebra
+    M = derivation_space(A).basis_maps()[0]
+    p = tmp_path / "dmap.json"
+    p.write_text(json.dumps({"matrix": [[A.field.encode(a) for a in row]
+                                        for row in M.rows]}))
+    code, out, _ = run_cli(capsys, "invertible-values", "zorn", "--map", str(p),
+                           "--mode", "sample", "--json")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["verdict"] == "fail" and check["provenance"] == "sampled"
+
+
+GF3_DOC = {"field": {"kind": "prime", "p": 3}, "dim": 2, "basis": ["e", "f"],
+           "table": [{"i": 0, "j": 0, "terms": [{"k": 1, "c": "1"}]}]}
+RATFUN_DOC = {"field": {"kind": "ratfun2", "p": 2, "vars": ["s", "t"]}, "dim": 2,
+              "table": [{"i": 0, "j": 0, "terms": [
+                  {"k": 1, "c": {"num": [[0, 0]], "den": [[0, 1]]}}]}]}
+
+
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_with(GF3_DOC, ("table", 0, "terms", 0, "k"), "1"), "k must be an integer"),
+    (_with(GF3_DOC, ("table", 0, "terms", 0, "k"), 1.0), "k must be an integer"),
+    (_with(GF3_DOC, ("basis",), 5), "'basis' must be a list"),
+    (_with(RATFUN_DOC, ("table", 0, "terms", 0, "c", "den"), []), "zero denominator"),
+    (_with(GF3_DOC, ("dim",), True), "bad dimension"),
+    (_with(GF3_DOC, ("table", 0, "i"), True), "indices must be integers"),
+    (_with(GF3_DOC, ("basis",), "ab"), "'basis' must be a list"),
+    (_with(RATFUN_DOC, ("field", "vars"), "st"), "'vars' must be a list"),
+], ids=["k-string", "k-float", "basis-number", "ratfun-empty-den", "dim-true",
+        "i-true", "basis-string", "vars-string"])
+def test_cli_rejects_malformed_algebra_file(capsys, tmp_path, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "derivations", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {p}: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [GF3_DOC, RATFUN_DOC], ids=["gf3", "ratfun2"])
+def test_cli_accepts_well_formed_algebra_file(capsys, tmp_path, doc):
+    p = tmp_path / "good.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, "derivations", str(p))
+    assert code == 0

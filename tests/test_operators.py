@@ -452,3 +452,93 @@ def test_operator_space_contains():
     for M in D.basis_maps():
         assert D.contains(M)
     assert not D.contains(Matrix.identity(A.field, 8))
+
+
+# --- derivation law: is_derivation against the old pair-by-pair loop -------
+
+def reference_is_derivation(A, m):
+    """D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on all basis pairs, written out
+    as is_derivation did before it became a call to is_leibniz(., 2)."""
+    e = A.basis()
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = m.mulvec(A.mul(e[i], e[j]))
+            rhs = A.vadd(A.mul(m.mulvec(e[i]), e[j]), A.mul(e[i], m.mulvec(e[j])))
+            if not A.veq(lhs, rhs):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), RationalField(),
+                               RatFunField(2)],
+                         ids=["gf2", "gf3", "rationals", "ratfun2"])
+def test_is_derivation_matches_pairwise_reference(F):
+    rng = random.Random(5)
+    verdicts = set()
+    for n in range(24):
+        d = 2 + n % 3
+        A = random_sparse_algebra(F, d, rng)
+        maps = [Matrix(F, [[F.random_element(rng) for _ in range(d)]
+                           for _ in range(d)], d),
+                Matrix.zeros(F, d, d)]
+        for M in derivation_space(A).basis_maps():
+            maps.append(M)
+            bent = Matrix(F, [list(row) for row in M.rows], d)
+            r, c = rng.randrange(d), rng.randrange(d)
+            bent.rows[r][c] = F.add(bent.rows[r][c], F.one)
+            maps.append(bent)
+        for M in maps:
+            got = is_derivation(A, M)
+            assert got == reference_is_derivation(A, M)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_is_derivation_on_known_derivations():
+    for A, maps in ((zorn(RationalField()).algebra, None),
+                    (build("lemma23-Dx").algebra, [build("lemma23-Dx").derivation])):
+        for M in maps or derivation_space(A).basis_maps():
+            assert is_derivation(A, M) and reference_is_derivation(A, M)
+    A = build("trivial-nilpotent").algebra
+    ident = Matrix.identity(A.field, 2)
+    assert not is_derivation(A, ident) and not reference_is_derivation(A, ident)
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), RationalField(), RatFunField(2)],
+                         ids=["gf3", "rationals", "ratfun2"])
+def test_map_from_images_sends_each_source_to_its_image(F):
+    from altalg.operators import _map_from_images
+
+    # unit upper-triangular sources (independent, and cheap to solve over
+    # GF(2)(s,t)) in shuffled order; one image is zero
+    rng = random.Random(3)
+    A = zero_algebra(F, 4)
+    for _ in range(6):
+        sources = [[F.one if c == r else F.random_element(rng) if c > r else F.zero
+                    for c in range(4)] for r in range(4)]
+        rng.shuffle(sources)
+        images = [A.random_element(rng) for _ in range(3)] + [A.zero()]
+        phi = _map_from_images(A, sources, images)
+        for src, img in zip(sources, images):
+            assert A.veq(phi.mulvec(src), img)
+
+
+def test_invertible_values_provenance_follows_what_was_done():
+    inst = build("lemma23-Dx")
+    v = invertible_values_check(inst.algebra, inst.derivation, "exhaustive")
+    assert (v.kind, v.provenance) == ("pass-exhaustive", "exhaustive")
+    v = invertible_values_check(inst.algebra, inst.derivation, "sample")
+    assert (v.kind, v.provenance) == ("pass-sampled", "sampled")
+    # the norm factorisation is checked on seeded samples only
+    quat = build("quaternions-Q").involutive
+    C = cd_double(quat, Fraction(1))
+    dmap, cert = lemma22_derivation(C, "I", u=C.algebra.basis_vec(1))
+    v = invertible_values_check(C.algebra, dmap, "norm-certificate",
+                                certificate=cert)
+    assert (v.kind, v.provenance) == ("pass-certified", "sampled")
+    A = zorn(PrimeField(3)).algebra
+    M = derivation_space(A).basis_maps()[0]
+    v = invertible_values_check(A, M, "sample")
+    assert (v.kind, v.provenance) == ("fail", "sampled")
+    v = invertible_values_check(A, M, "exhaustive")
+    assert (v.kind, v.provenance) == ("fail", "exhaustive")

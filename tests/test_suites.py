@@ -62,3 +62,27 @@ def test_run_all_parallel_order_matches_serial():
         futs = {n: pool.submit(run_suite, n, cfg) for n in fast}
         parallel = [futs[n].result().to_json(__version__) for n in fast]
     assert json.dumps(serial) == json.dumps(parallel)
+
+
+def test_lemma22_case1_law_check_reports_first_failing_pair(monkeypatch):
+    # D(e_1) gains an e_0 (unit) component, so the law fails on 19 of the 64
+    # basis pairs, first at (1, 1) (i^2 = -1) and last at (7, 6); the check
+    # reports the first failing pair
+    from altalg import suites
+    from altalg.operators import InvertibleValuesVerdict
+
+    real = suites.lemma22_derivation
+
+    def broken(target, case, **params):
+        dmap, cert = real(target, case, **params)
+        F = target.algebra.field
+        dmap.rows[0][1] = F.add(dmap.rows[0][1], F.one)
+        return dmap, cert
+
+    monkeypatch.setattr(suites, "lemma22_derivation", broken)
+    monkeypatch.setattr(suites, "invertible_values_check", lambda *a, **k:
+                        InvertibleValuesVerdict("not-applicable", "sampled"))
+    doc = run_suite("lemma22-case1").to_json(__version__)
+    law = {c["name"]: c for c in doc["checks"]}["derivation-law-on-all-64-basis-pairs"]
+    assert law["verdict"] == "fail" and law["provenance"] == "certified"
+    assert json.loads(json.dumps(law["witness"])) == [1, 1]
