@@ -234,6 +234,31 @@ def special_product(A: Algebra, kind: str, *args) -> list:
     raise ValueError(f"unknown special product {kind!r}")
 
 
+# ---- evidence search ----------------------------------------------------------
+
+def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
+           samples: int = 128, enum_cap: int = 0):
+    """(first ``args`` with ``hit(*args)``, or None; provenance): with arity 1
+    and |F|^n <= enum_cap, all of F^n in ``Algebra.elements()`` order
+    ('exhaustive'), else ``samples`` tuples of ``arity`` vectors drawn as
+    ``Algebra.random_element`` draws them, from one Random(seed) ('sampled')."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if arity == 1 and F.is_finite and F.order ** n <= enum_cap:
+        for combo in itertools.product(list(F.elements()), repeat=n):
+            x = list(combo)
+            if hit(x):
+                return (x,), "exhaustive"
+        return None, "exhaustive"
+    rng = random.Random(seed)
+    for _ in range(samples):
+        args = tuple([F.random_element(rng) for _ in range(n)]
+                     for _ in range(arity))
+        if hit(*args):
+            return args, "sampled"
+    return None, "sampled"
+
+
 # ---- identity checking ----------------------------------------------------
 
 # name -> (degree of the swept argument x, number of arguments the law is
@@ -324,22 +349,19 @@ def _check_certified(A: Algebra, name: str) -> IdentityReport:
 def _check_scanned(A: Algebra, name: str, seed: int, samples: int,
                    enum_cap: int) -> IdentityReport:
     F = A.field
-    count = A.element_count()
-    if count is not None and count <= enum_cap and F.kind == "prime":
+    if F.kind == "prime" and A.element_count() <= enum_cap:
         from . import scan
 
-        witness = (scan.scan_middle_moufang(A) if name == "middle-moufang"
-                   else scan.scan_jordan(A))
-        if witness is None:
-            return IdentityReport(name, True, "exhaustive")
-        return _fail(A, name, "exhaustive", witness)
-    rng = random.Random(seed)
-    arity = 1 + _LAWS[name][1]
-    for _ in range(samples):
-        args = tuple(A.random_element(rng) for _ in range(arity))
-        if not A.is_zero_vec(evaluate_identity(A, name, args)):
-            return _fail(A, name, "sampled", args)
-    return IdentityReport(name, True, "sampled")
+        args = (scan.scan_middle_moufang(A) if name == "middle-moufang"
+                else scan.scan_jordan(A))
+        provenance = "exhaustive"
+    else:
+        args, provenance = search(
+            F, A.dim, lambda *a: not A.is_zero_vec(evaluate_identity(A, name, a)),
+            arity=1 + _LAWS[name][1], seed=seed, samples=samples)
+    if args is None:
+        return IdentityReport(name, True, provenance)
+    return _fail(A, name, provenance, args)
 
 
 def check_identity(A: Algebra, name: str, *, seed: int = 42, samples: int = 128,

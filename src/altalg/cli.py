@@ -278,6 +278,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if args.samples < 1:
+            raise CliUsageError(f"--samples must be at least 1, got {args.samples}")
+        if args.enum_cap < 0:
+            raise CliUsageError(f"--enum-cap must be at least 0, got {args.enum_cap}")
         if args.verb == "build":
             try:
                 inst = build(args.name)

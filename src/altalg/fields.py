@@ -33,18 +33,36 @@ class ZeroDenominatorError(FieldError, ZeroDivisionError):
 DEFAULT_TERM_BUDGET = 2 ** 16
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a FieldError above ``_MR_LIMIT``, where
+    these bases no longer decide primality."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    k = 5
-    while k * k <= n:
-        if n % k == 0 or n % (k + 2) == 0:
+    if n >= _MR_LIMIT:
+        raise FieldError(f"cannot decide whether {n} is prime: "
+                         f"only p < {_MR_LIMIT} is supported")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 6
     return True
 
 

@@ -14,10 +14,9 @@ and repeated rows as they are emitted.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import Algebra
+from .algebra import Algebra, search
 from .linalg import Matrix, Subspace, kernel, solve
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
 
@@ -351,20 +350,24 @@ def invertible_in_space(S: OperatorSpace, *, seed: int = 42, samples: int = 128,
         return InvertibilityVerdict("witness", "exhaustive",
                                     witness_map=Matrix(F, mat, d),
                                     witness_coeffs=coeffs)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        coeffs = [F.random_element(rng) for _ in range(S.dim)]
+
+    def combination(coeffs):
         vec = [F.zero] * (d * d)
         for c, row in zip(coeffs, S.space.rows):
             if F.is_zero(c):
                 continue
             for i in range(d * d):
                 vec[i] = F.add(vec[i], F.mul(c, row[i]))
-        m = unflatten_map(F, d, vec)
-        if m.rank() == d:
-            return InvertibilityVerdict("witness", "sampled",
-                                        witness_map=m, witness_coeffs=coeffs)
-    return InvertibilityVerdict("inconclusive", "sampled", samples_tried=samples)
+        return unflatten_map(F, d, vec)
+
+    args, provenance = search(F, S.dim, lambda c: combination(c).rank() == d,
+                              seed=seed, samples=samples)
+    if args is None:
+        return InvertibilityVerdict("inconclusive", provenance,
+                                    samples_tried=samples)
+    return InvertibilityVerdict("witness", provenance,
+                                witness_map=combination(args[0]),
+                                witness_coeffs=args[0])
 
 
 @dataclass
@@ -406,41 +409,32 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
         raise ValueError("map is not a derivation")
     F = A.field
 
-    if mode == "exhaustive":
-        count = A.element_count()
-        if count is None or count > enum_cap:
-            return InvertibleValuesVerdict(
-                "not-applicable", "sampled",
-                detail="element space too large for exhaustive sweep")
-        for x in A.elements():
-            v = dmap.mulvec(x)
-            if A.is_zero_vec(v):
-                continue
-            if A.invert_element(v) is None:
-                return InvertibleValuesVerdict("fail", "exhaustive", witness=(x, v))
-        return InvertibleValuesVerdict(
-            "pass-exhaustive", "exhaustive", detail=f"all {count} elements checked")
-
     if mode == "norm-certificate":
         if certificate is None:
             return InvertibleValuesVerdict(
                 "not-applicable", "sampled", detail="no certificate data supplied")
         return _norm_certificate_check(A, dmap, certificate, seed, samples)
-
-    if mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            x = A.random_element(rng)
-            v = dmap.mulvec(x)
-            if A.is_zero_vec(v):
-                continue
-            if A.invert_element(v) is None:
-                return InvertibleValuesVerdict("fail", "sampled", witness=(x, v))
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    count = A.element_count()
+    if mode == "exhaustive" and (count is None or count > enum_cap):
         return InvertibleValuesVerdict(
-            "pass-sampled", "sampled",
-            detail=f"{samples} seeded samples, no witness")
+            "not-applicable", "sampled",
+            detail="element space too large for exhaustive sweep")
 
-    raise ValueError(f"unknown mode {mode!r}")
+    def hit(x):
+        v = dmap.mulvec(x)
+        return not A.is_zero_vec(v) and A.invert_element(v) is None
+
+    args, provenance = search(F, A.dim, hit, seed=seed, samples=samples,
+                              enum_cap=enum_cap if mode == "exhaustive" else 0)
+    if args is not None:
+        return InvertibleValuesVerdict("fail", provenance,
+                                       witness=(args[0], dmap.mulvec(args[0])))
+    return InvertibleValuesVerdict(
+        f"pass-{provenance}", provenance,
+        detail=f"all {count} elements checked" if provenance == "exhaustive"
+        else f"{samples} seeded samples, no witness")
 
 
 def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVerdict:
@@ -455,46 +449,44 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
             return InvertibleValuesVerdict(
                 "fail", "certified", detail="image leaves the certified subspace",
                 witness=(A.basis_vec(j), col))
-    rng = random.Random(seed)
     if cert.case == "I":
         m = d // 2
         nu = C.norm(cert.u)
         if F.is_zero(nu):
             return InvertibleValuesVerdict("fail", "certified", detail="n(u) = 0",
                                            witness=(cert.u, dmap.mulvec(cert.u)))
-        for _ in range(samples):
-            z = A.random_element(rng)
+
+        def hit(z):
             b = list(z[m:]) + [F.zero] * m    # the B-part of z, inside B
-            img = dmap.mulvec(z)
             expected = F.neg(F.mul(cert.gamma, F.mul(C.norm(b), nu)))
-            if not F.eq(C.norm(img), expected):
-                return InvertibleValuesVerdict(
-                    "fail", "sampled", detail="norm factorization violated",
-                    witness=(z, img))
-        return InvertibleValuesVerdict(
-            "pass-certified", "sampled",
-            detail="n(d(a+vb)) = -gamma n(b) n(u) on "
-                   f"{samples} seeded samples; anisotropy of the kernel "
-                   "subalgebra is sampled evidence, not a certificate")
-    if cert.case == "II":
+            return not F.eq(C.norm(dmap.mulvec(z)), expected)
+
+        failure = "norm factorization violated"
+        passed = ("n(d(a+vb)) = -gamma n(b) n(u) on "
+                  f"{samples} seeded samples; anisotropy of the kernel "
+                  "subalgebra is sampled evidence, not a certificate")
+    elif cert.case == "II":
         from .quadratic import cd_inverse
 
         unit = A.find_unit()
-        for _ in range(samples):
-            z = A.random_element(rng)
+
+        def hit(z):
             img = dmap.mulvec(z)
             if A.is_zero_vec(img):
-                continue
+                return False
             y = cd_inverse(C, img)
-            if y is None or not A.veq(A.mul(img, y), unit):
-                return InvertibleValuesVerdict(
-                    "fail", "sampled", detail="non-invertible value",
-                    witness=(z, img))
-        return InvertibleValuesVerdict(
-            "pass-certified", "sampled",
-            detail="d(C) lies in the kernel subfield (exact); norm-based "
-                   f"inverses of {samples} sampled values verified")
-    raise ValueError(f"unknown certificate case {cert.case!r}")
+            return y is None or not A.veq(A.mul(img, y), unit)
+
+        failure = "non-invertible value"
+        passed = ("d(C) lies in the kernel subfield (exact); norm-based "
+                  f"inverses of {samples} sampled values verified")
+    else:
+        raise ValueError(f"unknown certificate case {cert.case!r}")
+    args, provenance = search(F, d, hit, seed=seed, samples=samples)
+    if args is not None:
+        return InvertibleValuesVerdict("fail", provenance, detail=failure,
+                                       witness=(args[0], dmap.mulvec(args[0])))
+    return InvertibleValuesVerdict("pass-certified", provenance, detail=passed)
 
 
 # ---- the explicit split-algebra derivations ----------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra
+from .algebra import Algebra, search
 from .fields import Field, make_field
 from .linalg import Matrix, Subspace, kernel
 
@@ -462,19 +462,9 @@ class IsotropicResult:
 def find_isotropic(C: QuadraticAlgebra, *, seed: int = 42, samples: int = 128,
                    enum_cap: int = 2 ** 20) -> IsotropicResult:
     """Search for x != 0 with n(x) = 0 (a zero divisor certificate)."""
-    import random
-
     A = C.algebra
     F = C.field
-    count = A.element_count()
-    if count is not None and count <= enum_cap:
-        for x in A.elements():
-            if not A.is_zero_vec(x) and F.is_zero(C.norm(x)):
-                return IsotropicResult(x, "exhaustive")
-        return IsotropicResult(None, "exhaustive")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = A.random_element(rng)
-        if not A.is_zero_vec(x) and F.is_zero(C.norm(x)):
-            return IsotropicResult(x, "sampled")
-    return IsotropicResult(None, "sampled")
+    args, provenance = search(
+        F, A.dim, lambda x: not A.is_zero_vec(x) and F.is_zero(C.norm(x)),
+        seed=seed, samples=samples, enum_cap=enum_cap)
+    return IsotropicResult(None if args is None else args[0], provenance)

@@ -9,14 +9,15 @@ witnesses.  Suites are deterministic given the configuration seed.
 
 from __future__ import annotations
 
-import random
+import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scan
-from .algebra import check_identity, evaluate_identity, permuted, power_chain
+from .algebra import (check_identity, evaluate_identity, permuted, power_chain,
+                      search)
 from .catalog import build, field_algebra, zero_algebra
 from .fields import PrimeField, RationalField
 from .linalg import Matrix, Subspace, kernel
@@ -152,15 +153,13 @@ def suite_quadratic_relation(cfg: Config) -> list:
     for p in (2, 3):
         Z = zorn(PrimeField(p))
         A = Z.algebra
-        bad = None
-        for x in A.elements():
-            if not A.is_zero_vec(Z.quadratic_residual(x)):
-                bad = x
-                break
         total = p ** 8
+        bad, provenance = search(
+            A.field, 8, lambda x: not A.is_zero_vec(Z.quadratic_residual(x)),
+            enum_cap=total)
         checks.append(CheckResult(
             f"GF{p}/x^2-t(x)x+n(x)=0-on-all-{total}-elements", bad is None,
-            "exhaustive", witness=None if bad is None else _enc(A.field, bad)))
+            provenance, witness=None if bad is None else _enc(A.field, bad[0])))
     # the Jordan-product expansion x o y = t(x) y + t(y) x - f(x, y) 1 on
     # all basis pairs of every catalog quadratic algebra
     quads = [(f"zorn-{lbl}", zorn(F)) for lbl, F in _zorn_fields()]
@@ -185,20 +184,18 @@ def suite_quadratic_relation(cfg: Config) -> list:
         checks.append(CheckResult(
             f"{label}/jordan-product-expansion-on-basis-pairs", bad is None,
             "certified", witness=bad))
-        rng = random.Random(cfg.seed)
-        bad4 = None
-        for _ in range(cfg.samples):
-            xs = [A.random_element(rng) for _ in range(4)]
-            x, z, y, w = xs
+
+        def hit(x, z, y, w):
             lhs = F.mul(q.bilinear(x, z), q.bilinear(y, w))
             rhs = F.add(q.bilinear(A.mul(x, y), A.mul(z, w)),
                         q.bilinear(A.mul(x, w), A.mul(z, y)))
-            if not F.eq(lhs, rhs):
-                bad4 = xs
-                break
+            return not F.eq(lhs, rhs)
+
+        bad4, provenance = search(F, A.dim, hit, arity=4, seed=cfg.seed,
+                                  samples=cfg.samples)
         checks.append(CheckResult(
             f"{label}/f(x,z)f(y,w)=f(xy,zw)+f(xw,zy)-sampled", bad4 is None,
-            "sampled", detail=f"{cfg.samples} seeded 4-tuples",
+            provenance, detail=f"{cfg.samples} seeded 4-tuples",
             witness=None if bad4 is None else _enc(F, bad4)))
     return checks
 
@@ -226,15 +223,12 @@ def suite_norm_multiplicativity(cfg: Config) -> list:
     for label, F in (("GF5", PrimeField(5)), ("Q", RationalField())):
         q = zorn(F)
         A = q.algebra
-        rng = random.Random(cfg.seed)
-        badw = None
-        for _ in range(cfg.samples):
-            x, y = A.random_element(rng), A.random_element(rng)
-            if not F.eq(q.norm(A.mul(x, y)), F.mul(q.norm(x), q.norm(y))):
-                badw = (x, y)
-                break
+        badw, provenance = search(
+            F, A.dim,
+            lambda x, y: not F.eq(q.norm(A.mul(x, y)), F.mul(q.norm(x), q.norm(y))),
+            arity=2, seed=cfg.seed, samples=cfg.samples)
         checks.append(CheckResult(
-            f"{label}/n(xy)=n(x)n(y)-sampled", badw is None, "sampled",
+            f"{label}/n(xy)=n(x)n(y)-sampled", badw is None, provenance,
             detail=f"{cfg.samples} seeded pairs",
             witness=None if badw is None else _enc(F, badw)))
     return checks
@@ -244,24 +238,28 @@ def suite_invertibility_norm(cfg: Config) -> list:
     Z = zorn(PrimeField(3))
     A = Z.algebra
     F = A.field
-    mismatch = None
-    cd_mismatch = None
-    for x in A.elements():
+    first = {}      # which of the two checks failed first, and where
+
+    def hit(x):
         inv = A.invert_element(x)
         n_nonzero = not F.is_zero(Z.norm(x))
         if (inv is not None) != n_nonzero:
-            mismatch = x
-            break
+            first["mismatch"] = x
+            return True
         cd = cd_inverse(Z, x)
         if (cd is None) != (inv is None) or (cd is not None and not A.veq(cd, inv)):
-            cd_mismatch = x
-            break
+            first["cd_mismatch"] = x
+            return True
+        return False
+
+    _, provenance = search(F, 8, hit, enum_cap=3 ** 8)
+    mismatch, cd_mismatch = first.get("mismatch"), first.get("cd_mismatch")
     checks = [
         CheckResult("GF3/invertible-iff-n-nonzero-on-all-6561-elements",
-                    mismatch is None, "exhaustive",
+                    mismatch is None, provenance,
                     witness=None if mismatch is None else _enc(F, mismatch)),
         CheckResult("GF3/cd-inverse-agrees-with-linear-solve-inverse",
-                    mismatch is None and cd_mismatch is None, "exhaustive",
+                    mismatch is None and cd_mismatch is None, provenance,
                     witness=None if cd_mismatch is None else _enc(F, cd_mismatch)),
     ]
     w = find_isotropic(Z, seed=cfg.seed, samples=cfg.samples,
@@ -339,16 +337,12 @@ def suite_lemma22_case1(cfg: Config) -> list:
     image_ok = orthocomplement(q, cert.b_space) == cert.image_space
     checks.append(CheckResult("image-subspace-vB-equals-B-orthocomplement",
                               image_ok, "certified"))
-    rng = random.Random(cfg.seed)
-    bad6 = None
-    for _ in range(cfg.samples):
-        z = A.random_element(rng)
-        if not F.is_zero(q.bilinear(z, dmap.mulvec(z))):
-            bad6 = z
-            break
-    checks.append(CheckResult("f(a,d(a))=0-sampled", bad6 is None, "sampled",
+    bad6, provenance = search(
+        F, A.dim, lambda z: not F.is_zero(q.bilinear(z, dmap.mulvec(z))),
+        seed=cfg.seed, samples=cfg.samples)
+    checks.append(CheckResult("f(a,d(a))=0-sampled", bad6 is None, provenance,
                               detail=f"{cfg.samples} seeded samples",
-                              witness=None if bad6 is None else _enc(F, bad6)))
+                              witness=None if bad6 is None else _enc(F, bad6[0])))
     for bad_u, label in ((A.find_unit(), "t(u)-nonzero-rejected"),
                          (A.zero(), "u=0-rejected")):
         try:
@@ -407,15 +401,15 @@ def suite_lemma22_case2(cfg: Config) -> list:
                               bad8 is None, "certified",
                               witness=None if bad8 is None else _enc(F, bad8)))
     bad9 = None
-    for a in B.rows:
-        for c in B.rows:
-            av, cv = list(a), list(c)
-            lhs = Z.associator(av, cv, cert.x)
-            rhs = Z.smul(q.bilinear(cv, cert.x), av)
-            rhs = Z.vadd(rhs, Z.smul(q.bilinear(av, cert.x), cv))
-            rhs = Z.vadd(rhs, Z.smul(q.bilinear(cert.x, Z.mul(av, cv)), unit))
-            if not Z.veq(lhs, rhs):
-                bad9 = (av, cv)
+    for a, c in itertools.product(B.rows, repeat=2):
+        av, cv = list(a), list(c)
+        lhs = Z.associator(av, cv, cert.x)
+        rhs = Z.smul(q.bilinear(cv, cert.x), av)
+        rhs = Z.vadd(rhs, Z.smul(q.bilinear(av, cert.x), cv))
+        rhs = Z.vadd(rhs, Z.smul(q.bilinear(cert.x, Z.mul(av, cv)), unit))
+        if not Z.veq(lhs, rhs):
+            bad9 = (av, cv)
+            break
     checks.append(CheckResult("(a,c,x)=af(c,x)+f(a,x)c+f(x,ac)1-on-basis-pairs",
                               bad9 is None, "certified",
                               witness=None if bad9 is None else _enc(F, bad9)))
@@ -463,30 +457,18 @@ def suite_lemma23_outer(cfg: Config) -> list:
     ker = kernel(d)
     checks.append(CheckResult("kernel-of-d-equals-D",
                               ker == inst.extras["kernel_space"], "certified"))
-    bad = None
-    for x in _subspace_elements(A, ker):
-        if A.is_zero_vec(x):
-            continue
-        if A.invert_element(x) is None:
-            bad = x
-            break
+    # kernel elements are the combinations of its basis: columns of span
+    span = Matrix(F, ker.rows, A.dim).transpose()
+
+    def hit(coeffs):
+        x = span.mulvec(coeffs)
+        return not A.is_zero_vec(x) and A.invert_element(x) is None
+
+    bad, provenance = search(F, ker.dim, hit, enum_cap=F.order ** ker.dim)
     checks.append(CheckResult("nonzero-kernel-elements-invertible", bad is None,
-                              "exhaustive",
-                              witness=None if bad is None else _enc(F, bad)))
+                              provenance, witness=None if bad is None else
+                              _enc(F, span.mulvec(bad[0]))))
     return checks
-
-
-def _subspace_elements(A, S: Subspace):
-    """All elements of a subspace over a finite field."""
-    import itertools
-
-    scalars = list(A.field.elements())
-    for coeffs in itertools.product(scalars, repeat=S.dim):
-        x = A.zero()
-        for c, row in zip(coeffs, S.rows):
-            if not A.field.is_zero(c):
-                x = A.vadd(x, A.smul(c, list(row)))
-        yield x
 
 
 def suite_remark22_singular(cfg: Config) -> list:

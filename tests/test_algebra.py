@@ -8,7 +8,7 @@ from altalg.algebra import (Algebra, TableFormatError, algebra_from_json,
                             algebra_to_json, check_identity, derived_algebra,
                             evaluate_identity, generated, make_algebra,
                             permuted, power_chain, restricted_algebra,
-                            special_product, special_subspace,
+                            search, special_product, special_subspace,
                             subspace_product)
 from altalg.catalog import build, mat2, zero_algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
@@ -589,3 +589,54 @@ def test_certified_route_matches_reference_on_zorn():
         for name in CERTIFIED_LAWS:
             assert (encoded_report(A.field, check_identity(A, name))
                     == encoded_report(A.field, reference_check_certified(A, name)))
+
+
+# --- the evidence search ---------------------------------------------------
+
+@pytest.mark.parametrize("F, n", [(PrimeField(2), 1), (PrimeField(2), 4),
+                                  (PrimeField(3), 1), (PrimeField(3), 3)])
+def test_search_enumerates_in_elements_order(F, n):
+    order = list(Algebra(F, n, {}).elements())
+    seen = []
+    assert search(F, n, lambda x: seen.append(x), enum_cap=F.order ** n) == (
+        None, "exhaustive")
+    assert seen == order
+    # the first hit wins, also when a later vector would hit too
+    targets = [order[len(order) // 3], order[-1]]
+    assert search(F, n, lambda x: x in targets, enum_cap=10 ** 6) == (
+        (targets[0],), "exhaustive")
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), RationalField(),
+                               RatFunField(2)], ids=["gf2", "gf3", "q", "ratfun2"])
+@pytest.mark.parametrize("arity", [1, 2, 4])
+def test_search_samples_draw_as_random_element(F, arity, monkeypatch):
+    n, samples = 3, 7
+    draws = []
+    real = F.random_element
+    monkeypatch.setattr(F, "random_element",
+                        lambda rng: draws.append(1) or real(rng))
+    seen = []
+    # below |F|^n (or over an infinite field) the search samples
+    cap = F.order ** n - 1 if F.is_finite else 10 ** 6
+    got = search(F, n, lambda *a: seen.append(a), arity=arity, seed=5,
+                 samples=samples, enum_cap=cap)
+    assert got == (None, "sampled")
+    assert len(draws) == samples * arity * n
+    A, rng = Algebra(F, n, {}), random.Random(5)
+    expected = [tuple(A.random_element(rng) for _ in range(arity))
+                for _ in range(samples)]
+
+    def enc(args):
+        return [[F.encode(a) for a in x] for x in args]
+
+    assert [enc(args) for args in seen] == [enc(args) for args in expected]
+    got, provenance = search(F, n, lambda *a: enc(a) == enc(seen[4]),
+                             arity=arity, seed=5, samples=samples)
+    assert enc(got) == enc(seen[4]) and provenance == "sampled"
+
+
+def test_search_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            search(PrimeField(3), 2, lambda x: False, samples=samples)

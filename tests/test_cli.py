@@ -203,6 +203,24 @@ def test_cli_enum_cap_forces_sampled_verdicts(capsys):
     assert by_name["left-alternative"]["provenance"] == "certified"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "quadratic-relation", "--samples", "-3"), "--samples"),
+    (("identities", "zorn", "--samples", "0"), "--samples"),
+    (("invertible-values", fixture("lemma23_dx.json"), "--map",
+      fixture("lemma23_dmap.json"), "--mode", "sample", "--samples", "0"), "--samples"),
+    (("verify", "all", "--enum-cap", "-1"), "--enum-cap"),
+    (("identities", "zorn", "--enum-cap", "-10"), "--enum-cap"),
+], ids=["verify-samples-negative", "identities-samples-zero",
+        "invertible-values-samples-zero", "verify-enum-cap-negative",
+        "identities-enum-cap-negative"])
+def test_cli_rejects_evidence_flags_below_minimum(capsys, argv, flag):
+    # a sampled verdict needs at least one sample, and a negative cap
+    # means nothing: both are usage errors, before any check runs
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least")
+
+
 def test_cli_seed_changes_are_honored(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "moens", "--seed", "7", "--json")
     doc = json.loads(out1)
@@ -287,8 +305,9 @@ def _with(doc, path, value):
     (_with(GF3_DOC, ("table", 0, "i"), True), "indices must be integers"),
     (_with(GF3_DOC, ("basis",), "ab"), "'basis' must be a list"),
     (_with(RATFUN_DOC, ("field", "vars"), "st"), "'vars' must be a list"),
+    (_with(GF3_DOC, ("field", "p"), 2 ** 89 - 1), "cannot decide whether"),
 ], ids=["k-string", "k-float", "basis-number", "ratfun-empty-den", "dim-true",
-        "i-true", "basis-string", "vars-string"])
+        "i-true", "basis-string", "vars-string", "p-beyond-primality-bound"])
 def test_cli_rejects_malformed_algebra_file(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from altalg.fields import (FieldError, Poly2, PrimeField, RatFun, RatFunField,
-                           RationalField, TermBudgetError, make_field)
+                           RationalField, TermBudgetError, is_prime, make_field)
 from conftest import sample_elements
 
 
@@ -25,6 +26,34 @@ def test_make_field_rejects_composite():
         PrimeField(1)
     with pytest.raises(FieldError):
         RatFunField(6)
+
+
+def test_is_prime_matches_sympy_below_1e5():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(-2, 10 ** 5) if is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("n, prime", [
+    (10 ** 14 + 31, True),
+    (10 ** 18 + 9, True),
+    # a strong pseudoprime to every base 2..23: only bases 29..41 catch it
+    (3825123056546413051, False),
+    (3317044064679887385961981 - 2, False),
+])
+def test_is_prime_large(n, prime):
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(n) is prime
+    t0 = time.perf_counter()
+    assert is_prime(n) is prime
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_is_prime_refuses_beyond_the_deterministic_bound():
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(FieldError, match="cannot decide"):
+            is_prime(n)
+    with pytest.raises(FieldError):
+        make_field({"kind": "prime", "p": 2 ** 89 - 1})
 
 
 def test_make_field_rejects_unknown_kind():

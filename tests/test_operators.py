@@ -9,7 +9,8 @@ from altalg.algebra import Algebra
 from altalg.catalog import build, field_algebra, mat2, zero_algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
-from altalg.operators import (derivation_space, flatten_map,
+from altalg.operators import (InvertibilityVerdict, InvertibleValuesVerdict,
+                              OperatorSpace, derivation_space, flatten_map,
                               invertible_in_space, invertible_values_check,
                               is_derivation, is_inner, is_leibniz,
                               leibniz_space, lemma22_derivation,
@@ -542,3 +543,139 @@ def test_invertible_values_provenance_follows_what_was_done():
     assert (v.kind, v.provenance) == ("fail", "sampled")
     v = invertible_values_check(A, M, "exhaustive")
     assert (v.kind, v.provenance) == ("fail", "exhaustive")
+
+
+# --- the sampled loops that now go through algebra.search ------------------
+
+def reference_invertible_values_sample(A, dmap, *, seed=42, samples=128):
+    """invertible_values_check(mode='sample') before algebra.search."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = A.random_element(rng)
+        v = dmap.mulvec(x)
+        if A.is_zero_vec(v):
+            continue
+        if A.invert_element(v) is None:
+            return InvertibleValuesVerdict("fail", "sampled", witness=(x, v))
+    return InvertibleValuesVerdict(
+        "pass-sampled", "sampled",
+        detail=f"{samples} seeded samples, no witness")
+
+
+def reference_invertible_in_space_sampled(S, *, seed=42, samples=128):
+    """The seeded-combination stage of invertible_in_space before
+    algebra.search."""
+    A = S.algebra
+    F = A.field
+    d = A.dim
+    rng = random.Random(seed)
+    for _ in range(samples):
+        coeffs = [F.random_element(rng) for _ in range(S.dim)]
+        vec = [F.zero] * (d * d)
+        for c, row in zip(coeffs, S.space.rows):
+            if F.is_zero(c):
+                continue
+            for i in range(d * d):
+                vec[i] = F.add(vec[i], F.mul(c, row[i]))
+        m = unflatten_map(F, d, vec)
+        if m.rank() == d:
+            return InvertibilityVerdict("witness", "sampled",
+                                        witness_map=m, witness_coeffs=coeffs)
+    return InvertibilityVerdict("inconclusive", "sampled", samples_tried=samples)
+
+
+def _encoded(F, v):
+    if v is None:
+        return None
+    if isinstance(v, Matrix):
+        return [[F.encode(a) for a in row] for row in v.rows]
+    if v and isinstance(v[0], (list, tuple)):
+        return [_encoded(F, x) for x in v]
+    return [F.encode(a) for a in v]
+
+
+def _derivation_case(label):
+    if label.startswith("zorn-"):
+        F = {"zorn-gf2": PrimeField(2), "zorn-gf3": PrimeField(3),
+             "zorn-q": RationalField()}[label]
+        A = zorn(F).algebra
+        return A, derivation_space(A).basis_maps()[-1]
+    if label == "lemma23-gf3":
+        inst = build("lemma23-Dx")
+        return inst.algebra, inst.derivation
+    if label == "lemma22-I-q":
+        C = cd_double(build("quaternions-Q").involutive, Fraction(1))
+        return C.algebra, lemma22_derivation(C, "I", u=C.algebra.basis_vec(1))[0]
+    # ad_a = L_a - R_a on 2x2 matrices over GF(2)(s,t), a = E11: the value at
+    # x is [[0, x12], [-x21, 0]], invertible iff x12 and x21 are nonzero
+    A = mat2(RatFunField(2))
+    L = A.mult_operator("left", A.basis_vec(0))
+    R = A.mult_operator("right", A.basis_vec(0))
+    return A, Matrix(A.field, [[A.field.sub(x, y) for x, y in zip(lr, rr)]
+                               for lr, rr in zip(L.rows, R.rows)], 4)
+
+
+@pytest.mark.parametrize("label", ["zorn-gf2", "zorn-gf3", "lemma23-gf3",
+                                   "zorn-q", "lemma22-I-q", "mat2-ad-ratfun2"])
+def test_invertible_values_sample_matches_reference(label):
+    A, dmap = _derivation_case(label)
+    F = A.field
+    kinds = set()
+    for seed in (1, 2):
+        want = reference_invertible_values_sample(A, dmap, seed=seed, samples=12)
+        got = invertible_values_check(A, dmap, "sample", seed=seed, samples=12)
+        assert (got.kind, got.provenance, got.detail) == (
+            want.kind, want.provenance, want.detail)
+        assert _encoded(F, got.witness) == _encoded(F, want.witness)
+        kinds.add(want.kind)
+    expected = {"zorn-gf2": {"fail"}, "zorn-gf3": {"fail"},
+                "lemma23-gf3": {"pass-sampled"}, "lemma22-I-q": {"pass-sampled"},
+                "mat2-ad-ratfun2": {"fail", "pass-sampled"}}
+    if label in expected:
+        assert kinds == expected[label]
+
+
+def _operator_space(F, d, maps):
+    if maps is None:    # two seeded random maps (not monomial over GF(2)(s,t))
+        rng = random.Random(7)
+        vecs = [[F.random_element(rng) for _ in range(d * d)] for _ in range(2)]
+    else:
+        vecs = [[F.from_int(a) for a in m] for m in maps]
+    return OperatorSpace(zero_algebra(F, d), "test",
+                         Subspace.from_vectors(F, d * d, vecs))
+
+
+# flattened d x d maps whose span has no common kernel vector:
+# the alternating 3x3 maps are all singular (odd size), the swaps
+# a E12 + b E21 are invertible iff a b != 0, and the diagonal maps
+# iff every entry is nonzero
+_SPACES = {
+    "random-3": (3, None),
+    "alternating-3": (3, [[0, 1, 0, -1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                          [0, 0, 0, 0, 0, 1, 0, -1, 0]]),
+    "swap-2": (2, [[0, 1, 0, 0], [0, 0, 1, 0]]),
+    "diagonal-3": (3, [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 0, 0, 0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), RationalField(),
+                               RatFunField(2)], ids=["gf2", "gf3", "q", "ratfun2"])
+@pytest.mark.parametrize("space", list(_SPACES))
+def test_invertible_in_space_sampling_matches_reference(F, space):
+    d, maps = _SPACES[space]
+    S = _operator_space(F, d, maps)
+    kinds = set()
+    for seed in (1, 2, 3):
+        want = reference_invertible_in_space_sampled(S, seed=seed, samples=6)
+        # enum_cap=0 keeps the finite fields off the numpy enumeration
+        got = invertible_in_space(S, seed=seed, samples=6, enum_cap=0)
+        assert (got.kind, got.provenance, got.samples_tried) == (
+            want.kind, want.provenance, want.samples_tried)
+        assert _encoded(F, got.witness_coeffs) == _encoded(F, want.witness_coeffs)
+        assert _encoded(F, got.witness_map) == _encoded(F, want.witness_map)
+        kinds.add(want.kind)
+    if space == "alternating-3":
+        assert kinds == {"inconclusive"}
+    if space != "alternating-3" and not F.is_finite:
+        assert kinds == {"witness"}

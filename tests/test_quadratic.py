@@ -7,7 +7,7 @@ from altalg.algebra import check_identity
 from altalg.catalog import build
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Subspace
-from altalg.quadratic import (QuadraticAlgebra, bilinear_f, cd_double,
+from altalg.quadratic import (QuadraticAlgebra, bilinear_f, cd_double, cd_tower,
                               cd_inverse, find_isotropic, ground_field,
                               orthocomplement, quadratic_data, zorn)
 
@@ -253,3 +253,52 @@ def test_zorn_over_ratfun2_quadratic_relation_on_probes():
     # construction itself certifies the relation on basis + pair probes
     Z = zorn(RatFunField(2))
     assert Z.dim == 8
+
+
+def reference_find_isotropic(C, *, seed=42, samples=128, enum_cap=2 ** 20):
+    """The enumeration and sampling loops find_isotropic had before it went
+    through algebra.search; kept as the reference for its witnesses."""
+    A = C.algebra
+    F = C.field
+    count = A.element_count()
+    if count is not None and count <= enum_cap:
+        for x in A.elements():
+            if not A.is_zero_vec(x) and F.is_zero(C.norm(x)):
+                return x, "exhaustive"
+        return None, "exhaustive"
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = A.random_element(rng)
+        if not A.is_zero_vec(x) and F.is_zero(C.norm(x)):
+            return x, "sampled"
+    return None, "sampled"
+
+
+@pytest.mark.parametrize("label", [
+    "zorn-gf2", "zorn-gf3", "zorn-q", "zorn-ratfun2", "quaternions-gf3",
+    "quaternions-q", "gagola-B"])
+@pytest.mark.parametrize("enum_cap", [2 ** 20, 0])
+def test_find_isotropic_matches_reference(label, enum_cap):
+    C = {
+        "zorn-gf2": lambda: zorn(PrimeField(2)),
+        "zorn-gf3": lambda: zorn(PrimeField(3)),
+        "zorn-q": lambda: zorn(RationalField()),
+        "zorn-ratfun2": lambda: zorn(RatFunField(2)),
+        "quaternions-gf3": lambda: cd_tower(PrimeField(3), (-1, -1)).quadratic,
+        "quaternions-q": lambda: build("quaternions-Q").quadratic,
+        "gagola-B": lambda: build("gagola-B").quadratic,
+    }[label]()
+    F = C.field
+    outcomes = set()
+    for seed in (1, 2, 3):
+        want, want_tag = reference_find_isotropic(C, seed=seed, samples=24,
+                                                  enum_cap=enum_cap)
+        got = find_isotropic(C, seed=seed, samples=24, enum_cap=enum_cap)
+        assert got.provenance == want_tag
+        enc = (lambda v: None if v is None else [F.encode(a) for a in v])
+        assert enc(got.witness) == enc(want)
+        outcomes.add(want is None)
+    if label == "quaternions-q":
+        assert outcomes == {True}       # anisotropic: nothing is found
+    if label in ("zorn-gf2", "zorn-gf3", "quaternions-gf3"):
+        assert outcomes == {False}      # split: a witness is found

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from altalg import __version__
+from altalg.catalog import build
 from altalg.suites import SUITE_ORDER, Config, run_all, run_suite
 
 FAST_SUITES = [n for n in SUITE_ORDER if n != "zorn-identities"]
@@ -86,3 +87,27 @@ def test_lemma22_case1_law_check_reports_first_failing_pair(monkeypatch):
     law = {c["name"]: c for c in doc["checks"]}["derivation-law-on-all-64-basis-pairs"]
     assert law["verdict"] == "fail" and law["provenance"] == "certified"
     assert json.loads(json.dumps(law["witness"])) == [1, 1]
+
+
+def test_lemma22_case2_associator_check_reports_first_failing_pair(monkeypatch):
+    # with x = e_1 in place of the selected x, (a,c,x) = a f(c,x) + f(a,x) c
+    # + f(x,ac) 1 fails on all 16 pairs of B's basis; the check reports the
+    # first, (b_0, b_0), not the last, (b_3, b_3)
+    from dataclasses import replace
+
+    from altalg import suites
+
+    real = suites.lemma22_derivation
+
+    def moved(target, case, **params):
+        dmap, cert = real(target, case, **params)
+        return dmap, replace(cert, x=target.algebra.basis_vec(1))
+
+    monkeypatch.setattr(suites, "lemma22_derivation", moved)
+    doc = run_suite("lemma22-case2").to_json(__version__)
+    check = {c["name"]: c for c in doc["checks"]}[
+        "(a,c,x)=af(c,x)+f(a,x)c+f(x,ac)1-on-basis-pairs"]
+    inst = build("gagola-B")
+    first = list(inst.extras["b_space"].rows[0])
+    assert check["verdict"] == "fail" and check["provenance"] == "certified"
+    assert check["witness"] == suites._enc(inst.algebra.field, (first, first))
