@@ -73,6 +73,11 @@ class Algebra:
     def basis(self) -> list:
         return [self.basis_vec(i) for i in range(self.dim)]
 
+    def probes(self) -> list:
+        """The basis, then e_i + e_j for i < j: where a quadratic map is decided."""
+        e = self.basis()
+        return e + [self.vadd(a, b) for a, b in itertools.combinations(e, 2)]
+
     def is_zero_vec(self, x) -> bool:
         return all(self.field.is_zero(a) for a in x)
 
@@ -237,14 +242,27 @@ def special_product(A: Algebra, kind: str, *args) -> list:
 # ---- evidence search ----------------------------------------------------------
 
 def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
-           samples: int = 128, enum_cap: int = 0):
+           samples: int = 128, enum_cap: int = 0, rows=None):
     """(first ``args`` with ``hit(*args)``, or None; provenance): with arity 1
     and |F|^n <= enum_cap, all of F^n in ``Algebra.elements()`` order
     ('exhaustive'), else ``samples`` tuples of ``arity`` vectors drawn as
-    ``Algebra.random_element`` draws them, from one Random(seed) ('sampled')."""
+    ``Algebra.random_element`` draws them, from one Random(seed) ('sampled').
+
+    ``rows``, the block form of ``hit``, decides the exhaustive walk (every
+    finite field here is a GF(p)): ``rows(X)`` takes a (b, n) residue block
+    of ``scan.vector_blocks`` and returns the index of its first hit, or -1;
+    ``hit`` may be None where every walk is exhaustive."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if arity == 1 and F.is_finite and F.order ** n <= enum_cap:
+        if rows is not None:
+            from .scan import vector_blocks
+
+            for _, X in vector_blocks(F.p, n):
+                i = rows(X)
+                if i >= 0:
+                    return ([int(v) for v in X[i]],), "exhaustive"
+            return None, "exhaustive"
         for combo in itertools.product(list(F.elements()), repeat=n):
             x = list(combo)
             if hit(x):
@@ -337,8 +355,7 @@ def _check_certified(A: Algebra, name: str) -> IdentityReport:
     This holds over every field, characteristic 2 included."""
     degree, n_linear, last = _LAWS[name]
     e = A.basis()
-    sums = (A.vadd(a, b) for a, b in itertools.combinations(e, 2))
-    for x in itertools.chain(e, sums if degree == 2 else ()):
+    for x in (A.probes() if degree == 2 else e):
         for ys in itertools.product(e, repeat=n_linear):
             args = (*ys, x) if last else (x, *ys)
             if not A.is_zero_vec(evaluate_identity(A, name, args)):

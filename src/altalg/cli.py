@@ -59,8 +59,7 @@ def create_parser() -> argparse.ArgumentParser:
                    help="JSON file holding the d x d map matrix")
     p = target_cmd("invertible-values", "check a derivation for invertible values")
     p.add_argument("--map", required=True, metavar="FILE")
-    p.add_argument("--mode", default="exhaustive",
-                   choices=["exhaustive", "norm-certificate", "sample"])
+    p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sample"])
     p = sub.add_parser("build", parents=[common],
                        help="construct a catalog instance and print its "
                             "algebra JSON document")

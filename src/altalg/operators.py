@@ -322,8 +322,7 @@ def invertible_in_space(S: OperatorSpace, *, seed: int = 42, samples: int = 128,
     """Search for an invertible map in the span of the basis maps.
 
     Pipeline: (i) a nonzero common kernel vector certifies none exists;
-    (ii) small finite coefficient spaces are scanned exhaustively;
-    (iii) otherwise seeded random combinations, witness on full rank.
+    (ii) otherwise invertible_combination searches the coefficients.
     """
     A = S.algebra
     F = A.field
@@ -336,20 +335,18 @@ def invertible_in_space(S: OperatorSpace, *, seed: int = 42, samples: int = 128,
         return InvertibilityVerdict("none-certified", "certified",
                                     reason="common-kernel",
                                     kernel_vector=list(common.rows[0]))
-    if F.kind == "prime" and F.order ** S.dim <= enum_cap:
-        from . import scan
-        import numpy as np
+    return invertible_combination(S, seed=seed, samples=samples,
+                                  enum_cap=enum_cap)
 
-        flat = np.array([[int(a) for a in row] for row in S.space.rows],
-                        dtype=np.int64)
-        hit = scan.find_invertible_combo(flat, F.p, d)
-        if hit is None:
-            return InvertibilityVerdict("none-certified", "exhaustive",
-                                        reason="exhaustive-scan")
-        coeffs, mat = hit
-        return InvertibilityVerdict("witness", "exhaustive",
-                                    witness_map=Matrix(F, mat, d),
-                                    witness_coeffs=coeffs)
+
+def invertible_combination(S: OperatorSpace, *, seed: int = 42,
+                           samples: int = 128, enum_cap: int = 2 ** 20
+                           ) -> InvertibilityVerdict:
+    """First full-rank combination of the basis maps that algebra.search
+    finds: every coefficient vector when |F|^dim <= enum_cap (a GF(p) walk
+    ranks whole blocks in numpy), else seeded samples."""
+    F = S.algebra.field
+    d = S.algebra.dim
 
     def combination(coeffs):
         vec = [F.zero] * (d * d)
@@ -360,14 +357,23 @@ def invertible_in_space(S: OperatorSpace, *, seed: int = 42, samples: int = 128,
                 vec[i] = F.add(vec[i], F.mul(c, row[i]))
         return unflatten_map(F, d, vec)
 
+    rows = None
+    if F.kind == "prime":
+        from .scan import full_rank_rows
+
+        rows = full_rank_rows(S.space.rows, F.p, d)
     args, provenance = search(F, S.dim, lambda c: combination(c).rank() == d,
-                              seed=seed, samples=samples)
-    if args is None:
-        return InvertibilityVerdict("inconclusive", provenance,
-                                    samples_tried=samples)
-    return InvertibilityVerdict("witness", provenance,
-                                witness_map=combination(args[0]),
-                                witness_coeffs=args[0])
+                              seed=seed, samples=samples, enum_cap=enum_cap,
+                              rows=rows)
+    if args is not None:
+        return InvertibilityVerdict("witness", provenance,
+                                    witness_map=combination(args[0]),
+                                    witness_coeffs=args[0])
+    if provenance == "exhaustive":
+        return InvertibilityVerdict("none-certified", provenance,
+                                    reason="exhaustive-scan")
+    return InvertibilityVerdict("inconclusive", provenance,
+                                samples_tried=samples)
 
 
 @dataclass
@@ -411,8 +417,7 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
 
     if mode == "norm-certificate":
         if certificate is None:
-            return InvertibleValuesVerdict(
-                "not-applicable", "sampled", detail="no certificate data supplied")
+            raise ValueError("norm-certificate mode needs a lemma22 certificate")
         return _norm_certificate_check(A, dmap, certificate, seed, samples)
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")

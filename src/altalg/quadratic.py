@@ -26,7 +26,7 @@ class QuadraticAlgebra:
     any field.
     """
 
-    __slots__ = ("algebra", "trace_vec", "qform", "unit", "_fmat")
+    __slots__ = ("algebra", "trace_vec", "qform", "unit")
 
     def __init__(self, algebra: Algebra, trace_vec: list, qform: list):
         F = algebra.field
@@ -37,7 +37,6 @@ class QuadraticAlgebra:
         self.trace_vec = list(trace_vec)
         self.qform = [list(r) for r in qform]
         self.unit = unit
-        self._fmat = None
         two = F.add(F.one, F.one)
         if not F.eq(self.trace(unit), two):
             raise ValueError("trace of the unit must be 2")
@@ -92,15 +91,6 @@ class QuadraticAlgebra:
         t = self.trace(x)
         return self.algebra.vsub(self.algebra.smul(t, self.unit), x)
 
-    def f_matrix(self) -> Matrix:
-        if self._fmat is None:
-            d = self.dim
-            e = [self.algebra.basis_vec(i) for i in range(d)]
-            self._fmat = Matrix(self.field,
-                                [[self.bilinear(e[i], e[j]) for j in range(d)]
-                                 for i in range(d)], d)
-        return self._fmat
-
     def conjugation_matrix(self) -> Matrix:
         F = self.field
         d = self.dim
@@ -116,10 +106,7 @@ class QuadraticAlgebra:
 
     def _verify_quadratic_relation(self):
         A = self.algebra
-        probes = [A.basis_vec(i) for i in range(self.dim)]
-        probes += [A.vadd(A.basis_vec(i), A.basis_vec(j))
-                   for i in range(self.dim) for j in range(i + 1, self.dim)]
-        for x in probes:
+        for x in A.probes():
             if not A.is_zero_vec(self.quadratic_residual(x)):
                 raise ValueError("quadratic relation fails on probe element "
                                  + A.fmt(x))
@@ -434,10 +421,7 @@ def zorn_isomorphism(C: QuadraticAlgebra) -> Matrix:
     for i in range(8):
         if not F.eq(C.trace(frame[i]), reference.trace(reference.algebra.basis_vec(i))):
             raise ValueError("trace functional does not transport")
-    probes = [reference.algebra.basis_vec(i) for i in range(8)]
-    probes += [reference.algebra.vadd(probes[i], probes[j])
-               for i in range(8) for j in range(i + 1, 8)]
-    for p in probes:
+    for p in reference.algebra.probes():
         img = A.zero()
         for c, fvec in zip(p, frame):
             if not F.is_zero(c):

@@ -199,8 +199,7 @@ def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     rows_idx = np.arange(r)[None, :]
     sel = np.arange(n)
     for col in range(c):
-        colvals = A[:, :, col] % p
-        eligible = (colvals != 0) & (rows_idx >= ranks[:, None])
+        eligible = (A[:, :, col] != 0) & (rows_idx >= ranks[:, None])
         has = eligible.any(axis=1)
         if not has.any():
             continue
@@ -211,8 +210,7 @@ def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
         tmp = A[hn, piv].copy()
         A[hn, piv] = A[hn, cur]
         A[hn, cur] = tmp
-        pivvals = A[hn, cur, col] % p
-        A[hn, cur] = (A[hn, cur] * inv_table[pivvals][:, None]) % p
+        A[hn, cur] = (A[hn, cur] * inv_table[A[hn, cur, col]][:, None]) % p
         factors = A[hn, :, col].copy()
         factors[np.arange(len(hn)), cur] = 0
         A[hn] = (A[hn] - factors[:, :, None] * A[hn, cur][:, None, :]) % p
@@ -220,21 +218,14 @@ def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     return ranks
 
 
-def find_invertible_combo(basis_flat: np.ndarray, p: int, d: int,
-                          block: int = BLOCK):
-    """First coefficient vector whose combination of the basis maps has full
-    rank, scanning all p^m combinations in lexicographic order; None if none.
+def full_rank_rows(maps, p: int, d: int):
+    """Block predicate for algebra.search: the index of the first row of X
+    whose combination of the m flattened d x d residue maps has full rank,
+    or -1."""
+    B = np.asarray(maps, dtype=np.float64).reshape(-1, d * d)
 
-    basis_flat: (m, d*d) residue array, row-major flattened maps.
-    """
-    m = basis_flat.shape[0]
-    B = basis_flat.astype(np.float64)
-    for start, V in vector_blocks(p, m, block):
-        W = np.matmul(V, B) % p
-        ranks = batched_rank_mod_p(W.reshape(-1, d, d), p)
-        hits = np.nonzero(ranks == d)[0]
-        if hits.size:
-            i = int(hits[0])
-            return (V[i].astype(np.int64).tolist(),
-                    W[i].reshape(d, d).astype(np.int64).tolist())
-    return None
+    def rows(X: np.ndarray) -> int:
+        ranks = batched_rank_mod_p((X @ B % p).reshape(-1, d, d), p)
+        hits = np.flatnonzero(ranks == d)
+        return int(hits[0]) if hits.size else -1
+    return rows

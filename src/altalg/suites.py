@@ -21,11 +21,12 @@ from .algebra import (check_identity, evaluate_identity, permuted, power_chain,
 from .catalog import build, field_algebra, zero_algebra
 from .fields import PrimeField, RationalField
 from .linalg import Matrix, Subspace, kernel
-from .operators import (derivation_space, flatten_map, invertible_in_space,
-                        invertible_values_check, is_derivation, is_inner,
-                        is_leibniz, leibniz_space, lemma22_derivation,
-                        moens_construction, mult_lie_algebra,
-                        quasider_condition_rows, quasider_space)
+from .operators import (derivation_space, flatten_map, invertible_combination,
+                        invertible_in_space, invertible_values_check,
+                        is_derivation, is_inner, is_leibniz, leibniz_space,
+                        lemma22_derivation, moens_construction,
+                        mult_lie_algebra, quasider_condition_rows,
+                        quasider_space)
 from .quadratic import (cd_inverse, cd_tower, find_isotropic,
                         orthocomplement, zorn, zorn_isomorphism)
 
@@ -203,23 +204,21 @@ def suite_quadratic_relation(cfg: Config) -> list:
 def suite_norm_multiplicativity(cfg: Config) -> list:
     checks = []
     Z2 = zorn(PrimeField(2))
-    X = np.concatenate([blk for _, blk in scan.vector_blocks(2, 8)])
-    XR = np.repeat(X, 256, axis=0)
-    YT = np.tile(X, (256, 1))
-    P = scan.mulrows(Z2.algebra, XR, YT)
-    Q = np.zeros((8, 8))
-    Q[0, 1] = 1
-    for i in range(3):
-        Q[2 + i, 5 + i] = 1     # -1 = 1 mod 2
+    Q = np.array(Z2.qform, dtype=np.float64)
 
-    def nvec(M):
+    def norms(M):
         return np.einsum("ni,ij,nj->n", M, Q, M) % 2
 
-    bad = np.nonzero(nvec(P) != (nvec(XR) * nvec(YT)) % 2)[0]
+    def rows(X):     # one pair (x, y) per row of F^16, x-major
+        x, y = X[:, :8], X[:, 8:]
+        P = scan.mulrows(Z2.algebra, x, y)
+        bad = np.flatnonzero(norms(P) != norms(x) * norms(y) % 2)
+        return int(bad[0]) if bad.size else -1
+
+    bad, provenance = search(Z2.field, 16, None, enum_cap=2 ** 16, rows=rows)
     checks.append(CheckResult(
-        "GF2/n(xy)=n(x)n(y)-on-all-65536-pairs", bad.size == 0, "exhaustive",
-        witness=None if bad.size == 0 else
-        {"x": XR[bad[0]].astype(int).tolist(), "y": YT[bad[0]].astype(int).tolist()}))
+        "GF2/n(xy)=n(x)n(y)-on-all-65536-pairs", bad is None, provenance,
+        witness=None if bad is None else {"x": bad[0][:8], "y": bad[0][8:]}))
     for label, F in (("GF5", PrimeField(5)), ("Q", RationalField())):
         q = zorn(F)
         A = q.algebra
@@ -505,12 +504,11 @@ def suite_remark22_singular(cfg: Config) -> list:
                               contained, "certified",
                               detail=f"dim Der = {D.dim}"))
     if F.order ** D.dim <= cfg.enum_cap:
-        flat = np.array([[int(a) for a in row] for row in D.space.rows],
-                        dtype=np.int64)
-        hit = scan.find_invertible_combo(flat, F.p, 7)
+        v = invertible_combination(D, enum_cap=cfg.enum_cap)
         checks.append(CheckResult(
-            "exhaustive-scan-finds-no-invertible-derivation", hit is None,
-            "exhaustive", detail=f"{F.order ** D.dim} combinations scanned"))
+            "exhaustive-scan-finds-no-invertible-derivation",
+            v.kind == "none-certified", v.provenance,
+            detail=f"{F.order ** D.dim} combinations scanned"))
     verdict = invertible_in_space(D, seed=cfg.seed, samples=cfg.samples,
                                   enum_cap=cfg.enum_cap)
     checks.append(CheckResult(

@@ -11,20 +11,18 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from altalg import scan
 from altalg.algebra import check_identity, evaluate_identity, permuted, power_chain
 from altalg.catalog import build, field_algebra, zero_algebra
 from altalg.fields import PrimeField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
 from altalg.operators import (derivation_space, flatten_map,
-                              invertible_in_space, invertible_values_check,
-                              is_inner, is_leibniz, leibniz_space,
-                              lemma22_derivation, moens_construction,
-                              qder_equals_end, quasider_condition_rows,
-                              quasider_space)
+                              invertible_combination, invertible_in_space,
+                              invertible_values_check, is_inner, is_leibniz,
+                              leibniz_space, lemma22_derivation,
+                              moens_construction, qder_equals_end,
+                              quasider_condition_rows, quasider_space)
 from altalg.quadratic import cd_double, cd_inverse, orthocomplement, zorn
 
 SEED = 42
@@ -266,9 +264,9 @@ def test_criterion_09_remark22_singular():
         for M in D.basis_maps() for col in (5, 6))
     combos = F.order ** D.dim
     assert combos <= 2 ** 20, "exhaustive branch expected for this instance"
-    flat = np.array([[int(a) for a in row] for row in D.space.rows],
-                    dtype=np.int64)
-    ok = ok and scan.find_invertible_combo(flat, F.p, 7) is None
+    scan_verdict = invertible_combination(D)
+    ok = ok and (scan_verdict.kind, scan_verdict.provenance) == (
+        "none-certified", "exhaustive")
     verdict = invertible_in_space(D, seed=SEED, samples=SAMPLES)
     ok = ok and verdict.kind == "none-certified"
     _report(9, "remark22 instance: every derivation is singular", ok,

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 
+from altalg import scan
 from altalg.algebra import (Algebra, TableFormatError, algebra_from_json,
                             algebra_to_json, check_identity, derived_algebra,
                             evaluate_identity, generated, make_algebra,
@@ -634,6 +636,44 @@ def test_search_samples_draw_as_random_element(F, arity, monkeypatch):
     got, provenance = search(F, n, lambda *a: enc(a) == enc(seen[4]),
                              arity=arity, seed=5, samples=samples)
     assert enc(got) == enc(seen[4]) and provenance == "sampled"
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block1", "block7", "default"])
+@pytest.mark.parametrize("p, n", [(3, 4), (2, 16)])
+def test_search_rows_walk_matches_hit_walk(p, n, block, monkeypatch):
+    # the block form of a predicate must find what the element-wise form
+    # finds, with the same tag, whichever block the hit falls in
+    if block is not None:
+        monkeypatch.setattr(scan, "vector_blocks",
+                            functools.partial(scan.vector_blocks, block=block))
+    F, total = PrimeField(p), p ** n
+    blocks = []
+    rng = random.Random(p + n)
+    for k in (0, 1, 3):
+        indices = sorted(rng.sample(range(total), k))
+        if k == 1:
+            indices = [total - 1]       # the last vector, in the last block
+        targets = {tuple(int(c) for c in digits) for digits in (
+            [(i // p ** (n - 1 - j)) % p for j in range(n)] for i in indices)}
+
+        def rows(X):
+            blocks.append(len(X))
+            found = [i for i, x in enumerate(X.astype(int).tolist())
+                     if tuple(x) in targets]
+            return found[0] if found else -1
+
+        want = search(F, n, lambda x: tuple(x) in targets, enum_cap=total)
+        got = search(F, n, None, enum_cap=total, rows=rows)
+        assert got == want
+        assert got[1] == "exhaustive" and (got[0] is None) == (k == 0)
+        if got[0] is not None:
+            assert all(type(c) is int for c in got[0][0])
+    assert max(blocks) == min(block or scan.BLOCK, total)
+    # below the cap the walk samples with hit, and rows is never called
+    blocks.clear()
+    assert search(F, n, lambda x: False, enum_cap=total - 1, samples=3,
+                  rows=rows) == (None, "sampled")
+    assert blocks == []
 
 
 def test_search_needs_a_sample():

@@ -159,6 +159,15 @@ def test_cli_invertible_values(capsys):
     assert doc["checks"][0]["provenance"] == "exhaustive"
 
 
+def test_cli_invertible_values_has_no_norm_certificate_mode(capsys):
+    # the command line cannot supply lemma22 certificate data
+    with pytest.raises(SystemExit) as exc:
+        main(["invertible-values", fixture("lemma23_dx.json"), "--map",
+              fixture("lemma23_dmap.json"), "--mode", "norm-certificate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'norm-certificate'" in capsys.readouterr().err
+
+
 def test_cli_build_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "zorn.json"
     code, _, _ = run_cli(capsys, "build", "zorn", "--out", str(out_path))

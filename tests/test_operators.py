@@ -399,6 +399,14 @@ def test_lemma22_case1_construction():
     assert v.kind == "pass-certified"
 
 
+def test_norm_certificate_mode_needs_a_certificate():
+    # without lemma22 data there is nothing to check: a usage error, not a
+    # verdict carrying a tag for evidence nobody gathered
+    inst = build("lemma23-Dx")
+    with pytest.raises(ValueError, match="needs a lemma22 certificate"):
+        invertible_values_check(inst.algebra, inst.derivation, "norm-certificate")
+
+
 def test_lemma22_case1_rejects_bad_u():
     quat = build("quaternions-Q").involutive
     C = cd_double(quat, Fraction(1))

@@ -12,8 +12,9 @@ from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 from altalg import scan
 from altalg.algebra import Algebra, evaluate_identity
 from altalg.fields import PrimeField, is_prime
-from altalg.linalg import Matrix, rref
-from altalg.operators import derivation_space
+from altalg.linalg import Matrix, Subspace, rref
+from altalg.operators import (OperatorSpace, derivation_space,
+                              invertible_combination, invertible_in_space)
 from altalg.quadratic import zorn
 
 
@@ -295,16 +296,36 @@ def test_mulrows_matches_algebra_mul():
 
 
 def test_batched_rank_matches_exact_rank():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         F = PrimeField(p)
         rng = random.Random(p)
-        mats = []
-        for _ in range(60):
-            mats.append([[rng.randrange(p) for _ in range(4)] for _ in range(4)])
-        ranks = scan.batched_rank_mod_p(np.array(mats, dtype=np.int64), p)
-        for m, r in zip(mats, ranks):
-            _, want, _ = rref(Matrix(F, m, 4))
-            assert int(r) == want
+        for r, c in ((4, 4), (3, 5), (5, 2), (1, 6)):
+            mats = [[[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+                    for _ in range(60)]
+            # rank-deficient stacks too: a repeated row, then a zero column
+            mats += [[m[0]] + m[:-1] for m in mats[:20]]
+            mats += [[[0] + row[1:] for row in m] for m in mats[:20]]
+            ranks = scan.batched_rank_mod_p(np.array(mats, dtype=np.int64), p)
+            for m, rank in zip(mats, ranks):
+                _, want, _ = rref(Matrix(F, m, c))
+                assert int(rank) == want
+
+
+def reference_find_invertible_combo(basis_flat, p, d, block=scan.BLOCK):
+    """scan.find_invertible_combo before algebra.search took its walk: the
+    first coefficient vector whose combination of the (m, d*d) maps has full
+    rank, scanning all p^m combinations in lexicographic order; None if none."""
+    m = basis_flat.shape[0]
+    B = basis_flat.astype(np.float64)
+    for start, V in scan.vector_blocks(p, m, block):
+        W = np.matmul(V, B) % p
+        ranks = scan.batched_rank_mod_p(W.reshape(-1, d, d), p)
+        hits = np.nonzero(ranks == d)[0]
+        if hits.size:
+            i = int(hits[0])
+            return (V[i].astype(np.int64).tolist(),
+                    W[i].reshape(d, d).astype(np.int64).tolist())
+    return None
 
 
 def test_find_invertible_combo_matches_exhaustive_python():
@@ -315,7 +336,7 @@ def test_find_invertible_combo_matches_exhaustive_python():
     D = derivation_space(A)
     flat = np.array([[int(a) for a in row] for row in D.space.rows],
                     dtype=np.int64)
-    hit = scan.find_invertible_combo(flat, 3, 2)
+    hit = reference_find_invertible_combo(flat, 3, 2)
     assert hit is not None
     coeffs, mat = hit
     assert Matrix(A.field, mat, 2).rank() == 2
@@ -332,6 +353,8 @@ def test_find_invertible_combo_matches_exhaustive_python():
             first = list(combo)
             break
     assert coeffs == first
+    v = invertible_combination(D)
+    assert (v.witness_coeffs, v.witness_map.rows) == (first, mat)
 
 
 def test_structure_tensor_rejects_non_prime_fields():
@@ -339,3 +362,44 @@ def test_structure_tensor_rejects_non_prime_fields():
 
     with pytest.raises(ValueError):
         scan.structure_tensor(zorn(RationalField()).algebra)
+
+
+def _random_map_space(p, d, m, rng, singular):
+    """OperatorSpace on the zero algebra of dim d spanned by m random maps;
+    with `singular`, every map has a zero first row, so no combination is
+    invertible, though the maps rarely share a kernel vector."""
+    F = PrimeField(p)
+    maps = []
+    for _ in range(m):
+        M = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        if singular:
+            M[0] = [0] * d
+        maps.append([a for row in M for a in row])
+    space = Subspace.from_vectors(F, d * d, maps)
+    return OperatorSpace(Algebra(F, d, {}), "random", space)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_invertible_in_space_matches_reference(p):
+    rng = random.Random(100 + p)
+    seen = set()
+    for trial in range(40):
+        singular = trial % 2 == 0
+        d = rng.randint(2 if singular else 1, 3)
+        S = _random_map_space(p, d, rng.randint(1, 4), rng, singular)
+        if S.dim == 0:
+            continue
+        flat = np.array(S.space.rows, dtype=np.int64).reshape(S.dim, d * d)
+        want = reference_find_invertible_combo(flat, p, d, block=5)
+        v = invertible_in_space(S)
+        if v.provenance == "certified":     # a common kernel vector
+            assert want is None and v.reason == "common-kernel"
+        elif want is None:
+            assert (v.kind, v.provenance, v.reason) == (
+                "none-certified", "exhaustive", "exhaustive-scan")
+        else:
+            assert (v.kind, v.provenance) == ("witness", "exhaustive")
+            assert (v.witness_coeffs, v.witness_map.rows) == want
+            assert all(type(c) is int for c in v.witness_coeffs)
+        seen.add(v.reason or v.kind)
+    assert seen == {"common-kernel", "exhaustive-scan", "witness"}

@@ -111,3 +111,20 @@ def test_lemma22_case2_associator_check_reports_first_failing_pair(monkeypatch):
     first = list(inst.extras["b_space"].rows[0])
     assert check["verdict"] == "fail" and check["provenance"] == "certified"
     assert check["witness"] == suites._enc(inst.algebra.field, (first, first))
+
+
+def test_gf2_norm_witness_is_the_first_failing_pair(monkeypatch):
+    # with the product replaced by xy := y, n(xy) = n(x)n(y) fails exactly
+    # where n(x) = 0 and n(y) = 1; pairs run x-major, so the witness is
+    # x = 0 and the first y of norm 1, as plain JSON integers
+    from altalg import scan, suites
+    from altalg.fields import PrimeField
+    from altalg.quadratic import zorn
+
+    monkeypatch.setattr(scan, "mulrows", lambda A, X, Y: Y)
+    Z2 = zorn(PrimeField(2))
+    y = next(v for v in Z2.algebra.elements() if Z2.norm(v) == 1)
+    check = suites.suite_norm_multiplicativity(Config())[0]
+    assert check.name == "GF2/n(xy)=n(x)n(y)-on-all-65536-pairs"
+    assert (check.passed, check.provenance) == (False, "exhaustive")
+    assert json.dumps(check.witness) == json.dumps({"x": [0] * 8, "y": y})
