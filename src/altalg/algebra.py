@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .fields import Field, is_json_int, make_field
 from .linalg import Matrix, Subspace, kernel, solve
@@ -243,30 +244,31 @@ def special_product(A: Algebra, kind: str, *args) -> list:
 
 def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
            samples: int = 128, enum_cap: int = 0, rows=None):
-    """(first ``args`` with ``hit(*args)``, or None; provenance): with arity 1
-    and |F|^n <= enum_cap, all of F^n in ``Algebra.elements()`` order
-    ('exhaustive'), else ``samples`` tuples of ``arity`` vectors drawn as
+    """(first ``args`` with ``hit(*args)``, or None; provenance): when
+    |F|^n <= enum_cap, all of F^n in ``Algebra.elements()`` order, walked in
+    the blocks of ``scan.vector_blocks`` ('exhaustive'; every finite field
+    here is a GF(p)), else ``samples`` tuples of ``arity`` vectors drawn as
     ``Algebra.random_element`` draws them, from one Random(seed) ('sampled').
 
-    ``rows``, the block form of ``hit``, decides the exhaustive walk (every
-    finite field here is a GF(p)): ``rows(X)`` takes a (b, n) residue block
-    of ``scan.vector_blocks`` and returns the index of its first hit, or -1;
+    The walk hands ``hit`` each vector as a list of ints, at arity 1 only;
+    or ``rows``, the block form of the test, returns the index of the first
+    hit in a (b, n) residue block, or -1.  ``rows`` decides the claim for
+    each vector on its own, so with it the walk is exhaustive at any arity.
     ``hit`` may be None where every walk is exhaustive."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if arity == 1 and F.is_finite and F.order ** n <= enum_cap:
-        if rows is not None:
-            from .scan import vector_blocks
+    if (F.is_finite and F.order ** n <= enum_cap
+            and (rows is not None or arity == 1)):
+        from . import scan
 
-            for _, X in vector_blocks(F.p, n):
-                i = rows(X)
-                if i >= 0:
-                    return ([int(v) for v in X[i]],), "exhaustive"
-            return None, "exhaustive"
-        for combo in itertools.product(list(F.elements()), repeat=n):
-            x = list(combo)
-            if hit(x):
-                return (x,), "exhaustive"
+        if rows is None:
+            def rows(X):
+                return next((i for i, x in enumerate(X.astype(int).tolist())
+                             if hit(x)), -1)
+        for _, X in scan.vector_blocks(F.p, n):
+            i = rows(X)
+            if i >= 0:
+                return ([int(v) for v in X[i]],), "exhaustive"
         return None, "exhaustive"
     rng = random.Random(seed)
     for _ in range(samples):
@@ -279,20 +281,33 @@ def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
 
 # ---- identity checking ----------------------------------------------------
 
-# name -> (degree of the swept argument x, number of arguments the law is
-# linear in, whether x is the last argument).  Laws of degree <= 2 in x are
-# decided by basis conditions over every field; middle Moufang is quadratic
-# but is scanned or sampled by the enumeration policy, as is Jordan (degree 3,
-# where basis linearization is not conservative in small characteristic).
+class _Law(NamedTuple):
+    degree: int             # in the swept argument x
+    linear: int             # number of arguments the law is linear in
+    last: bool              # x is the last argument
+    evaluate: Callable      # f(A, *args), the discrepancy (0 = holds)
+    # for a scanned or sampled law: signed einsum contractions of copies of
+    # the structure tensor, as scan.coefficients reads them
+    contraction: tuple | None = None
+
+
+# Laws of degree <= 2 in x are decided by basis conditions over every field;
+# middle Moufang is quadratic but is scanned or sampled by the enumeration
+# policy, as is Jordan (degree 3, where basis linearization is not
+# conservative in small characteristic).
 _LAWS = {
-    "left-alternative": (2, 1, False),      # (x, x, y)
-    "right-alternative": (2, 1, True),      # (y, x, x)
-    "flexible": (2, 1, False),              # (x, y, x)
-    "middle-moufang": (2, 2, False),        # (xy)(zx) - (x(yz))x
-    "jordan": (3, 1, False),                # (x^2, y, x)
-    "associative": (1, 2, False),           # (x, y, z)
-    "commutative": (1, 1, False),           # [x, y]
-    "anticommutative": (2, 0, False),       # x x
+    "left-alternative": _Law(2, 1, False, lambda A, x, y: A.associator(x, x, y)),
+    "right-alternative": _Law(2, 1, True, lambda A, y, x: A.associator(y, x, x)),
+    "flexible": _Law(2, 1, False, lambda A, x, y: A.associator(x, y, x)),
+    # (xy)(zx) = (x(yz))x, left-bracketed reading of the right side
+    "middle-moufang": _Law(2, 2, False, lambda A, x, y, z: A.vsub(
+        A.mul(A.mul(x, y), A.mul(z, x)), A.mul(A.mul(x, A.mul(y, z)), x)),
+        ((1, "aju,kbv,uvm->abjkm"), (-1, "jku,auv,vbm->abjkm"))),
+    "jordan": _Law(3, 1, False, lambda A, x, y: A.associator(A.mul(x, x), y, x),
+                   ((1, "abu,ujv,vcm->abcjm"), (-1, "abu,jcv,uvm->abcjm"))),
+    "associative": _Law(1, 2, False, Algebra.associator),
+    "commutative": _Law(1, 1, False, Algebra.commutator),
+    "anticommutative": _Law(2, 0, False, lambda A, x: A.mul(x, x)),
 }
 IDENTITY_NAMES = tuple(_LAWS)
 
@@ -313,38 +328,27 @@ class IdentityReport:
 
 def evaluate_identity(A: Algebra, name: str, args) -> list:
     """Discrepancy of the named identity at concrete arguments (0 = holds)."""
-    if name == "left-alternative":
-        x, y = args
-        return A.associator(x, x, y)
-    if name == "right-alternative":
-        x, y = args
-        return A.associator(x, y, y)
-    if name == "flexible":
-        x, y = args
-        return A.associator(x, y, x)
-    if name == "associative":
-        return A.associator(*args)
-    if name == "commutative":
-        x, y = args
-        return A.commutator(x, y)
-    if name == "anticommutative":
-        (x,) = args
-        return A.mul(x, x)
-    if name == "middle-moufang":
-        # (xy)(zx) = (x(yz))x, left-bracketed reading of the right side
-        x, y, z = args
-        lhs = A.mul(A.mul(x, y), A.mul(z, x))
-        rhs = A.mul(A.mul(x, A.mul(y, z)), x)
-        return A.vsub(lhs, rhs)
-    if name == "jordan":
-        x, y = args
-        return A.associator(A.mul(x, x), y, x)
-    raise ValueError(f"unknown identity {name!r}")
+    if name not in _LAWS:
+        raise ValueError(f"unknown identity {name!r}")
+    return _LAWS[name].evaluate(A, *args)
 
 
-def _fail(A, name, provenance, args):
-    return IdentityReport(name, False, provenance,
-                          IdentityWitness(list(args), evaluate_identity(A, name, args)))
+def _first_failure(A: Algebra, law: _Law, xs):
+    """The first arguments at which ``law`` fails, or None: x runs over xs,
+    the linear arguments over basis tuples in lexicographic order."""
+    e = A.basis()
+    for x in xs:
+        for ys in itertools.product(e, repeat=law.linear):
+            args = (*ys, x) if law.last else (x, *ys)
+            if not A.is_zero_vec(law.evaluate(A, *args)):
+                return args
+    return None
+
+
+def _report(A: Algebra, name: str, provenance: str, args) -> IdentityReport:
+    witness = None if args is None else IdentityWitness(
+        list(args), evaluate_identity(A, name, args))
+    return IdentityReport(name, witness is None, provenance, witness)
 
 
 def _check_certified(A: Algebra, name: str) -> IdentityReport:
@@ -353,32 +357,24 @@ def _check_certified(A: Algebra, name: str) -> IdentityReport:
     at every e_i, then (degree 2) at every e_i + e_j, i < j: once the square
     coefficients f(e_i) are zero, f(e_i + e_j) is the cross coefficient.
     This holds over every field, characteristic 2 included."""
-    degree, n_linear, last = _LAWS[name]
-    e = A.basis()
-    for x in (A.probes() if degree == 2 else e):
-        for ys in itertools.product(e, repeat=n_linear):
-            args = (*ys, x) if last else (x, *ys)
-            if not A.is_zero_vec(evaluate_identity(A, name, args)):
-                return _fail(A, name, "certified", args)
-    return IdentityReport(name, True, "certified")
+    law = _LAWS[name]
+    xs = A.probes() if law.degree == 2 else A.basis()
+    return _report(A, name, "certified", _first_failure(A, law, xs))
 
 
 def _check_scanned(A: Algebra, name: str, seed: int, samples: int,
                    enum_cap: int) -> IdentityReport:
-    F = A.field
-    if F.kind == "prime" and A.element_count() <= enum_cap:
-        from . import scan
+    from . import scan
 
-        args = (scan.scan_middle_moufang(A) if name == "middle-moufang"
-                else scan.scan_jordan(A))
-        provenance = "exhaustive"
-    else:
-        args, provenance = search(
-            F, A.dim, lambda *a: not A.is_zero_vec(evaluate_identity(A, name, a)),
-            arity=1 + _LAWS[name][1], seed=seed, samples=samples)
-    if args is None:
-        return IdentityReport(name, True, provenance)
-    return _fail(A, name, provenance, args)
+    law = _LAWS[name]
+    args, provenance = search(
+        A.field, A.dim, lambda *a: not A.is_zero_vec(law.evaluate(A, *a)),
+        arity=1 + law.linear, seed=seed, samples=samples, enum_cap=enum_cap,
+        rows=scan.sweep(A, law))
+    if args is not None and provenance == "exhaustive":
+        # the first failing x of the sweep, then its first failing basis tuple
+        args = _first_failure(A, law, args)
+    return _report(A, name, provenance, args)
 
 
 def check_identity(A: Algebra, name: str, *, seed: int = 42, samples: int = 128,
@@ -390,7 +386,7 @@ def check_identity(A: Algebra, name: str, *, seed: int = 42, samples: int = 128,
     """
     if name not in _LAWS:
         raise ValueError(f"unknown identity {name!r}")
-    if _LAWS[name][0] > 2 or name == "middle-moufang":
+    if _LAWS[name].contraction is not None:
         return _check_scanned(A, name, seed, samples, enum_cap)
     return _check_certified(A, name)
 

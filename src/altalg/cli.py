@@ -212,7 +212,9 @@ def _verb_invertible_values(args) -> list:
                                     samples=args.samples,
                                     enum_cap=args.enum_cap)
     except ValueError as e:
-        raise CliInputError(f"{args.map}: {e}") from None
+        # without a unit the algebra is at fault; otherwise the map is
+        path = args.target if A.find_unit() is None else args.map
+        raise CliInputError(f"{path}: {e}") from None
     checks = [CheckResult(f"invertible-values[{args.mode}]",
                           v.kind.startswith("pass"), v.provenance,
                           detail=f"{v.kind}: {v.detail}",
@@ -238,8 +240,11 @@ def _verb_verify(args) -> list:
 def _write(text: str, out: str | None) -> None:
     """Write to the ``--out`` path, or to stdout when there is none."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliInputError(f"{out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -303,13 +308,13 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         reports = handler(args)
         wall = time.perf_counter() - t0
+        return _emit(reports, args, wall)
     except CliUsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return _emit(reports, args, wall)
 
 
 if __name__ == "__main__":

@@ -193,7 +193,9 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_generic(F: Field, rows: list, ncols: int, defer_division: bool):
+def _rref_generic(F: Field, rows: list, ncols: int):
+    """Gauss-Jordan without division during elimination (row_i := piv * row_i
+    - f * pivot row); each pivot row is scaled by its inverse at the end."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
     pivots = []
@@ -208,9 +210,6 @@ def _rref_generic(F: Field, rows: list, ncols: int, defer_division: bool):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        if not defer_division:
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
         piv = rows[r][c]
         prow = rows[r]
         for i in range(nrows):
@@ -219,19 +218,15 @@ def _rref_generic(F: Field, rows: list, ncols: int, defer_division: bool):
             f = rows[i][c]
             if F.is_zero(f):
                 continue
-            if defer_division:
-                rows[i] = [F.sub(F.mul(piv, x), F.mul(f, y))
-                           for x, y in zip(rows[i], prow)]
-            else:
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], prow)]
+            rows[i] = [F.sub(F.mul(piv, x), F.mul(f, y))
+                       for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if defer_division:
-        for i, c in enumerate(pivots):
-            inv = F.inv(rows[i][c])
-            rows[i] = [F.mul(inv, x) for x in rows[i]]
+    for i, c in enumerate(pivots):
+        inv = F.inv(rows[i][c])
+        rows[i] = [F.mul(inv, x) for x in rows[i]]
     return rows, r, pivots
 
 
@@ -243,8 +238,7 @@ def rref(m: Matrix):
     elif F.kind == "rationals":
         rows, rank, pivots = _rref_rationals(m.rows, m.ncols)
     else:
-        rows, rank, pivots = _rref_generic(F, m.rows, m.ncols,
-                                           defer_division=(F.kind == "ratfun2"))
+        rows, rank, pivots = _rref_generic(F, m.rows, m.ncols)
     return Matrix(F, rows, m.ncols), rank, pivots
 
 

@@ -1,24 +1,25 @@
-"""Vectorized exhaustive scans over prime-field algebras.
+"""Vectorized block predicates over prime-field algebras.
 
-Pure-Python evaluation is exact but too slow to sweep |F|^d elements when
-|F|^d runs into the hundreds of thousands, so the whole-space scans run on
-numpy arrays.  A scanned law is a polynomial map of degree k in one swept
-argument and linear in the others; the linear arguments range over basis
-vectors only, which by linearity loses nothing.  The law's coefficients are
-exact integer contractions of the structure tensor (the linearization of
-Zhevlakov-Slinko-Shestakov-Shirshov, *Rings that are nearly associative*),
-summed over the orderings of each degree-k monomial and reduced mod p, once
-per sweep.  Each block of swept vectors then costs one GEMM of its monomials
-against that (monomials) x (basis tuples * d) matrix and an exact
-divisibility test mod p, so all p^d vectors are evaluated against every
-output.  The GEMM runs in float32 or float64 when a bound on its sums keeps
-every integer exact, and on Python integers otherwise.
+Pure-Python evaluation is exact but too slow to test |F|^d elements one by
+one when |F|^d runs into the hundreds of thousands, so ``algebra.search``
+walks the blocks of ``vector_blocks`` and a block predicate tests a whole
+block on numpy arrays.  ``sweep`` tests a scanned law: a polynomial map of
+degree k in one swept argument and linear in the others; the linear
+arguments range over basis vectors only, which by linearity loses nothing.
+The law's coefficients are exact integer contractions of the structure tensor
+(the linearization of Zhevlakov-Slinko-Shestakov-Shirshov, *Rings that are
+nearly associative*), summed over the orderings of each degree-k monomial and
+reduced mod p, once per sweep.  Each chunk of swept vectors then costs one
+GEMM of its monomials against that (monomials) x (basis tuples * d) matrix
+and an exact divisibility test mod p, so every vector is evaluated against
+every output.  The GEMM runs in float32 or float64 when a bound on its sums
+keeps every integer exact, and on Python integers otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,35 +51,16 @@ def vector_blocks(p: int, d: int, block: int = BLOCK):
         yield start, ((idx[:, None] // weights[None, :]) % p).astype(np.float64)
 
 
-class Law(NamedTuple):
-    """A law as signed einsum contractions of copies of the structure tensor.
-
-    Output subscripts: `degree` copies of the swept argument, then one per
-    linear argument, then the output coordinate.  Witnesses list the swept
-    argument first, or last when basis_first is set.
-    """
-
-    degree: int
-    terms: tuple
-    basis_first: bool = False
-
-    @property
-    def linear(self) -> int:
-        """Number of linear arguments."""
-        return len(self.terms[0][1].split("->")[1]) - self.degree - 1
+SWEEP_BYTES = 1 << 21   # cap on one chunk's GEMM operands; about an L2 cache
 
 
-# (xy)(zx) - (x(yz))x
-MIDDLE_MOUFANG = Law(2, ((1, "aju,kbv,uvm->abjkm"), (-1, "jku,auv,vbm->abjkm")))
-# (x^2, y, x) = ((xx)y)x - (xx)(yx)
-JORDAN = Law(3, ((1, "abu,ujv,vcm->abcjm"), (-1, "abu,jcv,uvm->abcjm")))
-
-SWEEP_BYTES = 1 << 21   # cap on one block's GEMM operands; about an L2 cache
-
-
-def coefficients(A, law: Law):
+def coefficients(A, law):
     """(monomials, T) for a sweep of `law` over the prime-field algebra A.
 
+    `law` is an entry of the law table of algebra: its `degree` in the swept
+    argument and its `contraction`, signed einsum contractions of copies of
+    the structure tensor whose output subscripts are `degree` copies of the
+    swept argument, then one per linear argument, then the output coordinate.
     monomials: (M, degree) indices of the degree-`degree` monomials of the
     swept argument, in lexicographic order.  T: (M, d^r * d) coefficients
     mod p, columns ordered (linear basis indices..., output coordinate).
@@ -86,7 +68,7 @@ def coefficients(A, law: Law):
     p, d, k = A.field.p, A.dim, law.degree
     # a term sums d^(summed indices) products of (operands) residues < p
     bound = 0
-    for _, spec in law.terms:
+    for _, spec in law.contraction:
         ins, out = spec.split("->")
         summed = set(ins) - set(out) - {","}
         bound += d ** len(summed) * (p - 1) ** (ins.count(",") + 1)
@@ -94,7 +76,7 @@ def coefficients(A, law: Law):
     if bound >= 2 ** 63:
         C = C.astype(object)
     K = sum(sign * np.einsum(spec, *[C] * (spec.count(",") + 1), optimize=True)
-            for sign, spec in law.terms) % p
+            for sign, spec in law.contraction) % p
     monomials = list(itertools.combinations_with_replacement(range(d), k))
     index = {m: i for i, m in enumerate(monomials)}
     rows = [index[tuple(sorted(t))] for t in itertools.product(range(d), repeat=k)]
@@ -138,46 +120,29 @@ def _nonzero_mod(R: np.ndarray, p: int) -> np.ndarray:
     return u > ut((2 ** w - 1) // p)
 
 
-def sweep(A, law: Law, block: int | None = None):
-    """Witness arguments at which `law` fails on A, or None if it holds.
+def sweep(A, law):
+    """Block predicate for algebra.search: rows(X) is the index of the first
+    row of X at which `law` fails on A for some tuple of basis vectors, or -1.
 
-    Every vector of vector_blocks is evaluated; the witness is the first
-    failing vector, then the first failing tuple of basis vectors.
+    The coefficient matrix is built at the first call, so a walk that only
+    samples never builds it.  Each block is cut into chunks whose GEMM
+    operands take about SWEEP_BYTES.
     """
-    p, d = A.field.p, A.dim
-    monomials, T = coefficients(A, law)
-    T = T.astype(gemm_dtype(p, len(monomials), law.degree))
-    if block is None:
-        block = max(1, SWEEP_BYTES // (max(T.shape) * T.itemsize))
-    for _, X in vector_blocks(p, d, block):
-        bad = _nonzero_mod(_gemm(X, monomials, T), p)
-        if bad.any():
-            bad = bad.reshape(len(X), -1, d).any(axis=2)
-            ni, col = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
-            idx = np.unravel_index(col, (d,) * law.linear)
-            return _witness_args(A, X[ni], idx, law.basis_first)
-    return None
+    @functools.cache
+    def setup():
+        p = A.field.p
+        monomials, T = coefficients(A, law)
+        T = T.astype(gemm_dtype(p, len(monomials), law.degree))
+        return p, monomials, T, max(1, SWEEP_BYTES // (max(T.shape) * T.itemsize))
 
-
-def scan_middle_moufang(A):
-    """Witness (x, y, z) with (xy)(zx) != (x(yz))x, or None; y and z sweep
-    the basis, x every field vector."""
-    return sweep(A, MIDDLE_MOUFANG)
-
-
-def scan_jordan(A):
-    """Witness (x, y) with (x^2, y, x) != 0, or None; y sweeps the basis."""
-    return sweep(A, JORDAN)
-
-
-def _witness_args(A, x, basis_idx, basis_first=False):
-    xs = [_to_elem(A, x)]
-    es = [A.basis_vec(int(j)) for j in basis_idx]
-    return (es + xs) if basis_first else (xs + es)
-
-
-def _to_elem(A, row) -> list:
-    return [A.field.from_int(int(v)) for v in row]
+    def rows(X: np.ndarray) -> int:
+        p, monomials, T, chunk = setup()
+        for start in range(0, len(X), chunk):
+            bad = _nonzero_mod(_gemm(X[start:start + chunk], monomials, T), p)
+            if bad.any():
+                return start + int(np.flatnonzero(bad.any(axis=1))[0])
+        return -1
+    return rows
 
 
 def mulrows(A, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

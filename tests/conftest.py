@@ -2,19 +2,35 @@ import random
 
 import pytest
 
+from altalg import algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
-from altalg.scan import Law
 
-# Laws the program decides by basis conditions, swept here as an oracle for
-# the certified route: (x, x, y) = (xx)y - x(xy), and (x, y, y) swept in y.
-LEFT_ALTERNATIVE = Law(2, ((1, "abu,ujm->abjm"), (-1, "bju,aum->abjm")))
-RIGHT_ALTERNATIVE = Law(2, ((1, "jau,ubm->abjm"), (-1, "abu,jum->abjm")),
-                        basis_first=True)
+# Laws the program decides by basis conditions, given a contraction here so
+# that they are swept, as an oracle for the certified route:
+# (x, x, y) = (xx)y - x(xy), and (y, x, x) swept in x.
+LEFT_ALTERNATIVE = algebra._LAWS["left-alternative"]._replace(
+    contraction=((1, "abu,ujm->abjm"), (-1, "bju,aum->abjm")))
+RIGHT_ALTERNATIVE = algebra._LAWS["right-alternative"]._replace(
+    contraction=((1, "jau,ubm->abjm"), (-1, "abu,jum->abjm")))
 
 
 @pytest.fixture
 def rng():
     return random.Random(42)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """swept(A, name, law=None): the witness arguments of check_identity(A,
+    name) with ``law`` in the law table, or None if the law holds; the
+    identity must be decided by an exhaustive sweep."""
+    def run(A, name, law=None):
+        if law is not None:
+            monkeypatch.setitem(algebra._LAWS, name, law)
+        r = algebra.check_identity(A, name)
+        assert r.provenance == "exhaustive", (name, r)
+        return None if r.holds else r.witness.args
+    return run
 
 
 @pytest.fixture(params=["gf2", "gf3", "rationals", "ratfun2"])

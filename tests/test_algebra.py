@@ -267,24 +267,20 @@ def test_identity_verdicts_on_zorn(z3):
     assert not z3.is_zero_vec(evaluate_identity(z3, "associative", r.witness.args))
 
 
-def test_identity_scan_agrees_with_certified_on_zorn():
-    from altalg import scan
-
+def test_identity_scan_agrees_with_certified_on_zorn(swept):
     for p in (2, 3):
         A = zorn(PrimeField(p)).algebra
         assert check_identity(A, "left-alternative").holds
-        assert scan.sweep(A, LEFT_ALTERNATIVE) is None
+        assert swept(A, "left-alternative", LEFT_ALTERNATIVE) is None
         assert check_identity(A, "right-alternative").holds
-        assert scan.sweep(A, RIGHT_ALTERNATIVE) is None
+        assert swept(A, "right-alternative", RIGHT_ALTERNATIVE) is None
 
 
-def test_identity_scan_agrees_on_failing_algebra():
-    from altalg import scan
-
+def test_identity_scan_agrees_on_failing_algebra(swept):
     F = PrimeField(3)
     A = Algebra(F, 3, {(0, 0): [(1, 1)], (1, 0): [(0, 1)], (0, 2): [(1, 2)]})
     cert = check_identity(A, "left-alternative")
-    witness = scan.sweep(A, LEFT_ALTERNATIVE)
+    witness = swept(A, "left-alternative", LEFT_ALTERNATIVE)
     assert not cert.holds and witness is not None
     assert not A.is_zero_vec(evaluate_identity(A, "left-alternative", witness))
 
@@ -596,13 +592,16 @@ def test_certified_route_matches_reference_on_zorn():
 # --- the evidence search ---------------------------------------------------
 
 @pytest.mark.parametrize("F, n", [(PrimeField(2), 1), (PrimeField(2), 4),
-                                  (PrimeField(3), 1), (PrimeField(3), 3)])
+                                  (PrimeField(3), 1), (PrimeField(3), 3),
+                                  (PrimeField(5), 0)])
 def test_search_enumerates_in_elements_order(F, n):
-    order = list(Algebra(F, n, {}).elements())
+    # F^0 holds one vector, the empty one
+    order = (list(Algebra(F, n, {}).elements()) if n else [[]])
     seen = []
     assert search(F, n, lambda x: seen.append(x), enum_cap=F.order ** n) == (
         None, "exhaustive")
     assert seen == order
+    assert all(type(c) is int for x in seen for c in x)
     # the first hit wins, also when a later vector would hit too
     targets = [order[len(order) // 3], order[-1]]
     assert search(F, n, lambda x: x in targets, enum_cap=10 ** 6) == (

@@ -332,3 +332,31 @@ def test_cli_accepts_well_formed_algebra_file(capsys, tmp_path, doc):
     p.write_text(json.dumps(doc))
     code, _, _ = run_cli(capsys, "derivations", str(p))
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [("build", "zorn"), ("verify", "moens", "--json")],
+                         ids=["build", "verify"])
+def test_cli_out_to_unwritable_path_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: No such file or directory\n"
+
+
+def test_cli_invertible_values_blames_the_rejected_file(capsys, tmp_path):
+    # a non-unital algebra is the target's fault; a zero map or a
+    # non-derivation is the map's
+    target = tmp_path / "nonunital.json"
+    target.write_text(json.dumps(GF3_DOC))
+    cases = [(str(target), [["0", "0"], ["0", "0"]], "target",
+              "invertible-values analysis requires a unital algebra"),
+             ("zorn", [["0"] * 8] * 8, "map", "the zero derivation is excluded"),
+             ("zorn", [["1" if i == j else "0" for j in range(8)]
+                       for i in range(8)], "map", "map is not a derivation")]
+    for i, (tgt, matrix, blamed, message) in enumerate(cases):
+        dmap = tmp_path / f"map{i}.json"
+        dmap.write_text(json.dumps({"matrix": matrix}))
+        code, out, err = run_cli(capsys, "invertible-values", tgt, "--map", str(dmap))
+        path = tgt if blamed == "target" else str(dmap)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"

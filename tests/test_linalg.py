@@ -100,35 +100,52 @@ def test_solve_exactness(any_field, rng):
         assert all(F.eq(u, v) for u, v in zip(got, b))
 
 
-def test_rref_engines_agree_on_ratfun(rng):
-    # the deferred-division path must reproduce the generic RREF entrywise
-    from altalg.linalg import _rref_generic
+def reference_rref(F, rows, ncols):
+    """Textbook Gauss-Jordan over any field: each pivot row is divided by its
+    pivot before it clears its column."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not F.is_zero(f):
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), pivots
 
+
+def test_rref_engines_agree_on_ratfun(rng):
+    # the deferred-division path must reproduce the textbook RREF entrywise
     F = RatFunField(2)
     for _ in range(8):
         m = random_matrix(F, rng, 3, 4)
         deferred, rank_d, piv_d = rref(m)
-        rows_g, rank_g, piv_g = _rref_generic(F, m.rows, 4, defer_division=False)
+        rows_g, rank_g, piv_g = reference_rref(F, m.rows, 4)
         assert rank_d == rank_g and piv_d == piv_g
         for ra, rb in zip(deferred.rows, rows_g):
             assert all(F.eq(a, b) for a, b in zip(ra, rb))
 
 
 def test_rref_prime_path_matches_generic(rng):
-    from altalg.linalg import _rref_generic
-
     F = PrimeField(5)
     for _ in range(12):
         m = random_matrix(F, rng, 4, 5)
         fast, rank_f, piv_f = rref(m)
-        rows_g, rank_g, piv_g = _rref_generic(F, m.rows, 5, defer_division=False)
+        rows_g, rank_g, piv_g = reference_rref(F, m.rows, 5)
         assert rank_f == rank_g and piv_f == piv_g
         assert fast.rows == [[v % 5 for v in r] for r in rows_g]
 
 
 def test_rref_rationals_matches_fraction_elimination(rng):
     # integer elimination must give the Fraction Gauss-Jordan RREF entrywise
-    from altalg.linalg import _rref_generic, _rref_rationals
+    from altalg.linalg import _rref_rationals
 
     F = RationalField()
     big = 10 ** 30 + 7
@@ -145,7 +162,7 @@ def test_rref_rationals_matches_fraction_elimination(rng):
     for rows in cases:
         nc = len(rows[0]) if rows else 5
         got, rank_i, piv_i = _rref_rationals(rows, nc)
-        want, rank_g, piv_g = _rref_generic(F, rows, nc, defer_division=False)
+        want, rank_g, piv_g = reference_rref(F, rows, nc)
         assert rank_i == rank_g and piv_i == piv_g
         assert got == want
         assert all(type(a) is Fraction for row in got for a in row)

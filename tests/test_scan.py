@@ -10,7 +10,7 @@ import pytest
 from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 
 from altalg import scan
-from altalg.algebra import Algebra, evaluate_identity
+from altalg.algebra import _LAWS, Algebra, check_identity, evaluate_identity, search
 from altalg.fields import PrimeField, is_prime
 from altalg.linalg import Matrix, Subspace, rref
 from altalg.operators import (OperatorSpace, derivation_space,
@@ -39,12 +39,12 @@ def brute_identity_holds(A, name, arity_nonbasis):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_moufang_scan_matches_brute_force(p):
+def test_moufang_scan_matches_brute_force(p, swept):
     rng = random.Random(p)
     for trial in range(6):
         A = random_sparse_algebra(p, 3, rng)
         brute = brute_identity_holds(A, "middle-moufang", 3)
-        witness = scan.scan_middle_moufang(A)
+        witness = swept(A, "middle-moufang")
         assert (witness is None) == brute, f"trial {trial}: {A.table}"
         if witness is not None:
             assert not A.is_zero_vec(
@@ -52,31 +52,35 @@ def test_moufang_scan_matches_brute_force(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_jordan_scan_matches_brute_force(p):
+def test_jordan_scan_matches_brute_force(p, swept):
     rng = random.Random(10 + p)
     for trial in range(6):
         A = random_sparse_algebra(p, 3, rng)
         brute = brute_identity_holds(A, "jordan", 2)
-        witness = scan.scan_jordan(A)
+        witness = swept(A, "jordan")
         assert (witness is None) == brute, f"trial {trial}: {A.table}"
         if witness is not None:
             assert not A.is_zero_vec(evaluate_identity(A, "jordan", witness))
 
 
-def test_alternativity_scans_match_brute_force():
+def test_alternativity_scans_match_brute_force(swept):
     rng = random.Random(99)
     for trial in range(6):
         A = random_sparse_algebra(2, 3, rng)
         for name, law in (("left-alternative", LEFT_ALTERNATIVE),
                           ("right-alternative", RIGHT_ALTERNATIVE)):
             brute = brute_identity_holds(A, name, 2)
-            witness = scan.sweep(A, law)
+            witness = swept(A, name, law)
             assert (witness is None) == brute
             if witness is not None:
                 assert not A.is_zero_vec(evaluate_identity(A, name, witness))
 
 
 # ---- the four-tensordot kernels the coefficient-tensor sweep replaced -------
+
+def _witness_args(A, x, basis_idx):
+    return [[int(v) for v in x]] + [A.basis_vec(int(j)) for j in basis_idx]
+
 
 def _reference_strategy(p, d):
     bound = (d ** 4) * (p - 1) ** 5
@@ -121,7 +125,7 @@ def reference_middle_moufang(A):
         hit = _reference_first_bad(lhs, rhs, p)
         if hit is not None:
             ni, j, k = hit
-            return scan._witness_args(A, X[ni], (j, k))
+            return _witness_args(A, X[ni], (j, k))
     return None
 
 
@@ -147,23 +151,25 @@ def reference_jordan(A):
         hit = _reference_first_bad(lhs, rhs, p)
         if hit is not None:
             ni, j = hit
-            return scan._witness_args(A, X[ni], (j,))
+            return _witness_args(A, X[ni], (j,))
     return None
 
 
-def test_sweep_matches_reference_kernels():
-    # block 7 and 64 leave a ragged last block for most p^d
+def test_sweep_matches_reference_kernels(monkeypatch, swept):
+    # GEMM chunks of 1 to 64 rows leave a ragged last chunk for most p^d
     rng = random.Random(2024)
     outcomes = set()
     for trial in range(240):
         p = (2, 3, 5, 7)[trial % 4]
         A = random_sparse_algebra(p, 2 + trial % 3, rng)
-        for law, reference in ((scan.MIDDLE_MOUFANG, reference_middle_moufang),
-                               (scan.JORDAN, reference_jordan)):
+        for name, reference in (("middle-moufang", reference_middle_moufang),
+                                ("jordan", reference_jordan)):
             want = reference(A)
             outcomes.add(want is None)
-            for block in (7, 64, None):
-                assert scan.sweep(A, law, block) == want, (trial, law, block)
+            for nbytes in (1 << 8, 1 << 11, scan.SWEEP_BYTES):
+                with monkeypatch.context() as m:
+                    m.setattr(scan, "SWEEP_BYTES", nbytes)
+                    assert swept(A, name) == want, (trial, name, nbytes)
     assert outcomes == {True, False}
 
 
@@ -181,7 +187,8 @@ def test_zorn_sweep_evaluates_every_vector(monkeypatch):
 
     monkeypatch.setattr(scan, "vector_blocks", counted)
     A = zorn(PrimeField(5)).algebra
-    assert scan.scan_middle_moufang(A) is None
+    rows = scan.sweep(A, _LAWS["middle-moufang"])
+    assert search(A.field, 8, None, enum_cap=5 ** 8, rows=rows) == (None, "exhaustive")
     assert sum(drawn) == 5 ** 8
     drawn.clear()
     assert check_identity(A, "middle-moufang").provenance == "exhaustive"
@@ -206,9 +213,9 @@ def _root(limit, m, e):
     return r
 
 
-@pytest.mark.parametrize("law", [scan.MIDDLE_MOUFANG, scan.JORDAN],
-                         ids=["middle-moufang", "jordan"])
-def test_gemm_dtype_switch_points_are_exact(law):
+@pytest.mark.parametrize("name", ["middle-moufang", "jordan"])
+def test_gemm_dtype_switch_points_are_exact(name):
+    law = _LAWS[name]
     d, k = 2, law.degree
     monomials = np.array(list(itertools.combinations_with_replacement(range(d), k)))
     m = len(monomials)
@@ -225,8 +232,8 @@ def test_gemm_dtype_switch_points_are_exact(law):
         assert {int(v) for v in R.ravel()} == {m * top ** (k + 1)}
 
 
-@pytest.mark.parametrize("law,name", [(scan.MIDDLE_MOUFANG, "middle-moufang"),
-                                      (scan.JORDAN, "jordan")])
+@pytest.mark.parametrize("law,name", [(_LAWS["middle-moufang"], "middle-moufang"),
+                                      (_LAWS["jordan"], "jordan")])
 def test_sweep_gemm_matches_python_evaluation_across_dtypes(law, name):
     # primes on both sides of each switch point, and one whose structure
     # constant contractions overflow int64 as well
