@@ -431,8 +431,14 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
         v = dmap.mulvec(x)
         return not A.is_zero_vec(v) and A.invert_element(v) is None
 
+    rows = None
+    if mode == "exhaustive":    # a GF(p) walk inverts whole blocks at once
+        from .scan import noninvertible_rows
+
+        rows = noninvertible_rows(A, dmap)
     args, provenance = search(F, A.dim, hit, seed=seed, samples=samples,
-                              enum_cap=enum_cap if mode == "exhaustive" else 0)
+                              enum_cap=enum_cap if mode == "exhaustive" else 0,
+                              rows=rows)
     if args is not None:
         return InvertibleValuesVerdict("fail", provenance,
                                        witness=(args[0], dmap.mulvec(args[0])))

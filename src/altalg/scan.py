@@ -14,6 +14,18 @@ GEMM of its monomials against that (monomials) x (basis tuples * d) matrix
 and an exact divisibility test mod p, so every vector is evaluated against
 every output.  The GEMM runs in float32 or float64 when a bound on its sums
 keeps every integer exact, and on Python integers otherwise.
+
+Ranks, linear solves and two-sided inverses come from one Gauss-Jordan
+elimination over GF(p), ``batched_rref_mod_p``, run on a whole stack of
+small matrices at once.  Its entries are non-negative
+integers: uint8 while p(p-1) <= 255, uint16 while p(p-1) <= 65535, where a
+lookup table of residues reduces them, and float64 above, where
+v - p*floor(v/p) does, exactly while v + p < 2^53.  A step adds at most
+(p-1)^2 to an entry, so the stack is reduced only when the next step could
+pass its dtype's bound.  ``inverses`` solves L_x y = 1 and R_x y' = 1 for a
+block of elements x, with the rule of ``Algebra.invert_element``.  A block
+predicate whose float64 products would not be exact for p is None, and the
+caller tests element by element.
 """
 
 from __future__ import annotations
@@ -38,12 +50,14 @@ def structure_tensor(A) -> np.ndarray:
     return C
 
 
-def vector_blocks(p: int, d: int, block: int = BLOCK):
-    """Yield all p^d coefficient vectors in lexicographic order, in blocks.
+def vector_blocks(p: int, d: int, block: int | None = None):
+    """Yield all p^d coefficient vectors in lexicographic order, in blocks
+    of `block` rows (default BLOCK, read at each call).
 
     Row n holds the base-p digits of n, most significant digit first, which
     matches itertools.product(range(p), repeat=d).
     """
+    block = block or BLOCK
     total = p ** d
     weights = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for start in range(0, total, block):
@@ -145,52 +159,235 @@ def sweep(A, law):
     return rows
 
 
-def mulrows(A, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise algebra products of two (n, d) residue arrays."""
+def first_true(mask: np.ndarray) -> int:
+    """Index of the first True entry of a 1-d mask, or -1."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else -1
+
+
+def _exact(p: int, terms: int) -> bool:
+    """Sums of `terms` products of two residues mod p are exact in float64,
+    and so is every step of the elimination."""
+    return terms * (p - 1) ** 2 + p < 2 ** 53
+
+
+@functools.lru_cache(maxsize=8)
+def _tensor(A) -> np.ndarray:
+    """structure_tensor(A), built once per algebra (a table is not changed
+    after construction) and read-only."""
     C = structure_tensor(A)
+    C.flags.writeable = False
+    return C
+
+
+def mulrows(A, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise algebra products of two (n, d) residue arrays, as residues.
+
+    One GEMM of the outer products x_i y_j against the (d*d, d) structure
+    constants, in the dtype gemm_dtype picks for d*d terms of degree 2, and
+    one reduction at the end."""
     p, d = A.field.p, A.dim
-    H = np.matmul(X, C.reshape(d, d * d)).reshape(X.shape[0], d, d) % p
-    return ((Y[:, :, None] * H).sum(axis=1)) % p
+    dt = gemm_dtype(p, d * d, 2)
+    P = _tensor(A).reshape(d * d, d).astype(np.int64).astype(dt)
+    Xc, Yc = (V.astype(np.int64).astype(dt) for V in (X, Y))
+    XY = (Xc[:, :, None] * Yc[:, None, :]).reshape(len(X), d * d)
+    R = XY @ P
+    return R % p if dt is object else R.astype(np.int64) % p
+
+
+def norms(q, X: np.ndarray) -> np.ndarray:
+    """n(x) mod p at each row x of X, for a quadratic algebra q over GF(p)
+    (n(x) sums q_ij x_i x_j over i <= j, as QuadraticAlgebra.norm does);
+    the float64 sums are exact while d^2 (p-1)^3 < 2^53."""
+    p = q.field.p
+    Q = np.triu(np.array(q.qform, dtype=np.int64) % p).astype(np.float64)
+    return ((X @ Q) * X).sum(axis=1).astype(np.int64) % p
+
+
+def traces(q, X: np.ndarray) -> np.ndarray:
+    """t(x) mod p at each row x of X, for a quadratic algebra q over GF(p)."""
+    t = np.array(q.trace_vec, dtype=np.int64) % q.field.p
+    return (X @ t.astype(np.float64)).astype(np.int64) % q.field.p
+
+
+def residual_rows(q):
+    """Block predicate for algebra.search: the index of the first row x of X
+    with x^2 - t(x) x + n(x) 1 != 0 in the quadratic algebra q, or -1."""
+    A, p = q.algebra, q.field.p
+    unit = np.array(q.unit, dtype=np.int64)
+
+    def rows(X: np.ndarray) -> int:
+        R = (mulrows(A, X, X) - traces(q, X)[:, None] * X.astype(np.int64)
+             + norms(q, X)[:, None] * unit)
+        return first_true((R % p != 0).any(axis=1))
+    return rows
+
+
+def _residue_arithmetic(p: int):
+    """(dtype, limit, reduce) for exact elimination mod p.
+
+    Entries are non-negative integers at most `limit` in `dtype`, and
+    reduce(v) is v mod p.  Up to p = 16 (p(p-1) <= 255) they are uint8 and
+    up to p = 256 uint16, and a lookup table of limit + 1 residues reduces
+    them; above, they are float64 and v - p*floor(v/p) reduces them, which
+    is exact while v + p < 2^53 (the quotient cannot round up to the next
+    integer)."""
+    for dtype in (np.uint8, np.uint16):
+        limit = int(np.iinfo(dtype).max)
+        if p * (p - 1) <= limit:
+            table = (np.arange(limit + 1) % p).astype(dtype)
+            return dtype, limit, lambda v: np.take(table, v)
+    if not _exact(p, 1):
+        raise ValueError(f"p = {p} is too large for float64 elimination")
+    return np.float64, 2 ** 53 - p - 1, lambda v: v - p * np.floor(v / p)
+
+
+def batched_rref_mod_p(stack: np.ndarray, p: int):
+    """Gauss-Jordan elimination over GF(p) of every matrix of an (n, r, c)
+    stack of residues: (rref, rank, pivots), what linalg.rref gives for
+    each.  rref is the (n, r, c) reduced row-echelon forms, rank the (n,)
+    ranks, and pivots[m, k] the pivot column of row k of matrix m, or -1
+    from row rank[m] on.
+
+    The matrices are held as (r, c, n), so that every step runs over runs
+    of n entries.  A step scales the pivot row by the inverse v^(p-2) of its
+    pivot and adds (p - f) times it to every other row, which raises an
+    entry's bound by at most (p-1)^2; rows are put in pivot order at the
+    end.  The whole stack is reduced only when the next step could pass the
+    limit of _residue_arithmetic; a step reduces just the pivot column and
+    the pivot rows."""
+    dtype, limit, red = _residue_arithmetic(p)
+    n, r, c = np.shape(stack)
+    A = np.ascontiguousarray(np.transpose(stack, (1, 2, 0)), dtype=dtype)
+    rows = np.zeros((r, n), dtype=np.intp)  # rows[k, m]: k-th pivot row
+    pivots = np.full((r, n), -1, dtype=np.intp)
+    free = np.ones((r, n), dtype=bool)      # not yet a pivot row
+    rank = np.zeros(n, dtype=np.intp)
+    idx = np.arange(n)
+    step = (p - 1) ** 2
+    top = p - 1                 # bound on every entry of A
+    for col in range(c):
+        if top > limit - step:
+            A = red(A)
+            top = p - 1
+        column = red(A[:, col])
+        eligible = (column != 0) & free
+        has = eligible.any(axis=0)
+        if not has.any():
+            continue
+        piv = eligible.argmax(axis=0)
+        pv = np.where(has, column[piv, idx], 1).astype(dtype)
+        # the scaled pivot row; left of col it is 0 mod p, as is every row
+        # not yet a pivot row, so a step changes nothing there mod p
+        prow = A[piv, col:, idx].T
+        prow = red(red(prow) * _inverse(pv, p, red))
+        # every other row loses f times it; the pivot row itself, pv times
+        # prow, gains (1 - pv) times it and becomes prow
+        f = red(dtype(p) - column)
+        f[piv, idx] = red(dtype(p + 1) - pv)
+        f *= has
+        A[:, col:] += f[:, None, :] * prow[None]
+        top += step
+        h = idx[has]
+        free[piv[h], h] = False
+        rows[rank[h], h] = piv[h]
+        pivots[rank[h], h] = col
+        rank += has
+    # pivot rows first, in pivot order; the rows left over are 0 mod p
+    R = np.empty_like(A)
+    at = rows * n + idx
+    for j in range(c):
+        R[:, j] = np.take(A[:, j], at)
+    R = red(R)
+    R *= (pivots >= 0)[:, None, :]
+    return R.transpose(2, 0, 1), rank, pivots.T
+
+
+def _inverse(v: np.ndarray, p: int, red) -> np.ndarray:
+    """v^(p-2) mod p, the inverse of each nonzero residue of v, by repeated
+    squaring; every product is of two residues."""
+    out = np.ones_like(v)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = red(out * v)
+        v = red(v * v)
+        e >>= 1
+    return out
 
 
 def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of (n, r, c) matrices over GF(p), vectorized Gauss."""
-    A = (mats.astype(np.int64)) % p
-    n, r, c = A.shape
-    inv_table = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inv_table[v] = pow(v, p - 2, p)
-    ranks = np.zeros(n, dtype=np.int64)
-    rows_idx = np.arange(r)[None, :]
-    sel = np.arange(n)
-    for col in range(c):
-        eligible = (A[:, :, col] != 0) & (rows_idx >= ranks[:, None])
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        hn = sel[has]
-        piv = eligible[has].argmax(axis=1)
-        cur = ranks[has]
-        # swap pivot row into position `cur`
-        tmp = A[hn, piv].copy()
-        A[hn, piv] = A[hn, cur]
-        A[hn, cur] = tmp
-        A[hn, cur] = (A[hn, cur] * inv_table[A[hn, cur, col]][:, None]) % p
-        factors = A[hn, :, col].copy()
-        factors[np.arange(len(hn)), cur] = 0
-        A[hn] = (A[hn] - factors[:, :, None] * A[hn, cur][:, None, :]) % p
-        ranks[has] += 1
-    return ranks
+    """Ranks of a stack of (n, r, c) residue matrices over GF(p)."""
+    return batched_rref_mod_p(mats, p)[1]
+
+
+def batched_solve_mod_p(aug: np.ndarray, p: int):
+    """(solvable, x) for an (n, r, c + 1) stack of augmented systems [M | b]
+    over GF(p), as linalg.solve solves each: solvable[m] is False when the
+    last column is a pivot column, and x[m] is the solution with every free
+    variable 0 (x[m] is meaningless where solvable[m] is False)."""
+    R, _, pivots = batched_rref_mod_p(aug, p)
+    n, _, c = R.shape
+    x = np.zeros((n, c), dtype=R.dtype)
+    # row k sets the variable of its pivot column; rows without one, and a
+    # pivot in the last column, write into column c - 1, which is dropped
+    cols = np.where(pivots >= 0, pivots, c - 1)
+    np.put_along_axis(x, cols, R[:, :, -1], axis=1)
+    return (pivots != c - 1).all(axis=1), x[:, :-1]
+
+
+def inverses(A, X: np.ndarray):
+    """(ok, inv) for each row x of the (b, d) residue block X: whether x has
+    a two-sided inverse in the unital prime-field algebra A, and if so the
+    inverse, by the rule of Algebra.invert_element: solve L_x y = 1, then
+    R_x y' = 1, and x is invertible iff both are solvable and y = y'."""
+    p, d = A.field.p, A.dim
+    unit = A.find_unit()
+    if unit is None:
+        raise ValueError("inverses require a unital algebra")
+    C = _tensor(A)
+    # [x | 1] W is [L_x | 1] then [R_x | 1], where (L_x)[k, j] is
+    # sum_i x_i C[i, j, k] and (R_x)[k, j] is sum_i x_i C[j, i, k]
+    W = np.zeros((d + 1, 2, d, d + 1))
+    W[:d, 0, :, :d] = C.transpose(0, 2, 1)
+    W[:d, 1, :, :d] = C.transpose(1, 2, 0)
+    W[d, :, :, d] = np.array(unit, dtype=np.int64) % p
+    X1 = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    aug = (X1 @ W.reshape(d + 1, -1)).astype(np.int64)
+    aug %= p
+    solvable, y = batched_solve_mod_p(aug.reshape(-1, d, d + 1), p)
+    solvable, y = solvable.reshape(-1, 2), y.reshape(-1, 2, d)
+    ok = solvable.all(axis=1) & (y[:, 0] == y[:, 1]).all(axis=1)
+    return ok, y[:, 0]
+
+
+def noninvertible_rows(A, M):
+    """Block predicate for algebra.search: the index of the first row x of X
+    whose image M x is nonzero and has no two-sided inverse in A, or -1; M
+    is a Matrix with A.dim rows, one column per coordinate of x.  None when
+    A is not over GF(p) or its products would not be exact in float64."""
+    if A.field.kind != "prime" or not _exact(A.field.p, max(A.dim, M.ncols)):
+        return None
+    p = A.field.p
+    Mt = np.array(M.rows, dtype=np.int64).T.astype(np.float64)
+
+    def rows(X: np.ndarray) -> int:
+        V = (X @ Mt).astype(np.int64) % p
+        ok, _ = inverses(A, V)
+        return first_true(V.any(axis=1) & ~ok)
+    return rows
 
 
 def full_rank_rows(maps, p: int, d: int):
     """Block predicate for algebra.search: the index of the first row of X
     whose combination of the m flattened d x d residue maps has full rank,
-    or -1."""
+    or -1.  None when the products would not be exact in float64."""
     B = np.asarray(maps, dtype=np.float64).reshape(-1, d * d)
+    if not _exact(p, len(B)):
+        return None
 
     def rows(X: np.ndarray) -> int:
-        ranks = batched_rank_mod_p((X @ B % p).reshape(-1, d, d), p)
-        hits = np.flatnonzero(ranks == d)
-        return int(hits[0]) if hits.size else -1
+        W = (X @ B).astype(np.int64)
+        W %= p
+        return first_true(batched_rank_mod_p(W.reshape(-1, d, d), p) == d)
     return rows

@@ -27,8 +27,8 @@ from .operators import (derivation_space, flatten_map, invertible_combination,
                         lemma22_derivation, moens_construction,
                         mult_lie_algebra, quasider_condition_rows,
                         quasider_space)
-from .quadratic import (cd_inverse, cd_tower, find_isotropic,
-                        orthocomplement, zorn, zorn_isomorphism)
+from .quadratic import (cd_tower, find_isotropic, orthocomplement, zorn,
+                        zorn_isomorphism)
 
 
 @dataclass
@@ -149,18 +149,19 @@ def suite_zorn_identities(cfg: Config) -> list:
     return checks
 
 
+def _residual_sweep(Z) -> CheckResult:
+    """x^2 - t(x) x + n(x) 1 = 0 on every element of Z over GF(p)."""
+    F, d = Z.field, Z.dim
+    total = F.order ** d
+    bad, provenance = search(F, d, None, enum_cap=total,
+                             rows=scan.residual_rows(Z))
+    return CheckResult(
+        f"GF{F.p}/x^2-t(x)x+n(x)=0-on-all-{total}-elements", bad is None,
+        provenance, witness=None if bad is None else _enc(F, bad[0]))
+
+
 def suite_quadratic_relation(cfg: Config) -> list:
-    checks = []
-    for p in (2, 3):
-        Z = zorn(PrimeField(p))
-        A = Z.algebra
-        total = p ** 8
-        bad, provenance = search(
-            A.field, 8, lambda x: not A.is_zero_vec(Z.quadratic_residual(x)),
-            enum_cap=total)
-        checks.append(CheckResult(
-            f"GF{p}/x^2-t(x)x+n(x)=0-on-all-{total}-elements", bad is None,
-            provenance, witness=None if bad is None else _enc(A.field, bad[0])))
+    checks = [_residual_sweep(zorn(PrimeField(p))) for p in (2, 3)]
     # the Jordan-product expansion x o y = t(x) y + t(y) x - f(x, y) 1 on
     # all basis pairs of every catalog quadratic algebra
     quads = [(f"zorn-{lbl}", zorn(F)) for lbl, F in _zorn_fields()]
@@ -204,16 +205,12 @@ def suite_quadratic_relation(cfg: Config) -> list:
 def suite_norm_multiplicativity(cfg: Config) -> list:
     checks = []
     Z2 = zorn(PrimeField(2))
-    Q = np.array(Z2.qform, dtype=np.float64)
-
-    def norms(M):
-        return np.einsum("ni,ij,nj->n", M, Q, M) % 2
 
     def rows(X):     # one pair (x, y) per row of F^16, x-major
         x, y = X[:, :8], X[:, 8:]
         P = scan.mulrows(Z2.algebra, x, y)
-        bad = np.flatnonzero(norms(P) != norms(x) * norms(y) % 2)
-        return int(bad[0]) if bad.size else -1
+        n = scan.norms
+        return scan.first_true(n(Z2, P) != n(Z2, x) * n(Z2, y) % 2)
 
     bad, provenance = search(Z2.field, 16, None, enum_cap=2 ** 16, rows=rows)
     checks.append(CheckResult(
@@ -233,34 +230,45 @@ def suite_norm_multiplicativity(cfg: Config) -> list:
     return checks
 
 
+def _invertibility_sweep(Z) -> list:
+    """On every element x of Z over GF(p): x has a two-sided inverse (by
+    linear solves) iff n(x) != 0, and then it is cd_inverse(Z, x).  The
+    witness of each check is the element where it failed first."""
+    A, F, d = Z.algebra, Z.field, Z.dim
+    p, total = F.p, F.order ** d
+    n_inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    unit = np.array(Z.unit)
+    first = set()   # which of the two checks failed first
+
+    def rows(X):
+        inv_ok, inv = scan.inverses(A, X)       # the linear-solve inverse
+        n = scan.norms(Z, X)
+        mismatch = inv_ok != (n != 0)
+        # cd_inverse: n(x)^-1 (t(x) 1 - x), where n(x) != 0
+        cd = n_inv[n][:, None] * (scan.traces(Z, X)[:, None] * unit - X) % p
+        i = scan.first_true(mismatch | inv_ok & (cd != inv).any(axis=1))
+        if i >= 0:
+            first.add("mismatch" if mismatch[i] else "cd_mismatch")
+        return i
+
+    bad, provenance = search(F, d, None, enum_cap=total, rows=rows)
+    mismatch = bad[0] if "mismatch" in first else None
+    cd_mismatch = bad[0] if "cd_mismatch" in first else None
+    return [
+        CheckResult(f"GF{p}/invertible-iff-n-nonzero-on-all-{total}-elements",
+                    mismatch is None, provenance,
+                    witness=None if mismatch is None else _enc(F, mismatch)),
+        CheckResult(f"GF{p}/cd-inverse-agrees-with-linear-solve-inverse",
+                    mismatch is None and cd_mismatch is None, provenance,
+                    witness=None if cd_mismatch is None else _enc(F, cd_mismatch)),
+    ]
+
+
 def suite_invertibility_norm(cfg: Config) -> list:
     Z = zorn(PrimeField(3))
     A = Z.algebra
     F = A.field
-    first = {}      # which of the two checks failed first, and where
-
-    def hit(x):
-        inv = A.invert_element(x)
-        n_nonzero = not F.is_zero(Z.norm(x))
-        if (inv is not None) != n_nonzero:
-            first["mismatch"] = x
-            return True
-        cd = cd_inverse(Z, x)
-        if (cd is None) != (inv is None) or (cd is not None and not A.veq(cd, inv)):
-            first["cd_mismatch"] = x
-            return True
-        return False
-
-    _, provenance = search(F, 8, hit, enum_cap=3 ** 8)
-    mismatch, cd_mismatch = first.get("mismatch"), first.get("cd_mismatch")
-    checks = [
-        CheckResult("GF3/invertible-iff-n-nonzero-on-all-6561-elements",
-                    mismatch is None, provenance,
-                    witness=None if mismatch is None else _enc(F, mismatch)),
-        CheckResult("GF3/cd-inverse-agrees-with-linear-solve-inverse",
-                    mismatch is None and cd_mismatch is None, provenance,
-                    witness=None if cd_mismatch is None else _enc(F, cd_mismatch)),
-    ]
+    checks = _invertibility_sweep(Z)
     w = find_isotropic(Z, seed=cfg.seed, samples=cfg.samples,
                        enum_cap=cfg.enum_cap)
     ok = w.witness is not None and F.is_zero(Z.norm(w.witness))
@@ -458,12 +466,8 @@ def suite_lemma23_outer(cfg: Config) -> list:
                               ker == inst.extras["kernel_space"], "certified"))
     # kernel elements are the combinations of its basis: columns of span
     span = Matrix(F, ker.rows, A.dim).transpose()
-
-    def hit(coeffs):
-        x = span.mulvec(coeffs)
-        return not A.is_zero_vec(x) and A.invert_element(x) is None
-
-    bad, provenance = search(F, ker.dim, hit, enum_cap=F.order ** ker.dim)
+    bad, provenance = search(F, ker.dim, None, enum_cap=F.order ** ker.dim,
+                             rows=scan.noninvertible_rows(A, span))
     checks.append(CheckResult("nonzero-kernel-elements-invertible", bad is None,
                               provenance, witness=None if bad is None else
                               _enc(F, span.mulvec(bad[0]))))

@@ -12,7 +12,7 @@ from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 from altalg import scan
 from altalg.algebra import _LAWS, Algebra, check_identity, evaluate_identity, search
 from altalg.fields import PrimeField, is_prime
-from altalg.linalg import Matrix, Subspace, rref
+from altalg.linalg import Matrix, Subspace, rref, solve
 from altalg.operators import (OperatorSpace, derivation_space,
                               invertible_combination, invertible_in_space)
 from altalg.quadratic import zorn
@@ -289,12 +289,21 @@ def test_vector_blocks_match_itertools_product():
 
 
 def test_mulrows_matches_algebra_mul():
-    for p in (2, 3, 5):
-        A = zorn(PrimeField(p)).algebra
+    # products in float32 (Zorn), float64 (p = 65521) and Python ints
+    rnd = random.Random(5)
+    algebras = [zorn(PrimeField(p)).algebra for p in (2, 3, 5)]
+    for p in (65521, 2 ** 31 - 1):
+        table = {(i, j): [(k, rnd.randrange(p)) for k in range(2)]
+                 for i in range(2) for j in range(2)}
+        algebras.append(Algebra(PrimeField(p), 2, table))
+    assert {scan.gemm_dtype(A.field.p, A.dim ** 2, 2) for A in algebras} == {
+        np.float32, np.float64, object}
+    for A in algebras:
+        p, d = A.field.p, A.dim
         rng = random.Random(p)
-        X = np.array([[rng.randrange(p) for _ in range(8)] for _ in range(40)],
+        X = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(40)],
                      dtype=np.float64)
-        Y = np.array([[rng.randrange(p) for _ in range(8)] for _ in range(40)],
+        Y = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(40)],
                      dtype=np.float64)
         P = scan.mulrows(A, X, Y)
         for n in range(40):
@@ -316,6 +325,140 @@ def test_batched_rank_matches_exact_rank():
             for m, rank in zip(mats, ranks):
                 _, want, _ = rref(Matrix(F, m, c))
                 assert int(rank) == want
+
+
+def _random_systems(p, r, c, rng, count=40):
+    """Random r x c residue matrices, sparse and dense, plus rank-deficient
+    ones: a repeated row, and (for c > 1) a last column that is a fixed
+    combination of the others, so the augmented system is consistent."""
+    mats = [[[rng.randrange(p) if rng.random() < density else 0
+              for _ in range(c)] for _ in range(r)]
+            for density in (0.3, 1.0) for _ in range(count // 2)]
+    mats += [[m[0]] + m[:-1] for m in mats[:10]]
+    if c > 1:
+        for m in mats[:10]:
+            w = [rng.randrange(p) for _ in range(c - 1)]
+            mats.append([row[:-1] + [sum(a * b for a, b in zip(row, w)) % p]
+                         for row in [[0] * c] + m[1:]])
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 251, 257])
+def test_batched_rref_matches_linalg(p):
+    # p = 2..13 run on uint8 (p = 7 and 13 reduce the whole stack between
+    # pivot steps), 251 on uint16 and 257 on float64
+    F = PrimeField(p)
+    rng = random.Random(p)
+    kinds = set()
+    for r, c in ((4, 4), (3, 5), (5, 2), (1, 6), (8, 9)):
+        mats = _random_systems(p, r, c, rng)
+        R, ranks, pivots = scan.batched_rref_mod_p(np.array(mats), p)
+        solvable, x = scan.batched_solve_mod_p(np.array(mats), p)
+        assert R.shape == (len(mats), r, c) and pivots.shape == (len(mats), r)
+        for m, Rm, rank, piv, ok, xm in zip(mats, R, ranks, pivots, solvable, x):
+            red, want_rank, want_piv = rref(Matrix(F, m, c))
+            assert [[int(v) for v in row] for row in Rm] == red.rows
+            assert int(rank) == want_rank
+            assert [int(v) for v in piv] == want_piv + [-1] * (r - want_rank)
+            want = solve(Matrix(F, [row[:-1] for row in m], c - 1),
+                         [row[-1] for row in m])
+            assert bool(ok) == (want is not None)
+            if want is not None:
+                assert [int(v) for v in xm] == want
+            kinds.add((want is not None, want_rank < min(r, c - 1)))
+    # consistent and inconsistent systems, rank-deficient among both
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_batched_rref_edge_shapes_and_field_size():
+    R, rank, piv = scan.batched_rref_mod_p(np.zeros((0, 3, 4)), 3)
+    assert R.shape == (0, 3, 4) and rank.shape == (0,)
+    R, rank, piv = scan.batched_rref_mod_p(np.zeros((2, 3, 4)), 5)
+    assert not R.any() and not rank.any() and (piv == -1).all()
+    with pytest.raises(ValueError):
+        scan.batched_rref_mod_p(np.zeros((1, 2, 2)), 2 ** 31 - 1)
+    # beyond exact float64 products the block predicates step aside, and
+    # the callers test element by element
+    assert scan.full_rank_rows([[1, 0, 0, 1]], 2 ** 31 - 1, 2) is None
+
+
+def _unitization(V):
+    """F 1 + V: e_0 is the unit and e_1.. multiply as V's basis does."""
+    table = {(0, 0): [(0, 1)]}
+    for i in range(1, V.dim + 1):
+        table[(0, i)] = [(i, 1)]
+        table[(i, 0)] = [(i, 1)]
+    for (i, j), terms in V.table.items():
+        table[(i + 1, j + 1)] = [(k + 1, c) for k, c in terms]
+    return Algebra(V.field, V.dim + 1, table)
+
+
+def _check_inverses(A):
+    """scan.inverses on all of A against Algebra.invert_element; returns
+    the elements, as lists."""
+    X = np.concatenate([blk for _, blk in scan.vector_blocks(A.field.p, A.dim)])
+    ok, inv = scan.inverses(A, X)
+    elements = X.astype(int).tolist()
+    for x, got_ok, got in zip(elements, ok, inv):
+        want = A.invert_element(x)
+        assert bool(got_ok) == (want is not None), x
+        if want is not None:
+            assert [int(v) for v in got] == want
+    return elements
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_inverses_match_invert_element_on_zorn(p):
+    _check_inverses(zorn(PrimeField(p)).algebra)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inverses_match_invert_element_on_random_unitizations(p):
+    rng = random.Random(300 + p)
+    deficient = 0
+    for trial in range(8 if p < 5 else 3):
+        A = _unitization(random_sparse_algebra(p, 2 if p > 3 else 3, rng))
+        unit = A.find_unit()
+        for x in _check_inverses(A):
+            for side in ("left", "right"):
+                m = A.mult_operator(side, x)
+                deficient += m.rank() < A.dim and solve(m, unit) is not None
+    # singular multiplication operators with the unit in their image occur
+    assert deficient > 0
+
+
+def _reference_invertible_values(A, dmap):
+    """invertible_values_check's exhaustive walk before it was batched:
+    Algebra.invert_element on d(x) for each x in order."""
+    def hit(x):
+        v = dmap.mulvec(x)
+        return not A.is_zero_vec(v) and A.invert_element(v) is None
+
+    return search(A.field, A.dim, hit, enum_cap=A.element_count())
+
+
+def test_invertible_values_exhaustive_matches_element_walk(monkeypatch):
+    from altalg.catalog import build
+    from altalg.operators import invertible_values_check
+
+    inst = build("lemma23-Dx")
+    Z3 = zorn(PrimeField(3)).algebra
+    cases = [(inst.algebra, inst.derivation)]
+    cases += [(Z3, M) for M in derivation_space(Z3).basis_maps()[:3]]
+    for A, dmap in cases:
+        args, provenance = _reference_invertible_values(A, dmap)
+        for block in (7, scan.BLOCK):
+            monkeypatch.setattr(scan, "BLOCK", block)
+            v = invertible_values_check(A, dmap, "exhaustive")
+            assert v.provenance == provenance == "exhaustive"
+            if args is None:
+                assert (v.kind, v.witness) == ("pass-exhaustive", None)
+            else:
+                assert v.kind == "fail"
+                assert v.witness == (args[0], dmap.mulvec(args[0]))
+                assert all(type(c) is int for c in v.witness[0])
+    assert {_reference_invertible_values(A, M)[0] is None
+            for A, M in cases} == {True, False}
 
 
 def reference_find_invertible_combo(basis_flat, p, d, block=scan.BLOCK):

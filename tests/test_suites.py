@@ -128,3 +128,124 @@ def test_gf2_norm_witness_is_the_first_failing_pair(monkeypatch):
     assert check.name == "GF2/n(xy)=n(x)n(y)-on-all-65536-pairs"
     assert (check.passed, check.provenance) == (False, "exhaustive")
     assert json.dumps(check.witness) == json.dumps({"x": [0] * 8, "y": y})
+
+
+# ---- the element-by-element GF(p) sweeps the block predicates replaced -----
+
+def reference_invertibility_checks(Z):
+    """The GF(3) invertibility sweep before it was batched, one
+    invert_element and one cd_inverse per x: (mismatch, cd_mismatch,
+    provenance), the element where each check failed first."""
+    from altalg.algebra import search
+    from altalg.quadratic import cd_inverse
+
+    A, F = Z.algebra, Z.field
+    first = {}
+
+    def hit(x):
+        inv = A.invert_element(x)
+        n_nonzero = not F.is_zero(Z.norm(x))
+        if (inv is not None) != n_nonzero:
+            first["mismatch"] = x
+            return True
+        cd = cd_inverse(Z, x)
+        if (cd is None) != (inv is None) or (cd is not None and not A.veq(cd, inv)):
+            first["cd_mismatch"] = x
+            return True
+        return False
+
+    _, provenance = search(F, Z.dim, hit, enum_cap=F.order ** Z.dim)
+    return first.get("mismatch"), first.get("cd_mismatch"), provenance
+
+
+def reference_quadratic_relation(Z):
+    """The GF(2)/GF(3) quadratic-relation sweep before it was batched."""
+    from altalg.algebra import search
+
+    A = Z.algebra
+    return search(A.field, Z.dim,
+                  lambda x: not A.is_zero_vec(Z.quadratic_residual(x)),
+                  enum_cap=A.field.order ** Z.dim)
+
+
+def _break(monkeypatch, Z, fault):
+    """Plant the same fault in Z for both routes of a sweep."""
+    from altalg import scan
+    from altalg.quadratic import QuadraticAlgebra
+
+    p = Z.field.p
+    if fault == "norm":         # a wrong coefficient of the norm form
+        Z.qform[0][1] = (Z.qform[0][1] + 1) % p
+    elif fault == "trace":      # a wrong trace, so a wrong conjugate
+        Z.trace_vec[2] = (Z.trace_vec[2] + 1) % p
+    elif fault == "last":       # n(x) off by one at the last vector only
+        last = [p - 1] * Z.dim
+        norm, norms = QuadraticAlgebra.norm, scan.norms
+
+        def off(q, x):
+            return (norm(q, x) + (list(x) == last)) % p
+
+        def offs(q, X):
+            return (norms(q, X) + (X == p - 1).all(axis=1)) % p
+
+        monkeypatch.setattr(QuadraticAlgebra, "norm", off)
+        monkeypatch.setattr(scan, "norms", offs)
+
+
+# (p, scan.BLOCK) with None for the default block; GF(3) at block 1 would
+# invert 6561 one-row blocks, so block 1 runs over GF(2)'s 256
+SWEEP_CASES = [(2, 1), (2, 7), (2, None), (3, 7), (3, None)]
+
+
+@pytest.mark.parametrize("fault", [None, "norm", "trace", "last"])
+def test_invertibility_sweep_matches_reference(monkeypatch, fault):
+    from altalg import scan, suites
+    from altalg.fields import PrimeField
+    from altalg.quadratic import zorn
+
+    seen, default = set(), scan.BLOCK
+    for p in (2, 3):
+        Z = zorn(PrimeField(p))
+        with monkeypatch.context() as m:
+            _break(m, Z, fault)
+            mismatch, cd_mismatch, provenance = reference_invertibility_checks(Z)
+            for block in (b for q, b in SWEEP_CASES if q == p):
+                m.setattr(scan, "BLOCK", block or default)
+                got = suites._invertibility_sweep(Z)
+                want = [(mismatch is None, provenance,
+                         suites._enc(Z.field, mismatch)),
+                        (mismatch is None and cd_mismatch is None, provenance,
+                         suites._enc(Z.field, cd_mismatch))]
+                assert [(c.passed, c.provenance, c.witness) for c in got] == want
+                json.dumps([c.witness for c in got])
+            if fault == "last":
+                assert [p - 1] * 8 in (mismatch, cd_mismatch)
+        seen.add("mismatch" if mismatch else "cd_mismatch" if cd_mismatch
+                 else "pass")
+    # a wrong trace only moves the conjugate; the last vector fails one
+    # check or the other
+    if fault in (None, "trace"):
+        assert seen == {"pass" if fault is None else "cd_mismatch"}
+    else:
+        assert "pass" not in seen and (fault == "last" or "mismatch" in seen)
+
+
+@pytest.mark.parametrize("fault", [None, "norm", "last"])
+def test_quadratic_relation_sweep_matches_reference(monkeypatch, fault):
+    from altalg import scan, suites
+    from altalg.fields import PrimeField
+    from altalg.quadratic import zorn
+
+    default = scan.BLOCK
+    for p, block in SWEEP_CASES:
+        Z = zorn(PrimeField(p))
+        with monkeypatch.context() as m:
+            _break(m, Z, fault)
+            bad, provenance = reference_quadratic_relation(Z)
+            m.setattr(scan, "BLOCK", block or default)
+            c = suites._residual_sweep(Z)
+        assert (c.passed, c.provenance) == (bad is None, provenance)
+        assert c.witness == (None if bad is None else suites._enc(Z.field, bad[0]))
+        assert (bad is None) == (fault is None)
+        if fault == "last":
+            assert bad[0] == [p - 1] * 8
