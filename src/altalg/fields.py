@@ -10,11 +10,37 @@ generic over a ``Field`` handle.  Elements are plain values:
 Rational-function fractions are deliberately *not* reduced (no multivariate
 GCD); equality is decided by cross-multiplication, and a term budget aborts
 runaway growth.
+
+A ``Poly2`` is the dict of its nonzero terms, so two equal polynomials have
+equal term dicts however they were computed.  Products pick their method
+from the operand sizes:
+
+* a zero operand gives the empty product;
+* a one-term operand shifts the other's exponents and scales its
+  coefficients in one comprehension (one dict entry when both operands are
+  one-term): the shift is injective and a product of nonzero residues is
+  nonzero mod p, so no terms meet or cancel;
+* below ``_SORTED_KEY_PAIRS`` term pairs, the schoolbook dict loop;
+* from there on, the packed-exponent product of Monagan and Pearce
+  (CASC 2007): each exponent (i, j) becomes the int64 key i*W + j, with W
+  one more than the largest j of the product, so all term pairs are one
+  outer sum of key vectors and one outer product of coefficient vectors,
+  which are sorted and their equal keys summed mod p (for p = 2 a key
+  survives when it occurs an odd number of times).  For p >= 2**31, or
+  when a key could reach 2**62, the dict loop runs instead.
+
+Every method yields the canonical term dict of the product, so the results
+are term-identical to the schoolbook product.  ``RatFunField`` arithmetic
+works on the term dicts with ``_mul_terms`` and ``_add_terms``, which the
+GF(p)(s, t) elimination in ``linalg`` also uses.  They are private because
+they run once per product: ``perfbench/tracer.py`` records a span for every
+call of a public function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 
@@ -72,6 +98,126 @@ def is_json_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+# Products of at least this many term pairs are formed from sorted packed
+# keys; below it the dict loop is faster (crossover measured on GF(2) and
+# GF(3) operands of the sizes GF(p)(s, t) elimination produces).
+_SORTED_KEY_PAIRS = 512
+# Term pairs the sorted-key product materialises at once, so a product's
+# temporary arrays stay a few tens of MB however large its operands.
+_SORTED_KEY_BLOCK = 2 ** 20
+
+
+def _mul_terms(p: int, a: dict, b: dict) -> dict:
+    """Term dict of the product of two GF(p) polynomials given by their
+    term dicts {(i, j): c} with 0 < c < p; see the module docstring."""
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((i2, j2), c2), = b.items()
+        if len(a) == 1:
+            ((i1, j1), c1), = a.items()
+            return {(i1 + i2, j1 + j2): c1 * c2 % p}
+        return {(i1 + i2, j1 + j2): c1 * c2 % p for (i1, j1), c1 in a.items()}
+    if len(a) * len(b) >= _SORTED_KEY_PAIRS and p < 2 ** 31:
+        out = _mul_sorted_keys(p, a, b)
+        if out is not None:
+            return out
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            s = (out.get(e, 0) + c1 * c2) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _add_terms(p: int, a: dict, b: dict, sign: int = 1) -> dict:
+    """Term dict of a + sign*b for GF(p) polynomial term dicts a and b."""
+    out = dict(a)
+    for e, c in b.items():
+        s = (out.get(e, 0) + sign * c) % p
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _mul_sorted_keys(p: int, a: dict, b: dict) -> dict | None:
+    """The sorted-key product, or None when an exponent is negative or a
+    packed key could reach 2**62 (the dict loop then runs instead)."""
+    import numpy as np
+
+    try:
+        ea = np.fromiter(chain.from_iterable(a), np.int64, 2 * len(a)).reshape(-1, 2)
+        eb = np.fromiter(chain.from_iterable(b), np.int64, 2 * len(b)).reshape(-1, 2)
+    except OverflowError:
+        return None
+    if min(ea.min(), eb.min()) < 0:
+        return None
+    (ia, ja), (ib, jb) = ea.max(0).tolist(), eb.max(0).tolist()
+    w = ja + jb + 1
+    if (ia + ib + 1) * w > 2 ** 62:
+        return None
+    ka = ea[:, 0] * w + ea[:, 1]
+    kb = eb[:, 0] * w + eb[:, 1]
+    ca = cb = None
+    if p != 2:
+        ca = np.fromiter(a.values(), np.int64, len(a))
+        cb = np.fromiter(b.values(), np.int64, len(b))
+    step = max(1, _SORTED_KEY_BLOCK // len(b))
+    parts = []
+    for lo in range(0, len(a), step):
+        keys = (ka[lo:lo + step, None] + kb).ravel()
+        coefs = None if p == 2 else (ca[lo:lo + step, None] * cb).ravel()
+        parts.append(_combine_keys(p, keys, coefs))
+    if len(parts) == 1:
+        keys, coefs = parts[0]
+    else:
+        keys, coefs = _combine_keys(
+            p, np.concatenate([k for k, _ in parts]),
+            None if p == 2 else np.concatenate([c for _, c in parts]))
+    exps = zip(*(x.tolist() for x in np.divmod(keys, w)))
+    if p == 2:
+        return dict.fromkeys(exps, 1)
+    return dict(zip(exps, coefs.tolist()))
+
+
+def _combine_keys(p: int, keys, coefs):
+    """Sum the coefficients of equal keys mod p and drop the zero sums; for
+    p = 2 (coefs None, every coefficient 1) keep the keys seen an odd number
+    of times."""
+    import numpy as np
+
+    if p == 2:
+        keys, counts = np.unique(keys, return_counts=True)
+        return keys[(counts & 1).astype(bool)], None
+    if len(coefs) * (p - 1) ** 2 >= 2 ** 63:
+        coefs %= p
+    order = np.argsort(keys)
+    keys, coefs = keys[order], coefs[order]
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(coefs, starts) % p
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
+
+
+def _poly(p: int, terms: dict) -> "Poly2":
+    """A Poly2 around a term dict that is already canonical."""
+    res = Poly2.__new__(Poly2)
+    res.p = p
+    res.terms = terms
+    return res
+
+
 class Poly2:
     """Sparse bivariate polynomial over GF(p): map (i, j) -> nonzero coeff."""
 
@@ -98,37 +244,15 @@ class Poly2:
 
     def add(self, other: "Poly2") -> "Poly2":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = (out.get(e, 0) + c) % self.p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = Poly2.__new__(Poly2)
-        res.p = self.p
-        res.terms = out
-        return res
+        return _poly(self.p, _add_terms(self.p, self.terms, other.terms))
 
     def neg(self) -> "Poly2":
-        return Poly2(self.p, {e: -c for e, c in self.terms.items()})
+        p = self.p
+        return _poly(p, {e: p - c for e, c in self.terms.items()})
 
     def mul(self, other: "Poly2") -> "Poly2":
         self._check(other)
-        p = self.p
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = Poly2.__new__(Poly2)
-        res.p = p
-        res.terms = out
-        return res
+        return _poly(self.p, _mul_terms(self.p, self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.p == other.p and self.terms == other.terms
@@ -161,6 +285,15 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
         self.den = den
+
+    @classmethod
+    def of(cls, p: int, num: dict, den: dict) -> "RatFun":
+        """The fraction of two canonical GF(p) term dicts; ``den`` must be
+        nonzero (a product of nonzero denominators always is)."""
+        res = cls.__new__(cls)
+        res.num = _poly(p, num)
+        res.den = _poly(p, den)
+        return res
 
     def __repr__(self) -> str:
         if self.den.terms == {(0, 0): 1}:
@@ -412,15 +545,33 @@ class RatFunField(Field):
     def t(self) -> RatFun:
         return self.poly({(0, 1): 1})
 
+    def _terms(self, a, b) -> tuple:
+        """The four term dicts of two operands, which must be over GF(p)."""
+        p = self.p
+        if not (a.num.p == a.den.p == b.num.p == b.den.p == p):
+            raise FieldError("mixed-field rational-function operands")
+        return a.num.terms, a.den.terms, b.num.terms, b.den.terms
+
+    def _plus(self, a, b, sign: int) -> RatFun:
+        # a.num*b.den + sign*b.num*a.den over a.den*b.den
+        an, ad, bn, bd = self._terms(a, b)
+        p = self.p
+        num = _add_terms(p, _mul_terms(p, an, bd), _mul_terms(p, bn, ad), sign)
+        return self._guard(RatFun.of(p, num, _mul_terms(p, ad, bd)))
+
     def add(self, a, b):
-        num = a.num.mul(b.den).add(b.num.mul(a.den))
-        return self._guard(RatFun(num, a.den.mul(b.den)))
+        return self._plus(a, b, 1)
+
+    def sub(self, a, b):
+        return self._plus(a, b, -1)
 
     def neg(self, a):
         return RatFun(a.num.neg(), a.den)
 
     def mul(self, a, b):
-        return self._guard(RatFun(a.num.mul(b.num), a.den.mul(b.den)))
+        an, ad, bn, bd = self._terms(a, b)
+        p = self.p
+        return self._guard(RatFun.of(p, _mul_terms(p, an, bn), _mul_terms(p, ad, bd)))
 
     def inv(self, a):
         if a.num.is_zero():

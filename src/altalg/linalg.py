@@ -8,9 +8,24 @@ with the leftmost-nonzero pivot column and first-nonzero-row tie-breaking.
 GF(p) runs on plain int residues.  Over Q each row is scaled to integers and
 eliminated fraction-free (cross-multiplication, then division by the row's
 content), and pivot rows become Fractions only at the end; the RREF is
-unique, so this equals elimination over Fractions.  Over rational-function
-fields rows are cross-multiplied instead of divided and only normalized at
-the end, which keeps entries polynomial for as long as possible.
+unique, so this equals elimination over Fractions.  Over GF(p)(s, t) rows
+are cross-multiplied instead of divided and only normalized at the end,
+which keeps entries polynomial for as long as possible.
+
+The GF(p)(s, t) row step is fused.  Row x is replaced by piv*x - f*y, where
+piv is the pivot, f the row's entry in the pivot column and y the pivot
+row.  Once per row it forms P1 = piv.num*f.den, P2 = f.num*piv.den and
+D = piv.den*f.den.  Then each entry gets
+
+    num = P1*(x.num*y.den) - P2*(y.num*x.den),    den = D*(x.den*y.den),
+
+on the term dicts, with no intermediate fractions.  These are the same
+polynomials as the numerator and denominator of
+``F.sub(F.mul(piv, x), F.mul(f, y))``, because GF(p)[s, t] is commutative
+and associative and a polynomial has one term dict.  So the unreduced
+fractions, and every encoded output, match that formula term for term.
+Each product is checked against the field's term budget, and each stored
+entry goes through ``F._guard``.
 """
 
 from __future__ import annotations
@@ -18,7 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import Field
+from .fields import (Field, FieldError, RatFun, RatFunField, TermBudgetError,
+                     _add_terms, _mul_terms)
 
 
 class Matrix:
@@ -193,9 +209,21 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_generic(F: Field, rows: list, ncols: int):
-    """Gauss-Jordan without division during elimination (row_i := piv * row_i
-    - f * pivot row); each pivot row is scaled by its inverse at the end."""
+def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
+    """Gauss-Jordan over GF(p)(s, t) without division during elimination
+    (the fused row step of the module docstring); each pivot row is scaled
+    by its inverse at the end."""
+    p, budget, guard = F.p, F.term_budget, F._guard
+    if not all(x.num.p == x.den.p == p for row in rows for x in row):
+        raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
+
+    def mul(a: dict, b: dict) -> dict:
+        ab = _mul_terms(p, a, b)
+        if len(ab) > budget:
+            raise TermBudgetError(f"elimination product grew to {len(ab)} terms "
+                                  f"(budget {budget}); aborting")
+        return ab
+
     rows = [list(r) for r in rows]
     nrows = len(rows)
     pivots = []
@@ -203,23 +231,30 @@ def _rref_generic(F: Field, rows: list, ncols: int):
     for c in range(ncols):
         pr = -1
         for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
+            if rows[i][c].num.terms:
                 pr = i
                 break
         if pr < 0:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
         prow = rows[r]
+        pn, pd = prow[c].num.terms, prow[c].den.terms
         for i in range(nrows):
-            if i == r:
-                continue
             f = rows[i][c]
-            if F.is_zero(f):
+            if i == r or not f.num.terms:
                 continue
-            rows[i] = [F.sub(F.mul(piv, x), F.mul(f, y))
-                       for x, y in zip(rows[i], prow)]
+            fn, fd = f.num.terms, f.den.terms
+            p1, p2, d = mul(pn, fd), mul(fn, pd), mul(pd, fd)
+            row = []
+            for x, y in zip(rows[i], prow):
+                xn, xd, yn, yd = x.num.terms, x.den.terms, y.num.terms, y.den.terms
+                # a zero numerator only empties its products: skip them
+                a = mul(p1, mul(xn, yd)) if xn else {}
+                b = mul(p2, mul(yn, xd)) if yn else {}
+                row.append(guard(RatFun.of(p, _add_terms(p, a, b, -1) if b else a,
+                                           mul(d, mul(xd, yd)))))
+            rows[i] = row
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -238,7 +273,7 @@ def rref(m: Matrix):
     elif F.kind == "rationals":
         rows, rank, pivots = _rref_rationals(m.rows, m.ncols)
     else:
-        rows, rank, pivots = _rref_generic(F, m.rows, m.ncols)
+        rows, rank, pivots = _rref_ratfun2(F, m.rows, m.ncols)
     return Matrix(F, rows, m.ncols), rank, pivots
 
 

@@ -4,9 +4,12 @@ import time
 
 import pytest
 
+from altalg import fields
 from altalg.fields import (FieldError, Poly2, PrimeField, RatFun, RatFunField,
                            RationalField, TermBudgetError, is_prime, make_field)
 from conftest import sample_elements
+from ratfun_reference import (reference_add, reference_mul, reference_neg,
+                              reference_poly_mul, reference_sub)
 
 
 def test_make_field_prime():
@@ -229,3 +232,142 @@ def test_mixed_field_ratfun_operands_rejected():
         f2.eq(f2.s(), f3.s())
     with pytest.raises(FieldError):
         f2.add(f2.s(), f3.t())
+
+
+# Sized products and the term-dict arithmetic must reproduce the schoolbook
+# product term for term (see tests/ratfun_reference.py).
+
+SMALL_PRIMES = (2, 3, 7)
+# 2**31 - 1: the largest coefficients the sorted-key path takes; 2**61 - 1:
+# the dict-loop fallback
+ALL_PRIMES = SMALL_PRIMES + (2 ** 31 - 1, 2 ** 61 - 1)
+
+
+def random_poly(rng, p, nterms, box=(12, 9), subst=None):
+    """nterms distinct monomials in a box, nonzero coefficients; ``subst`` =
+    (a, b, c, d) maps exponents (i, j) -> (a i + c j, b i + d j)."""
+    a, b, c, d = subst or (1, 0, 0, 1)
+    terms = {}
+    while len(terms) < min(nterms, box[0] * box[1]):
+        i, j = rng.randrange(box[0]), rng.randrange(box[1])
+        terms[(a * i + c * j, b * i + d * j)] = rng.randrange(1, p)
+    return Poly2(p, terms)
+
+
+@pytest.fixture
+def sorted_key_calls(monkeypatch):
+    """Counts the sorted-key products that ran (returned a dict)."""
+    calls = []
+    real = fields._mul_sorted_keys
+
+    def spy(p, a, b):
+        out = real(p, a, b)
+        calls.append(out is not None)
+        return out
+    monkeypatch.setattr(fields, "_mul_sorted_keys", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", ALL_PRIMES)
+def test_poly_mul_matches_schoolbook_on_both_sides_of_the_threshold(
+        p, rng, monkeypatch, sorted_key_calls):
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", 64)
+    sizes = (0, 1, 2, 3, 7, 8, 9, 10, 31, 40)
+    for n, m in itertools.product(sizes, repeat=2):
+        for subst in (None, (2, 1, 1, 2), (3, 0, 2, 1)):
+            a, b = random_poly(rng, p, n, subst=subst), random_poly(rng, p, m, subst=subst)
+            assert a.mul(b).terms == reference_poly_mul(a, b).terms, (p, n, m, subst)
+    ran = sum(sorted_key_calls)
+    assert ran == 0 if p >= 2 ** 31 else ran > 0
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_sorted_key_product_in_blocks_matches_schoolbook(p, rng, monkeypatch,
+                                                         sorted_key_calls):
+    # blocks of 16 term pairs: every product is combined from many parts
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", 1)
+    monkeypatch.setattr(fields, "_SORTED_KEY_BLOCK", 16)
+    for n, m in [(2, 2), (5, 40), (40, 5), (30, 30), (60, 70)]:
+        a, b = random_poly(rng, p, n, box=(9, 9)), random_poly(rng, p, m, box=(9, 9))
+        assert a.mul(b).terms == reference_poly_mul(a, b).terms
+    assert all(sorted_key_calls) and len(sorted_key_calls) == 5
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_poly_mul_batch_sized_operands(p, rng, sorted_key_calls):
+    # the default threshold, operands spread like the benchmark's substituted
+    # 6x6 eliminations: exponent boxes of thousands by hundreds
+    for n, m in [(60, 80), (200, 150), (484, 522)]:
+        a = random_poly(rng, p, n, box=(40, 30), subst=(2, 1, 1, 2))
+        b = random_poly(rng, p, m, box=(40, 30), subst=(2, 1, 1, 2))
+        assert a.mul(b).terms == reference_poly_mul(a, b).terms
+    assert sorted_key_calls == [True] * 3
+
+
+def test_monomial_and_zero_operands():
+    for p in ALL_PRIMES:
+        c = 3 % p or 1
+        mono = Poly2(p, {(2, 5): c})
+        poly = Poly2(p, {(0, 0): 1, (1, 3): p - 1, (4, 0): 2 % p or 1})
+        zero = Poly2(p, {})
+        for a, b in [(mono, poly), (poly, mono), (mono, mono), (mono, zero),
+                     (zero, poly), (zero, zero)]:
+            assert a.mul(b).terms == reference_poly_mul(a, b).terms
+
+
+@pytest.mark.parametrize("big", [2 ** 40, 2 ** 63 + 5])
+def test_key_overflow_falls_back_to_the_dict_loop(big, rng, monkeypatch,
+                                                  sorted_key_calls):
+    # 2**40 in both variables packs past 2**62; past 2**63 it leaves int64
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", 1)
+    for p in (2, 7):
+        a = Poly2(p, {(big + i, big + j): c for (i, j), c in
+                      random_poly(rng, p, 12).terms.items()})
+        b = random_poly(rng, p, 9, subst=(1, 0, 0, 1))
+        b = Poly2(p, {(big - i, big + 3 * j): c for (i, j), c in b.terms.items()})
+        assert a.mul(b).terms == reference_poly_mul(a, b).terms
+    assert sorted_key_calls == [False, False]
+
+
+def random_ratfun(F, rng, n=4):
+    p = F.p
+    num = random_poly(rng, p, rng.choice([0, 1, 2, n]))
+    den = random_poly(rng, p, rng.choice([1, 1, 2, n]))
+    return RatFun(num, den)
+
+
+@pytest.mark.parametrize("p", ALL_PRIMES)
+def test_ratfun_arithmetic_matches_reference(p, rng, monkeypatch):
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", 8)
+    F = RatFunField(p)
+    ops = [(F.add, reference_add), (F.sub, reference_sub), (F.mul, reference_mul)]
+    for _ in range(60):
+        a, b = random_ratfun(F, rng), random_ratfun(F, rng)
+        for op, ref in ops:
+            got, want = op(a, b), ref(a, b)
+            assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+            assert F.encode(got) == F.encode(want)
+        assert F.encode(F.neg(a)) == F.encode(reference_neg(a))
+
+
+def test_every_product_path_rejects_mixed_characteristic(monkeypatch):
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", 16)
+    box = [(i, j) for i in range(5) for j in range(5)]
+    one, few, many = ({e: 1 for e in box[:n]} for n in (1, 3, 20))
+    # one-term, dict-loop and sorted-key operands
+    for a, b in [(one, few), (few, few), (many, many)]:
+        with pytest.raises(FieldError):
+            Poly2(2, a).mul(Poly2(3, b))
+        with pytest.raises(FieldError):
+            Poly2(3, a).mul(Poly2(2, b))
+    f2, f3 = RatFunField(2), RatFunField(3)
+    for a, b in [(one, one), (one, few), (many, many)]:
+        x = RatFun(Poly2(2, a), Poly2(2, b))
+        y = RatFun(Poly2(3, b), Poly2(3, a))
+        for op in (f2.add, f2.sub, f2.mul):
+            with pytest.raises(FieldError):
+                op(x, y)
+            with pytest.raises(FieldError):
+                op(y, x)
+    with pytest.raises(FieldError):
+        f3.mul(f3.s(), RatFun(Poly2(3, one), Poly2(2, one)))

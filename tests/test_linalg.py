@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from altalg.fields import PrimeField, RatFunField, RationalField
+from altalg import fields
+from altalg.fields import (FieldError, Poly2, PrimeField, RatFun, RatFunField,
+                           RationalField, TermBudgetError)
 from altalg.linalg import Matrix, Subspace, kernel, rref, solve, subspace_op
 from conftest import sparse_element
+from ratfun_reference import reference_rref_ratfun2
 
 
 def frac_matrix(rows):
@@ -240,3 +244,102 @@ def test_matmul_and_mulvec_dim_checks():
         Matrix.identity(F, 2).mulvec([1, 2, 3])
     with pytest.raises(ValueError):
         Matrix.identity(F, 2).matmul(Matrix.identity(F, 3))
+
+
+def ratfun_entry(F, rng):
+    """Zero (its denominator often not 1), or a fraction of small polynomials."""
+    p = F.p
+
+    def poly(nterms):
+        return Poly2(p, {(rng.randrange(3), rng.randrange(3)): rng.randrange(1, p)
+                         for _ in range(nterms)})
+    den = poly(rng.choice([1, 1, 2]))
+    return RatFun(poly(rng.choice([0, 0, 1, 1, 2])), den)
+
+
+def ratfun_matrices(F, rng):
+    """Square, wide and tall matrices; rank-deficient ones hold a repeated
+    row, a combination of two rows, a zero row or a zero column."""
+    out = []
+    for nr, nc in [(3, 4), (4, 4), (4, 3), (3, 5)]:
+        for _ in range(2):
+            out.append([[ratfun_entry(F, rng) for _ in range(nc)] for _ in range(nr)])
+        rows = [[ratfun_entry(F, rng) for _ in range(nc)] for _ in range(nr - 1)]
+        k = F.poly({(1, 0): 1})
+        rows.append([F.add(F.mul(k, x), y) for x, y in zip(rows[0], rows[1])])
+        out.append(rows)
+        out.append([list(rows[0])] + rows[:-1])
+        zero_row = [RatFun(Poly2(F.p, {}), Poly2(F.p, {(0, 1): 1})) for _ in range(nc)]
+        out.append([zero_row] + rows[1:])
+        out.append([[RatFun(Poly2(F.p, {}), Poly2(F.p, {(1, 1): 1}))] + r[1:]
+                    for r in rows])
+    return out
+
+
+def encoded(F, rows):
+    return json.dumps([[F.encode(x) for x in r] for r in rows])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("pairs", [fields._SORTED_KEY_PAIRS, 4])
+def test_rref_ratfun2_is_term_identical_to_reference(p, pairs, rng, monkeypatch):
+    # pairs=4 sends every multi-term product through the sorted-key path
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", pairs)
+    F = RatFunField(p)
+    deficient = 0
+    for rows in ratfun_matrices(F, rng):
+        nc = len(rows[0])
+        red, rank, pivots = rref(Matrix(F, rows, nc))
+        want, rank_r, piv_r = reference_rref_ratfun2(F, rows, nc)
+        assert (rank, pivots) == (rank_r, piv_r)
+        assert encoded(F, red.rows) == encoded(F, want)
+        deficient += rank < min(len(rows), nc)
+    assert deficient >= 8
+
+
+def test_rref_ratfun2_checks_every_product_against_the_budget(monkeypatch):
+    # the hoisted product piv.num * f.den has 12 terms, over a budget of 10
+    F = RatFunField(2, term_budget=10)
+    monkeypatch.setattr(RatFunField, "inv", lambda self, a: pytest.fail("not reached"))
+    piv = RatFun(Poly2(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}), Poly2.const(2, 1))
+    f = RatFun(Poly2.const(2, 1), Poly2(2, {(0, j): 1 for j in range(4)}))
+    with pytest.raises(TermBudgetError, match="elimination product"):
+        rref(Matrix(F, [[piv, F.one], [f, F.one]], 2))
+
+
+def test_rref_ratfun2_stops_when_entries_outgrow_the_budget(rng, monkeypatch):
+    monkeypatch.setattr(RatFunField, "inv", lambda self, a: pytest.fail("not reached"))
+    F = RatFunField(3, term_budget=40)
+    rows = [[ratfun_entry(F, rng) for _ in range(6)] for _ in range(6)]
+    with pytest.raises(TermBudgetError):
+        rref(Matrix(F, rows, 6))
+
+
+def test_rref_ratfun2_guards_every_stored_entry(rng, monkeypatch):
+    # both maps hold their fractions, so no id is reused while they run
+    built, guarded = {}, {}
+    real_of, real_guard = RatFun.of.__func__, RatFunField._guard
+
+    def of(cls, p, num, den):
+        a = real_of(cls, p, num, den)
+        built[id(a)] = a
+        return a
+
+    def guard(self, a):
+        guarded[id(a)] = a
+        return real_guard(self, a)
+    monkeypatch.setattr(RatFun, "of", classmethod(of))
+    monkeypatch.setattr(RatFunField, "_guard", guard)
+    F = RatFunField(2)
+    for rows in ratfun_matrices(F, rng)[:8]:
+        inputs = {id(x) for r in rows for x in r}
+        red, _, _ = rref(Matrix(F, rows, len(rows[0])))
+        assert all(id(a) in guarded or id(a) in inputs for r in red.rows for a in r)
+    assert built and built.keys() <= guarded.keys()
+
+
+def test_rref_ratfun2_rejects_mixed_characteristic():
+    F = RatFunField(2)
+    other = RatFunField(3).s()
+    with pytest.raises(FieldError):
+        rref(Matrix(F, [[F.s(), F.t()], [F.one, other]], 2))
