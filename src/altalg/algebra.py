@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .fields import Field, is_json_int, make_field
-from .linalg import Matrix, Subspace, kernel, solve
+from .linalg import Matrix, Subspace, _pivot_col, kernel, solve
 
 
 class TableFormatError(ValueError):
@@ -524,18 +524,11 @@ def restricted_algebra(A: Algebra, S: Subspace, names=None) -> Algebra:
             if not all(F.is_zero(a) for a in resid):
                 raise ValueError("subspace is not closed under multiplication")
             # RREF rows have unit pivots, so coordinates read off at pivots
-            coords = [prod[_pivot_of(F, S.rows[r])] for r in range(m)]
+            coords = [prod[_pivot_col(F, S.rows[r])] for r in range(m)]
             terms = [(k, c) for k, c in enumerate(coords) if not F.is_zero(c)]
             if terms:
                 table[(i, j)] = terms
     return Algebra(F, m, table, names)
-
-
-def _pivot_of(F: Field, row) -> int:
-    for j, a in enumerate(row):
-        if not F.is_zero(a):
-            return j
-    raise ValueError("zero basis row")
 
 
 def permuted(A: Algebra, perm) -> Algebra:

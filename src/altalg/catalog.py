@@ -14,7 +14,8 @@ from .algebra import Algebra, restricted_algebra
 from .fields import Field, PrimeField, RationalField, RatFunField, make_field
 from .linalg import Matrix, Subspace
 from .operators import is_derivation
-from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, cd_tower, zorn
+from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_tower,
+                        ground_field, zorn)
 
 
 @dataclass
@@ -197,8 +198,7 @@ _BUILDERS = {
 
 def field_algebra(field) -> Algebra:
     """A field as a 1-dimensional unital algebra."""
-    F = make_field(field)
-    return Algebra(F, 1, {(0, 0): [(0, F.one)]}, ["1"])
+    return ground_field(field).algebra
 
 
 def zero_algebra(field, dim: int) -> Algebra:

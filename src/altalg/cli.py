@@ -22,7 +22,7 @@ from .linalg import Matrix
 from .operators import (derivation_space, invertible_values_check, is_inner,
                         leibniz_space, quasider_space)
 from .suites import (SUITE_ORDER, CheckResult, Config, SuiteReport, run_all,
-                     run_suite, _enc)
+                     run_suite, _enc, _identity_witness, _values_witness)
 
 
 def create_parser() -> argparse.ArgumentParser:
@@ -139,9 +139,7 @@ def _verb_identities(args) -> list:
                            enum_cap=args.enum_cap)
         checks.append(CheckResult(
             name, r.holds, r.provenance,
-            witness=None if r.witness is None else
-            {"args": _enc(A.field, r.witness.args),
-             "value": _enc(A.field, r.witness.value)}))
+            witness=_identity_witness(A.field, r.witness)))
     return [SuiteReport(f"identities({args.target})", checks, args.seed, 0.0)]
 
 
@@ -218,9 +216,7 @@ def _verb_invertible_values(args) -> list:
     checks = [CheckResult(f"invertible-values[{args.mode}]",
                           v.kind.startswith("pass"), v.provenance,
                           detail=f"{v.kind}: {v.detail}",
-                          witness=None if v.witness is None else
-                          {"x": _enc(A.field, v.witness[0]),
-                           "dx": _enc(A.field, v.witness[1])})]
+                          witness=_values_witness(A.field, v.witness))]
     return [SuiteReport(f"invertible-values({args.target})", checks,
                         args.seed, 0.0)]
 

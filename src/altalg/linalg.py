@@ -3,14 +3,23 @@ and subspace calculus.
 
 Matrices are row-major lists of field elements.  Subspaces are always stored
 as reduced row-echelon bases, so two subspaces are equal iff their stored
-rows are equal (entrywise, by field equality).  Elimination is Gauss-Jordan
-with the leftmost-nonzero pivot column and first-nonzero-row tie-breaking.
-GF(p) runs on plain int residues.  Over Q each row is scaled to integers and
-eliminated fraction-free (cross-multiplication, then division by the row's
-content), and pivot rows become Fractions only at the end; the RREF is
-unique, so this equals elimination over Fractions.  Over GF(p)(s, t) rows
-are cross-multiplied instead of divided and only normalized at the end,
-which keeps entries polynomial for as long as possible.
+rows are equal (entrywise, by field equality).
+
+Every RREF runs through one Gauss-Jordan loop, ``_gauss_jordan``: the
+leftmost column with a nonzero entry at or below the current rank is the
+pivot column, the first such row is the pivot row, and every other row with
+a nonzero entry in that column is replaced by the field's row step, which
+never divides by the pivot.  Each field supplies only how it prepares the rows, its
+row step, and how it scales each pivot row once at the end.  The RREF is
+unique, so the result equals textbook elimination over the field.
+- GF(p): rows are reduced to int residues once; the step is a*x - b*y mod p
+  (a the pivot, b the row's entry in the pivot column); pivot rows are
+  scaled by a^(p-2).
+- Q: rows are scaled to primitive integer vectors; the step is the
+  gcd-reduced cross-multiplication, divided by the row's content again;
+  pivot rows become Fractions.
+- GF(p)(s, t): the fused step below keeps entries polynomial for as long
+  as possible; pivot rows are scaled by their inverse.
 
 The GF(p)(s, t) row step is fused.  Row x is replaced by piv*x - f*y, where
 piv is the pivot, f the row's entry in the pivot column and y the pivot
@@ -132,75 +141,61 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _rref_prime(p: int, rows: list, ncols: int):
-    # int-specialized Gauss-Jordan; ~5x faster than going through Field calls
-    rows = [list(r) for r in rows]
+def _gauss_jordan(rows: list, ncols: int, nonzero, step):
+    """The one elimination loop, in place on `rows`: the leftmost column
+    with a nonzero entry at or below the current rank, and the first such
+    row as pivot row, swapped up; every other row with a nonzero entry in
+    that column becomes step(prow, c, row).  Pivot rows are left unscaled.
+    Returns (rows, rank, pivots)."""
     nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c] % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
+        for pr in range(r, nrows):
+            if nonzero(rows[pr][c]):
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and nonzero(rows[i][c]):
+                rows[i] = step(prow, c, rows[i])
+        pivots.append(c)
+        r += 1
+    return rows, r, pivots
+
+
+def _rref_prime(p: int, rows: list, ncols: int):
+    # int residues; ~5x faster than going through Field calls
+    def step(prow, c, row):
+        a, b = prow[c], row[c]
+        return [(a * x - b * y) % p for x, y in zip(row, prow)]
+
+    rows, r, pivots = _gauss_jordan([[x % p for x in row] for row in rows],
+                                    ncols, bool, step)
+    for i, c in enumerate(pivots):
+        inv = pow(rows[i][c], p - 2, p)
+        rows[i] = [(x * inv) % p for x in rows[i]]
     return rows, r, pivots
 
 
 def _rref_rationals(rows: list, ncols: int):
-    # Gauss-Jordan over Q on integer rows, fraction-free in the spirit of
-    # Bareiss: each row is scaled to a primitive integer vector, eliminated
-    # by cross-multiplication and divided by its content again, and pivot
-    # rows become Fractions only at the end.  The RREF is unique, so this
-    # equals elimination over Fractions entrywise.
+    # fraction-free on primitive integer rows, in the spirit of Bareiss
+    def step(prow, c, row):
+        g = gcd(prow[c], row[c])
+        a, b = prow[c] // g, row[c] // g
+        return _primitive([a * x - b * y for x, y in zip(row, prow)])
+
     irows = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
         irows.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    nrows = len(irows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if irows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            irows[r], irows[pr] = irows[pr], irows[r]
-        prow = irows[r]
-        piv = prow[c]
-        for i in range(nrows):
-            f = irows[i][c]
-            if f and i != r:
-                g = gcd(piv, f)
-                a, b = piv // g, f // g
-                irows[i] = _primitive([a * x - b * y for x, y in zip(irows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    irows, r, pivots = _gauss_jordan(irows, ncols, bool, step)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(irows, pivots)]
-    out.extend([Fraction(0)] * ncols for _ in range(nrows - r))
+    out.extend([Fraction(0)] * ncols for _ in range(len(irows) - r))
     return out, r, pivots
 
 
@@ -210,9 +205,8 @@ def _primitive(row: list) -> list:
 
 
 def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
-    """Gauss-Jordan over GF(p)(s, t) without division during elimination
-    (the fused row step of the module docstring); each pivot row is scaled
-    by its inverse at the end."""
+    """GF(p)(s, t) with the fused row step of the module docstring; each
+    pivot row is scaled by its inverse at the end."""
     p, budget, guard = F.p, F.term_budget, F._guard
     if not all(x.num.p == x.den.p == p for row in rows for x in row):
         raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
@@ -224,41 +218,22 @@ def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
                                   f"(budget {budget}); aborting")
         return ab
 
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c].num.terms:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
+    def step(prow, c, row):
         pn, pd = prow[c].num.terms, prow[c].den.terms
-        for i in range(nrows):
-            f = rows[i][c]
-            if i == r or not f.num.terms:
-                continue
-            fn, fd = f.num.terms, f.den.terms
-            p1, p2, d = mul(pn, fd), mul(fn, pd), mul(pd, fd)
-            row = []
-            for x, y in zip(rows[i], prow):
-                xn, xd, yn, yd = x.num.terms, x.den.terms, y.num.terms, y.den.terms
-                # a zero numerator only empties its products: skip them
-                a = mul(p1, mul(xn, yd)) if xn else {}
-                b = mul(p2, mul(yn, xd)) if yn else {}
-                row.append(guard(RatFun.of(p, _add_terms(p, a, b, -1) if b else a,
-                                           mul(d, mul(xd, yd)))))
-            rows[i] = row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        fn, fd = row[c].num.terms, row[c].den.terms
+        p1, p2, d = mul(pn, fd), mul(fn, pd), mul(pd, fd)
+        out = []
+        for x, y in zip(row, prow):
+            xn, xd, yn, yd = x.num.terms, x.den.terms, y.num.terms, y.den.terms
+            # a zero numerator only empties its products: skip them
+            a = mul(p1, mul(xn, yd)) if xn else {}
+            b = mul(p2, mul(yn, xd)) if yn else {}
+            out.append(guard(RatFun.of(p, _add_terms(p, a, b, -1) if b else a,
+                                       mul(d, mul(xd, yd)))))
+        return out
+
+    rows, r, pivots = _gauss_jordan([list(row) for row in rows], ncols,
+                                    lambda x: x.num.terms, step)
     for i, c in enumerate(pivots):
         inv = F.inv(rows[i][c])
         rows[i] = [F.mul(inv, x) for x in rows[i]]

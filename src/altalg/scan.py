@@ -38,8 +38,11 @@ import numpy as np
 BLOCK = 32768
 
 
+@functools.lru_cache(maxsize=8)
 def structure_tensor(A) -> np.ndarray:
-    """Structure constants as a dense (d, d, d) float array of residues."""
+    """Structure constants as a dense (d, d, d) float array of residues,
+    built once per algebra (a table is not changed after construction) and
+    read-only."""
     if A.field.kind != "prime":
         raise ValueError("structure_tensor needs a prime-field algebra")
     d = A.dim
@@ -47,6 +50,7 @@ def structure_tensor(A) -> np.ndarray:
     for (i, j), terms in A.table.items():
         for k, c in terms:
             C[i, j, k] = c % A.field.p
+    C.flags.writeable = False
     return C
 
 
@@ -171,15 +175,6 @@ def _exact(p: int, terms: int) -> bool:
     return terms * (p - 1) ** 2 + p < 2 ** 53
 
 
-@functools.lru_cache(maxsize=8)
-def _tensor(A) -> np.ndarray:
-    """structure_tensor(A), built once per algebra (a table is not changed
-    after construction) and read-only."""
-    C = structure_tensor(A)
-    C.flags.writeable = False
-    return C
-
-
 def mulrows(A, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise algebra products of two (n, d) residue arrays, as residues.
 
@@ -188,7 +183,7 @@ def mulrows(A, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     one reduction at the end."""
     p, d = A.field.p, A.dim
     dt = gemm_dtype(p, d * d, 2)
-    P = _tensor(A).reshape(d * d, d).astype(np.int64).astype(dt)
+    P = structure_tensor(A).reshape(d * d, d).astype(np.int64).astype(dt)
     Xc, Yc = (V.astype(np.int64).astype(dt) for V in (X, Y))
     XY = (Xc[:, :, None] * Yc[:, None, :]).reshape(len(X), d * d)
     R = XY @ P
@@ -345,7 +340,7 @@ def inverses(A, X: np.ndarray):
     unit = A.find_unit()
     if unit is None:
         raise ValueError("inverses require a unital algebra")
-    C = _tensor(A)
+    C = structure_tensor(A)
     # [x | 1] W is [L_x | 1] then [R_x | 1], where (L_x)[k, j] is
     # sum_i x_i C[i, j, k] and (R_x)[k, j] is sum_i x_i C[j, i, k]
     W = np.zeros((d + 1, 2, d, d + 1))

@@ -92,6 +92,16 @@ def _enc(F, v):
     return F.encode(v)
 
 
+def _identity_witness(F, w):
+    """The {"args", "value"} witness of an identity check, or None."""
+    return None if w is None else {"args": _enc(F, w.args), "value": _enc(F, w.value)}
+
+
+def _values_witness(F, w):
+    """The {"x", "dx"} witness of an invertible-values verdict, or None."""
+    return None if w is None else {"x": _enc(F, w[0]), "dx": _enc(F, w[1])}
+
+
 # ---------------------------------------------------------------- suites ----
 
 def _zorn_fields():
@@ -109,8 +119,7 @@ def suite_zorn_identities(cfg: Config) -> list:
                                enum_cap=cfg.enum_cap)
             checks.append(CheckResult(
                 f"{label}/{name}", r.holds, r.provenance,
-                witness=None if r.witness is None else
-                {"args": _enc(F, r.witness.args), "value": _enc(F, r.witness.value)}))
+                witness=_identity_witness(F, r.witness)))
         r = check_identity(A, "associative")
         reproduced = (r.witness is not None and not A.is_zero_vec(
             evaluate_identity(A, "associative", r.witness.args)))
@@ -118,8 +127,7 @@ def suite_zorn_identities(cfg: Config) -> list:
             f"{label}/associative-fails-with-witness",
             (not r.holds) and reproduced, r.provenance,
             detail="witness re-evaluated to a nonzero associator",
-            witness={"args": _enc(F, r.witness.args),
-                     "value": _enc(F, r.witness.value)} if r.witness else None))
+            witness=_identity_witness(F, r.witness)))
     # the doubling tower (-1, -1, 1) over Q reproduces the Zorn model:
     # identity verdicts agree, 1 + v is isotropic, and an explicit frame
     # gives a certified isomorphism transporting product, trace, and norm
@@ -198,7 +206,7 @@ def suite_quadratic_relation(cfg: Config) -> list:
         checks.append(CheckResult(
             f"{label}/f(x,z)f(y,w)=f(xy,zw)+f(xw,zy)-sampled", bad4 is None,
             provenance, detail=f"{cfg.samples} seeded 4-tuples",
-            witness=None if bad4 is None else _enc(F, bad4)))
+            witness=_enc(F, bad4)))
     return checks
 
 
@@ -226,7 +234,7 @@ def suite_norm_multiplicativity(cfg: Config) -> list:
         checks.append(CheckResult(
             f"{label}/n(xy)=n(x)n(y)-sampled", badw is None, provenance,
             detail=f"{cfg.samples} seeded pairs",
-            witness=None if badw is None else _enc(F, badw)))
+            witness=_enc(F, badw)))
     return checks
 
 
@@ -257,10 +265,10 @@ def _invertibility_sweep(Z) -> list:
     return [
         CheckResult(f"GF{p}/invertible-iff-n-nonzero-on-all-{total}-elements",
                     mismatch is None, provenance,
-                    witness=None if mismatch is None else _enc(F, mismatch)),
+                    witness=_enc(F, mismatch)),
         CheckResult(f"GF{p}/cd-inverse-agrees-with-linear-solve-inverse",
                     mismatch is None and cd_mismatch is None, provenance,
-                    witness=None if cd_mismatch is None else _enc(F, cd_mismatch)),
+                    witness=_enc(F, cd_mismatch)),
     ]
 
 
@@ -277,7 +285,7 @@ def suite_invertibility_norm(cfg: Config) -> list:
         ok = A.is_zero_vec(A.mul(w.witness, xbar))
     checks.append(CheckResult(
         "GF3/isotropic-witness-with-x-xbar=0", ok, w.provenance,
-        witness=None if w.witness is None else _enc(F, w.witness)))
+        witness=_enc(F, w.witness)))
     return checks
 
 
@@ -406,7 +414,7 @@ def suite_lemma22_case2(cfg: Config) -> list:
             break
     checks.append(CheckResult("[x,a]=f(a,x)1-in-center-on-basis-of-B",
                               bad8 is None, "certified",
-                              witness=None if bad8 is None else _enc(F, bad8)))
+                              witness=_enc(F, bad8)))
     bad9 = None
     for a, c in itertools.product(B.rows, repeat=2):
         av, cv = list(a), list(c)
@@ -419,7 +427,7 @@ def suite_lemma22_case2(cfg: Config) -> list:
             break
     checks.append(CheckResult("(a,c,x)=af(c,x)+f(a,x)c+f(x,ac)1-on-basis-pairs",
                               bad9 is None, "certified",
-                              witness=None if bad9 is None else _enc(F, bad9)))
+                              witness=_enc(F, bad9)))
     checks.append(_imperfectness_check())
     checks.append(CheckResult("kernel-of-d-equals-B", kernel(dmap) == B,
                               "certified"))
@@ -458,8 +466,7 @@ def suite_lemma23_outer(cfg: Config) -> list:
     checks = [CheckResult("invertible-values-exhaustive",
                           v.kind == "pass-exhaustive", v.provenance,
                           detail=v.detail,
-                          witness=None if v.witness is None else
-                          {"x": _enc(F, v.witness[0]), "dx": _enc(F, v.witness[1])})]
+                          witness=_values_witness(F, v.witness))]
     checks.append(CheckResult("d-is-outer", not is_inner(A, d), "certified"))
     ker = kernel(d)
     checks.append(CheckResult("kernel-of-d-equals-D",
@@ -487,8 +494,7 @@ def suite_remark22_singular(cfg: Config) -> list:
         r = check_identity(A, name)
         checks.append(CheckResult(
             f"sanity/{name}", r.holds, r.provenance,
-            witness=None if r.witness is None else
-            {"args": _enc(F, r.witness.args), "value": _enc(F, r.witness.value)}))
+            witness=_identity_witness(F, r.witness)))
     checks.append(CheckResult("sanity/not-anticommutative",
                               not check_identity(A, "anticommutative").holds,
                               "certified"))
@@ -519,8 +525,7 @@ def suite_remark22_singular(cfg: Config) -> list:
         "invertible_in_space-returns-none-certified",
         verdict.kind == "none-certified", verdict.provenance,
         detail=verdict.reason or "",
-        witness=None if verdict.kernel_vector is None else
-        _enc(F, verdict.kernel_vector)))
+        witness=_enc(F, verdict.kernel_vector)))
     return checks
 
 
@@ -583,8 +588,7 @@ def suite_moens(cfg: Config) -> list:
     checks.append(CheckResult(
         "zorn-Q/no-invertible-leibniz-derivation-common-kernel-is-unit-line",
         kv_ok, "certified",
-        witness=None if verdict.kernel_vector is None else
-        _enc(ZQ.field, verdict.kernel_vector)))
+        witness=_enc(ZQ.field, verdict.kernel_vector)))
     return checks
 
 

@@ -147,6 +147,17 @@ def test_rref_prime_path_matches_generic(rng):
         assert fast.rows == [[v % 5 for v in r] for r in rows_g]
 
 
+def test_rref_prime_returns_residues_in_every_row(rng):
+    # negative entries and entries >= p; the third row is never a pivot row
+    red, rank, pivots = rref(Matrix(PrimeField(3), [[-2, 4], [1, -1], [6, 3]]))
+    assert (red.rows, rank, pivots) == ([[1, 0], [0, 1], [0, 0]], 2, [0, 1])
+    F = PrimeField(7)
+    for _ in range(12):
+        rows = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(5)]
+        red, _, _ = rref(Matrix(F, rows + [[7 * x for x in rows[0]]], 4))
+        assert all(0 <= x < 7 for row in red.rows for x in row)
+
+
 def test_rref_rationals_matches_fraction_elimination(rng):
     # integer elimination must give the Fraction Gauss-Jordan RREF entrywise
     from altalg.linalg import _rref_rationals
