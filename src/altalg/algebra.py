@@ -176,19 +176,13 @@ class Algebra:
         """The two-sided unit element, or None.  Cached."""
         if self._unit is not _UNSET:
             return None if self._unit is None else list(self._unit)
-        F = self.field
         rows, rhs = [], []
-        for i in range(self.dim):
-            e = self.basis_vec(i)
-            for side in ("left", "right"):
-                # sum_a x_a (e_a e_i) = e_i   /   sum_a x_a (e_i e_a) = e_i
-                cols = [self.mul(self.basis_vec(a), e) if side == "left"
-                        else self.mul(e, self.basis_vec(a))
-                        for a in range(self.dim)]
-                for m in range(self.dim):
-                    rows.append([cols[a][m] for a in range(self.dim)])
-                    rhs.append(e[m])
-        x = solve(Matrix(F, rows, self.dim), rhs)
+        for e in self.basis():
+            # R_{e_i} x = x e_i = e_i, then L_{e_i} x = e_i x = e_i
+            for side in ("right", "left"):
+                rows.extend(self.mult_operator(side, e).rows)
+                rhs.extend(e)
+        x = solve(Matrix(self.field, rows, self.dim), rhs)
         self._unit = None if x is None else tuple(x)
         return None if x is None else list(x)
 
@@ -211,7 +205,11 @@ class Algebra:
         return None if not self.field.is_finite else self.field.order ** self.dim
 
     def elements(self):
-        """All elements of a finite-field algebra, deterministic order."""
+        """All elements of a finite-field algebra, deterministic order.
+
+        The program walks F^d through ``scan.vector_blocks`` in
+        ``algebra.search``; this generator is the plain ``itertools.product``
+        order that walk must reproduce, and tests check it against this."""
         scalars = list(self.field.elements())
         for combo in itertools.product(scalars, repeat=self.dim):
             yield list(combo)
@@ -398,55 +396,36 @@ def special_subspace(A: Algebra, kind: str) -> Subspace:
     F = A.field
     d = A.dim
     e = A.basis()
+
+    def block(f):
+        # the matrix of the linear map f: column a is f(e_a)
+        return Matrix(F, [f(x) for x in e], d).transpose().rows
+
     rows = []
     if kind == "nucleus":
-        for i in range(d):
-            for j in range(d):
-                slots = (
-                    [A.associator(e[a], e[i], e[j]) for a in range(d)],
-                    [A.associator(e[i], e[a], e[j]) for a in range(d)],
-                    [A.associator(e[i], e[j], e[a]) for a in range(d)],
-                )
-                for vecs in slots:
-                    for m in range(d):
-                        rows.append([vecs[a][m] for a in range(d)])
+        for i, j in itertools.product(range(d), repeat=2):
+            rows += block(lambda a: A.associator(a, e[i], e[j]))
+            rows += block(lambda a: A.associator(e[i], a, e[j]))
+            rows += block(lambda a: A.associator(e[i], e[j], a))
     elif kind == "commutative-center":
         for i in range(d):
-            vecs = [A.commutator(e[a], e[i]) for a in range(d)]
-            for m in range(d):
-                rows.append([vecs[a][m] for a in range(d)])
+            rows += block(lambda a: A.commutator(a, e[i]))
     elif kind == "center":
         return special_subspace(A, "nucleus").intersect(
             special_subspace(A, "commutative-center"))
     elif kind == "annihilator":
-        for i in range(d):
-            for vecs in ([A.mul(e[a], e[i]) for a in range(d)],
-                         [A.mul(e[i], e[a]) for a in range(d)]):
-                for m in range(d):
-                    rows.append([vecs[a][m] for a in range(d)])
+        for x in e:
+            rows += A.mult_operator("right", x).rows + A.mult_operator("left", x).rows
     else:
         raise ValueError(f"unknown special subspace {kind!r}")
-    rows = _dedupe_rows(F, rows)
-    return kernel(Matrix(F, rows, d))
+    return kernel(Matrix(F, _dedupe_rows(F, rows), d))
 
 
 def _dedupe_rows(F: Field, rows: list) -> list:
-    """Drop zero and duplicate condition rows (hashable fields only)."""
-    out = []
-    if F.hashable_elements:
-        seen = set()
-        for r in rows:
-            if all(F.is_zero(a) for a in r):
-                continue
-            key = tuple(r)
-            if key not in seen:
-                seen.add(key)
-                out.append(r)
-    else:
-        for r in rows:
-            if not all(F.is_zero(a) for a in r):
-                out.append(r)
-    return out
+    """Drop zero and (over hashable fields) repeated condition rows,
+    keeping the first of each."""
+    rows = [r for r in rows if not all(F.is_zero(a) for a in r)]
+    return list(dict.fromkeys(map(tuple, rows))) if F.hashable_elements else rows
 
 
 def subspace_product(A: Algebra, u: Subspace, v: Subspace) -> Subspace:
@@ -460,18 +439,11 @@ def generated(A: Algebra, kind: str, gens) -> Subspace:
     if kind not in ("subalgebra", "ideal"):
         raise ValueError(f"unknown closure kind {kind!r}")
     S = Subspace.from_vectors(A.field, A.dim, [list(g) for g in gens])
-    full = A.dim
-    while True:
-        if kind == "subalgebra":
-            grown = S.add(subspace_product(A, S, S))
-        else:
-            amb = Subspace.full(A.field, A.dim)
-            grown = S.add(subspace_product(A, amb, S)).add(subspace_product(A, S, amb))
-        if grown.dim == S.dim:
-            return grown
-        S = grown
-        if S.dim == full:
-            return S
+    if kind == "subalgebra":
+        return S._closure(lambda T: subspace_product(A, T, T))
+    amb = Subspace.full(A.field, A.dim)
+    return S._closure(lambda T: subspace_product(A, amb, T).add(
+        subspace_product(A, T, amb)))
 
 
 def power_chain(A: Algebra):

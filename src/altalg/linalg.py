@@ -35,6 +35,13 @@ and associative and a polynomial has one term dict.  So the unreduced
 fractions, and every encoded output, match that formula term for term.
 Each product is checked against the field's term budget, and each stored
 entry goes through ``F._guard``.
+
+Everything built on elimination lives here too.  ``_combine`` is the one
+sum c*v of vectors; it skips zero coefficients but, unlike
+``Matrix.mulvec``, not zero entries, since that would change the unreduced
+GF(p)(s, t) sums.  ``Subspace._closure`` is the one fixpoint loop S ->
+S + grow(S), for generated subalgebras and ideals and the multiplication
+Lie algebra.
 """
 
 from __future__ import annotations
@@ -330,24 +337,26 @@ class Subspace:
         # the matrix whose columns are U-basis vectors and negated V-basis.
         self._check_ambient(other)
         F = self.field
-        k, m = self.dim, other.dim
-        if k == 0 or m == 0:
+        if not self.rows or not other.rows:
             return Subspace.zero(F, self.ambient)
-        cols = []
-        for i in range(self.ambient):
-            cols.append([self.rows[r][i] for r in range(k)]
-                        + [F.neg(other.rows[r][i]) for r in range(m)])
-        ker = kernel(Matrix(F, cols, k + m))
-        vecs = []
-        for kv in ker.rows:
-            v = [F.zero] * self.ambient
-            for r in range(k):
-                a = kv[r]
-                if not F.is_zero(a):
-                    for i in range(self.ambient):
-                        v[i] = F.add(v[i], F.mul(a, self.rows[r][i]))
-            vecs.append(v)
+        k = self.dim
+        cols = Matrix(F, self.rows + [[F.neg(a) for a in r] for r in other.rows],
+                      self.ambient).transpose()
+        vecs = [_combine(F, kv[:k], self.rows, self.ambient)
+                for kv in kernel(cols).rows]
         return Subspace.from_vectors(F, self.ambient, vecs)
+
+    def _closure(self, grow) -> "Subspace":
+        """S + grow(S), from S = this space, until a step adds nothing or S
+        is the whole ambient space; returns that last S."""
+        S = self
+        while True:
+            grown = S.add(grow(S))
+            if grown.dim == S.dim:
+                return grown
+            S = grown
+            if S.dim == S.ambient:
+                return S
 
     def reduce_vector(self, v: list) -> list:
         """Residual of v after elimination against the basis rows."""
@@ -388,6 +397,26 @@ def _pivot_col(F: Field, row: list) -> int:
         if not F.is_zero(a):
             return j
     raise ValueError("zero row in subspace basis")
+
+
+def _combine(F: Field, coeffs, vecs, n: int) -> list:
+    """sum c*v over the pairs of coeffs and length-n vecs: from F.zero, each
+    pair with c nonzero adds F.mul(c, x) to every entry x of v, in order."""
+    acc = [F.zero] * n
+    for c, v in zip(coeffs, vecs):
+        if not F.is_zero(c):
+            acc = [F.add(a, F.mul(c, x)) for a, x in zip(acc, v)]
+    return acc
+
+
+def _multiple(F: Field, w: list, v: list):
+    """The scalar l with w = l*v, read at the first nonzero entry of v, or
+    None if there is none (v = 0 or w is not on the line of v)."""
+    for x, y in zip(w, v):
+        if not F.is_zero(y):
+            lam = F.div(x, y)
+            return lam if all(F.eq(a, F.mul(lam, b)) for a, b in zip(w, v)) else None
+    return None
 
 
 def subspace_op(kind: str, u: Subspace, v):

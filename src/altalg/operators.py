@@ -8,7 +8,10 @@ Linear maps live in the d^2-dimensional coordinate space of matrices
 and solved through the exact kernel routine.  Derivations, Leibniz-derivations
 and quasiderivations share one system builder: it computes the left-normed
 products of basis tuples once per node of their prefix trie and drops zero
-and repeated rows as they are emitted.
+and repeated rows as they are emitted.  The rest is ``linalg``: combinations
+of maps are ``_combine``, the multiplication Lie algebra is a
+``Subspace._closure`` under commutators, and a map given by the images of a
+basis is read off one RREF of [sources | images].
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, search
-from .linalg import Matrix, Subspace, kernel, solve
+from .linalg import Matrix, Subspace, _combine, _multiple, kernel, rref, solve
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
 
 
@@ -156,16 +159,11 @@ def quasider_witness_q(S: OperatorSpace, fmap: Matrix):
     nf = S.algebra.dim ** 2
     if pairs.dim == 0:
         return None
-    cols = Matrix(F, [[row[i] for row in pairs.rows] for i in range(nf)], pairs.dim)
+    cols = Matrix(F, [row[:nf] for row in pairs.rows], nf).transpose()
     sol = solve(cols, flatten_map(fmap))
     if sol is None:
         return None
-    q = [F.zero] * nf
-    for c, row in zip(sol, pairs.rows):
-        if F.is_zero(c):
-            continue
-        for i in range(nf):
-            q[i] = F.add(q[i], F.mul(c, row[nf + i]))
+    q = _combine(F, sol, [row[nf:] for row in pairs.rows], nf)
     return unflatten_map(F, S.algebra.dim, q)
 
 
@@ -177,27 +175,18 @@ def mult_lie_algebra(A: Algebra) -> OperatorSpace:
     """Smallest commutator-closed space containing all L_a and R_a."""
     F = A.field
     d = A.dim
-    seeds = []
-    for i in range(d):
-        e = A.basis_vec(i)
-        seeds.append(A.mult_operator("left", e))
-        seeds.append(A.mult_operator("right", e))
-    space = Subspace.from_vectors(F, d * d, [flatten_map(m) for m in seeds])
-    while True:
+    seeds = [flatten_map(A.mult_operator(side, A.basis_vec(i)))
+             for i in range(d) for side in ("left", "right")]
+
+    def commutators(space):
         mats = [unflatten_map(F, d, row) for row in space.rows]
-        commutators = []
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                c = mats[a].matmul(mats[b])
-                cc = mats[b].matmul(mats[a])
-                commutators.append([F.sub(x, y) for x, y in
-                                    zip(flatten_map(c), flatten_map(cc))])
-        grown = space.add(Subspace.from_vectors(F, d * d, commutators))
-        if grown.dim == space.dim:
-            return OperatorSpace(A, "mult-lie-algebra", grown)
-        space = grown
-        if space.dim == d * d:
-            return OperatorSpace(A, "mult-lie-algebra", space)
+        return Subspace.from_vectors(F, d * d, [
+            [F.sub(x, y) for x, y in zip(flatten_map(a.matmul(b)),
+                                          flatten_map(b.matmul(a)))]
+            for a, b in itertools.combinations(mats, 2)])
+
+    space = Subspace.from_vectors(F, d * d, seeds)._closure(commutators)
+    return OperatorSpace(A, "mult-lie-algebra", space)
 
 
 def is_derivation(A: Algebra, m: Matrix) -> bool:
@@ -239,23 +228,16 @@ def is_leibniz(A: Algebra, phi: Matrix, n: int):
 
 
 def _map_from_images(A: Algebra, sources: list, images: list) -> Matrix:
-    """The matrix sending each of the d independent ``sources`` to its image:
-    column k sums the images weighted by the coordinates of e_k in the
-    sources (zero images contribute nothing)."""
-    F = A.field
+    """The matrix phi sending each of the d ``sources`` to its image, or
+    None if the sources are not a basis.  With S the sources and Y the
+    images as rows, phi S^T = Y^T, that is S phi^T = Y, so the RREF of
+    [S | Y] is [I | phi^T]."""
     d = A.dim
-    bmat = Matrix(F, [[src[r] for src in sources] for r in range(d)], d)
-    weighted = [(c, img) for c, img in enumerate(images) if not A.is_zero_vec(img)]
-    phi = Matrix.zeros(F, d, d)
-    for k in range(d):
-        coords = solve(bmat, A.basis_vec(k))
-        col = A.zero()
-        for c, img in weighted:
-            if not F.is_zero(coords[c]):
-                col = A.vadd(col, A.smul(coords[c], img))
-        for r in range(d):
-            phi.rows[r][k] = col[r]
-    return phi
+    red, _, pivots = rref(Matrix(A.field, [s + y for s, y in zip(sources, images)],
+                                 2 * d))
+    if pivots[:d] != list(range(d)):
+        return None
+    return Matrix(A.field, [row[d:] for row in red.rows], d).transpose()
 
 
 @dataclass
@@ -283,13 +265,10 @@ def moens_construction(A: Algebra) -> MoensResult:
     F = A.field
     d = A.dim
     an = chain[n - 1]
-    span = Subspace(F, d, [list(r) for r in an.rows])
-    w = []
-    for i in range(d):
-        ei = A.basis_vec(i)
-        if not span.contains_vector(ei):
-            span = span.add(Subspace.from_vectors(F, d, [ei]))
-            w.append(ei)
+    # e_i joins W iff it is independent of A^n and the e_j before it: the
+    # pivot columns of [A^n | I], the basis vectors as columns
+    _, _, pivots = rref(Matrix(F, an.rows + A.basis(), d).transpose())
+    w = [A.basis_vec(c - an.dim) for c in pivots[an.dim:]]
     n_scalar = F.from_int(n)
     phi = _map_from_images(A, [list(r) for r in an.rows] + w,
                            [A.smul(n_scalar, v) for v in an.rows] + w)
@@ -325,12 +304,8 @@ def invertible_in_space(S: OperatorSpace, *, seed: int = 42, samples: int = 128,
     (ii) otherwise invertible_combination searches the coefficients.
     """
     A = S.algebra
-    F = A.field
-    d = A.dim
-    stacked_rows = []
-    for row in S.space.rows:
-        stacked_rows.extend(unflatten_map(F, d, row).rows)
-    common = kernel(Matrix(F, stacked_rows, d))
+    common = kernel(Matrix(A.field, [r for m in S.basis_maps() for r in m.rows],
+                           A.dim))
     if common.dim > 0:
         return InvertibilityVerdict("none-certified", "certified",
                                     reason="common-kernel",
@@ -349,13 +324,7 @@ def invertible_combination(S: OperatorSpace, *, seed: int = 42,
     d = S.algebra.dim
 
     def combination(coeffs):
-        vec = [F.zero] * (d * d)
-        for c, row in zip(coeffs, S.space.rows):
-            if F.is_zero(c):
-                continue
-            for i in range(d * d):
-                vec[i] = F.add(vec[i], F.mul(c, row[i]))
-        return unflatten_map(F, d, vec)
+        return unflatten_map(F, d, _combine(F, coeffs, S.space.rows, d * d))
 
     rows = None
     if F.kind == "prime":
@@ -455,7 +424,7 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
     # image containment is exact: every column of the map lies in the
     # designated image subspace
     for j in range(d):
-        col = [dmap.rows[r][j] for r in range(d)]
+        col = dmap.column(j)
         if not cert.image_space.contains_vector(col):
             return InvertibleValuesVerdict(
                 "fail", "certified", detail="image leaves the certified subspace",
@@ -521,16 +490,10 @@ def _lemma22_case1(double: InvolutiveAlgebra, u):
     F = A.field
     d = A.dim
     m = d // 2
-    gamma = None
     # v^2 = gamma 1: recover it from the table (v = e_m, first doubled unit)
     v = A.basis_vec(m)
-    vsq = A.mul(v, v)
-    unit = A.find_unit()
-    for i in range(d):
-        if not F.is_zero(unit[i]):
-            gamma = F.div(vsq[i], unit[i])
-            break
-    if gamma is None or not A.veq(vsq, A.smul(gamma, unit)):
+    gamma = _multiple(F, A.mul(v, v), A.find_unit())
+    if gamma is None:
         raise ValueError("v^2 is not a scalar; not a doubled algebra")
     if A.is_zero_vec(u):
         raise ValueError("u must be nonzero")
@@ -538,11 +501,9 @@ def _lemma22_case1(double: InvolutiveAlgebra, u):
         raise ValueError("u must lie in the base subalgebra B")
     if not F.is_zero(C.trace(u)):
         raise ValueError("u must have trace zero")
-    dmap = Matrix.zeros(F, d, d)
-    for j in range(m):
-        bu = A.mul(A.basis_vec(j), u)       # stays in B
-        for r in range(m):
-            dmap.rows[m + r][m + j] = bu[r]
+    # column m + j is d(v e_j) = v(e_j u), and e_j u stays in B
+    dmap = Matrix(F, [A.zero()] * m + [[F.zero] * m + A.mul(A.basis_vec(j), u)[:m]
+                                       for j in range(m)], d).transpose()
     if not is_derivation(A, dmap):
         raise ValueError("constructed case I map fails the derivation law")
     bspace = Subspace.from_vectors(F, d, [A.basis_vec(i) for i in range(m)])
@@ -571,11 +532,10 @@ def _lemma22_case2(C: QuadraticAlgebra, b_space: Subspace, x=None):
         if b_space.contains_vector(x):
             raise ValueError("x must be independent of B")
     bs = [list(b) for b in b_space.rows]
-    combined = bs + [A.mul(x, b) for b in bs]
-    span = Subspace.from_vectors(F, d, combined)
-    if span.dim != d:
+    dmap = _map_from_images(A, bs + [A.mul(x, b) for b in bs],
+                            [A.zero() for _ in bs] + bs)
+    if dmap is None:
         raise ValueError("B + xB does not span the algebra (no direct sum)")
-    dmap = _map_from_images(A, combined, [A.zero() for _ in bs] + bs)
     if not is_derivation(A, dmap):
         raise ValueError("constructed case II map fails the derivation law")
     cert = Lemma22Certificate("II", C, b_space, b_space)

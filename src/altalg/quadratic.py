@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, search
 from .fields import Field, make_field
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, _multiple, kernel
 
 
 class QuadraticAlgebra:
@@ -92,14 +92,9 @@ class QuadraticAlgebra:
         return self.algebra.vsub(self.algebra.smul(t, self.unit), x)
 
     def conjugation_matrix(self) -> Matrix:
-        F = self.field
-        d = self.dim
-        m = Matrix.zeros(F, d, d)
-        for j in range(d):
-            col = self.conjugate(self.algebra.basis_vec(j))
-            for i in range(d):
-                m.rows[i][j] = col[i]
-        return m
+        A = self.algebra
+        return Matrix(A.field, [self.conjugate(e) for e in A.basis()],
+                      A.dim).transpose()
 
     def as_involutive(self) -> "InvolutiveAlgebra":
         return InvolutiveAlgebra(self.algebra, self.conjugation_matrix(), self)
@@ -282,11 +277,9 @@ def cd_double(B: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
         names = list(A.names) + [f"v{n}" for n in A.names]
     D = Algebra(F, d, table, names)
 
-    sigma = Matrix.zeros(F, d, d)
-    for j in range(m):
-        for i in range(m):
-            sigma.rows[i][j] = sig[j][i]
-        sigma.rows[m + j][m + j] = F.neg(F.one)
+    # conj(a) - vb: column j is (sigma(e_j), 0), column m + j is (0, -e_j)
+    minus = [[F.neg(F.one) if k == j else F.zero for k in range(m)] for j in range(m)]
+    sigma = Matrix(F, [s + zero for s in sig] + [zero + r for r in minus], d).transpose()
 
     quad = None
     if B.quadratic is not None:
@@ -370,27 +363,17 @@ def zorn_frame(C: QuadraticAlgebra) -> list:
         raise ValueError("no isotropic element with nonzero trace among probes")
     e1 = A.smul(F.inv(C.trace(x)), x)
     e2 = A.vsub(C.unit, e1)
-    L1 = A.mult_operator("left", e1)
-    R1 = A.mult_operator("right", e1)
-    ident = Matrix.identity(F, 8)
-
-    def minus(m, n):
-        return Matrix(F, [[F.sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(m.rows, n.rows)], 8)
-
-    u_space = kernel(minus(L1, ident).stack(R1))         # e1 x = x, x e1 = 0
-    v_space = kernel(L1.stack(minus(R1, ident)))         # e1 x = 0, x e1 = x
+    L1, R1, L2, R2 = (A.mult_operator(side, e) for e in (e1, e2)
+                      for side in ("left", "right"))
+    # e1 + e2 = 1, so e1 x = x iff e2 x = 0, and x e1 = x iff x e2 = 0
+    u_space = kernel(L2.stack(R1))          # e1 x = x, x e1 = 0
+    v_space = kernel(L1.stack(R2))          # e1 x = 0, x e1 = x
     if u_space.dim != 3 or v_space.dim != 3:
         raise ValueError("Peirce components do not have the split octonion shape")
     a1, a2, a3 = (list(r) for r in u_space.rows)
     # a1 (a2 a3) = delta e1 with delta the (nonzero) determinant of the basis
-    w = A.mul(a1, A.mul(a2, a3))
-    delta = None
-    for i in range(8):
-        if not F.is_zero(e1[i]):
-            delta = F.div(w[i], e1[i])
-            break
-    if delta is None or F.is_zero(delta) or not A.veq(w, A.smul(delta, e1)):
+    delta = _multiple(F, A.mul(a1, A.mul(a2, a3)), e1)
+    if delta is None or F.is_zero(delta):
         raise ValueError("degenerate triple product on the Peirce component")
     a1 = A.smul(F.inv(delta), a1)
     v1 = A.mul(a2, a3)
@@ -407,31 +390,21 @@ def zorn_isomorphism(C: QuadraticAlgebra) -> Matrix:
     A = C.algebra
     F = C.field
     frame = zorn_frame(C)
-    reference = zorn(F)
-    ztab = reference.algebra.table
+    P = Matrix(F, frame, 8).transpose()     # column j is frame[j]
+    Z = zorn(F)
     for i in range(8):
         for j in range(8):
-            got = A.mul(frame[i], frame[j])
-            want = A.zero()
-            for k, c in ztab.get((i, j), ()):
-                want = A.vadd(want, A.smul(c, frame[k]))
-            if not A.veq(got, want):
+            if not A.veq(A.mul(frame[i], frame[j]),
+                         P.mulvec(Z.algebra.mul(Z.algebra.basis_vec(i),
+                                                Z.algebra.basis_vec(j)))):
                 raise ValueError(f"frame product ({i},{j}) deviates from the "
                                  "Zorn table")
     for i in range(8):
-        if not F.eq(C.trace(frame[i]), reference.trace(reference.algebra.basis_vec(i))):
+        if not F.eq(C.trace(frame[i]), Z.trace(Z.algebra.basis_vec(i))):
             raise ValueError("trace functional does not transport")
-    for p in reference.algebra.probes():
-        img = A.zero()
-        for c, fvec in zip(p, frame):
-            if not F.is_zero(c):
-                img = A.vadd(img, A.smul(c, fvec))
-        if not F.eq(C.norm(img), reference.norm(p)):
+    for p in Z.algebra.probes():
+        if not F.eq(C.norm(P.mulvec(p)), Z.norm(p)):
             raise ValueError("norm form does not transport")
-    P = Matrix.zeros(F, 8, 8)
-    for j, fvec in enumerate(frame):
-        for i in range(8):
-            P.rows[i][j] = fvec[i]
     if P.rank() != 8:
         raise ValueError("frame is not a basis")
     return P

@@ -218,6 +218,42 @@ def residual_rows(q):
     return rows
 
 
+def _norm_pair_rows(q):
+    """Block predicate for algebra.search over pairs: row (x, y) of X holds
+    x in its first d columns and y in the rest; the index of the first row
+    with n(xy) != n(x) n(y) in the quadratic algebra q over GF(p), or -1."""
+    A, p, d = q.algebra, q.field.p, q.dim
+
+    def rows(X: np.ndarray) -> int:
+        x, y = X[:, :d], X[:, d:]
+        return first_true(norms(q, mulrows(A, x, y)) != norms(q, x) * norms(q, y) % p)
+    return rows
+
+
+def _inverse_mismatches(q, X):
+    """(mismatch, cd_mismatch), two masks over the rows x of X, a (b, d)
+    array of residues, for the quadratic algebra q over GF(p).  mismatch:
+    x has a two-sided inverse (by the rule of ``inverses``) but n(x) = 0,
+    or none but n(x) != 0.  cd_mismatch: x has one, and it is not
+    cd_inverse's n(x)^-1 (t(x) 1 - x)."""
+    A, p = q.algebra, q.field.p
+    X = np.asarray(X, dtype=np.float64)
+    inv_ok, inv = inverses(A, X)
+    n = norms(q, X)
+    n_inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    cd = n_inv[n][:, None] * (traces(q, X)[:, None] * np.array(q.unit) - X) % p
+    return inv_ok != (n != 0), inv_ok & (cd != inv).any(axis=1)
+
+
+def _inverse_rows(q):
+    """Block predicate for algebra.search: the index of the first row of X
+    set in either mask of _inverse_mismatches, or -1."""
+    def rows(X: np.ndarray) -> int:
+        mismatch, cd_mismatch = _inverse_mismatches(q, X)
+        return first_true(mismatch | cd_mismatch)
+    return rows
+
+
 def _residue_arithmetic(p: int):
     """(dtype, limit, reduce) for exact elimination mod p.
 

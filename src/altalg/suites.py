@@ -13,9 +13,6 @@ import itertools
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import scan
 from .algebra import (check_identity, evaluate_identity, permuted, power_chain,
                       search)
 from .catalog import build, field_algebra, zero_algebra
@@ -159,6 +156,8 @@ def suite_zorn_identities(cfg: Config) -> list:
 
 def _residual_sweep(Z) -> CheckResult:
     """x^2 - t(x) x + n(x) 1 = 0 on every element of Z over GF(p)."""
+    from . import scan
+
     F, d = Z.field, Z.dim
     total = F.order ** d
     bad, provenance = search(F, d, None, enum_cap=total,
@@ -211,16 +210,13 @@ def suite_quadratic_relation(cfg: Config) -> list:
 
 
 def suite_norm_multiplicativity(cfg: Config) -> list:
+    from . import scan
+
     checks = []
     Z2 = zorn(PrimeField(2))
-
-    def rows(X):     # one pair (x, y) per row of F^16, x-major
-        x, y = X[:, :8], X[:, 8:]
-        P = scan.mulrows(Z2.algebra, x, y)
-        n = scan.norms
-        return scan.first_true(n(Z2, P) != n(Z2, x) * n(Z2, y) % 2)
-
-    bad, provenance = search(Z2.field, 16, None, enum_cap=2 ** 16, rows=rows)
+    # one pair (x, y) per row of F^16, x-major
+    bad, provenance = search(Z2.field, 16, None, enum_cap=2 ** 16,
+                             rows=scan._norm_pair_rows(Z2))
     checks.append(CheckResult(
         "GF2/n(xy)=n(x)n(y)-on-all-65536-pairs", bad is None, provenance,
         witness=None if bad is None else {"x": bad[0][:8], "y": bad[0][8:]}))
@@ -242,26 +238,17 @@ def _invertibility_sweep(Z) -> list:
     """On every element x of Z over GF(p): x has a two-sided inverse (by
     linear solves) iff n(x) != 0, and then it is cd_inverse(Z, x).  The
     witness of each check is the element where it failed first."""
-    A, F, d = Z.algebra, Z.field, Z.dim
+    from . import scan
+
+    F, d = Z.field, Z.dim
     p, total = F.p, F.order ** d
-    n_inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
-    unit = np.array(Z.unit)
-    first = set()   # which of the two checks failed first
-
-    def rows(X):
-        inv_ok, inv = scan.inverses(A, X)       # the linear-solve inverse
-        n = scan.norms(Z, X)
-        mismatch = inv_ok != (n != 0)
-        # cd_inverse: n(x)^-1 (t(x) 1 - x), where n(x) != 0
-        cd = n_inv[n][:, None] * (scan.traces(Z, X)[:, None] * unit - X) % p
-        i = scan.first_true(mismatch | inv_ok & (cd != inv).any(axis=1))
-        if i >= 0:
-            first.add("mismatch" if mismatch[i] else "cd_mismatch")
-        return i
-
-    bad, provenance = search(F, d, None, enum_cap=total, rows=rows)
-    mismatch = bad[0] if "mismatch" in first else None
-    cd_mismatch = bad[0] if "cd_mismatch" in first else None
+    bad, provenance = search(F, d, None, enum_cap=total, rows=scan._inverse_rows(Z))
+    mismatch = cd_mismatch = None
+    if bad is not None:     # which check failed there: rerun it on [x]
+        if scan._inverse_mismatches(Z, [bad[0]])[0][0]:
+            mismatch = bad[0]
+        else:
+            cd_mismatch = bad[0]
     return [
         CheckResult(f"GF{p}/invertible-iff-n-nonzero-on-all-{total}-elements",
                     mismatch is None, provenance,
@@ -300,10 +287,8 @@ def suite_derivation_dimensions(cfg: Config) -> list:
     AP = permuted(A, perm)
     DP = derivation_space(AP)
     # conjugate the permuted-basis solution back and compare spaces
-    P = Matrix.zeros(F, 8, 8)
-    for a, pa in enumerate(perm):
-        P.rows[pa][a] = F.one
-    Pinv = P.transpose()    # permutation matrix
+    Pinv = Matrix(F, [A.basis_vec(pa) for pa in perm], 8)
+    P = Pinv.transpose()    # the permutation matrix with P e_a = e_perm[a]
     back = [flatten_map(P.matmul(M).matmul(Pinv)) for M in DP.basis_maps()]
     same = (DP.dim == D.dim
             and Subspace.from_vectors(F, 64, back) == D.space)
@@ -459,6 +444,8 @@ def _imperfectness_check(degree_cap: int = 4) -> CheckResult:
 
 
 def suite_lemma23_outer(cfg: Config) -> list:
+    from . import scan
+
     inst = build("lemma23-Dx")
     A, d = inst.algebra, inst.derivation
     F = A.field
@@ -508,7 +495,7 @@ def suite_remark22_singular(cfg: Config) -> list:
     a4 = chain[3]
     v_idx, w_idx = 5, 6
     contained = all(
-        a4.contains_vector([M.rows[r][col] for r in range(7)])
+        a4.contains_vector(M.column(col))
         for M in D.basis_maps() for col in (v_idx, w_idx))
     checks.append(CheckResult("every-basis-derivation-maps-v,w-into-A^4",
                               contained, "certified",

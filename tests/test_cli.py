@@ -360,3 +360,20 @@ def test_cli_invertible_values_blames_the_rejected_file(capsys, tmp_path):
         path = tgt if blamed == "target" else str(dmap)
         assert (code, out) == (1, "")
         assert err == f"error: {path}: {message}\n"
+
+
+def test_cli_and_q_operator_spaces_do_not_load_numpy():
+    # numpy serves the GF(p) block scans only, so suites imports scan lazily
+    import subprocess
+    import sys
+
+    code = ("import sys, altalg.cli\n"
+            "assert 'numpy' not in sys.modules, 'loaded by import'\n"
+            "altalg.cli.main(['derivations', 'split-octonions-Q', '--json'])\n"
+            "assert 'numpy' not in sys.modules, 'loaded by derivations'\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
