@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import scan
 from .fields import Field, is_json_int, make_field
 from .linalg import Matrix, Subspace, _pivot_col, kernel, solve
 
@@ -257,8 +258,6 @@ def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
         raise ValueError(f"samples must be at least 1, got {samples}")
     if (F.is_finite and F.order ** n <= enum_cap
             and (rows is not None or arity == 1)):
-        from . import scan
-
         if rows is None:
             def rows(X):
                 return next((i for i, x in enumerate(X.astype(int).tolist())
@@ -362,8 +361,6 @@ def _check_certified(A: Algebra, name: str) -> IdentityReport:
 
 def _check_scanned(A: Algebra, name: str, seed: int, samples: int,
                    enum_cap: int) -> IdentityReport:
-    from . import scan
-
     law = _LAWS[name]
     args, provenance = search(
         A.field, A.dim, lambda *a: not A.is_zero_vec(law.evaluate(A, *a)),

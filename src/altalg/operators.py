@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
+from . import scan
 from .algebra import Algebra, search
 from .linalg import Matrix, Subspace, _combine, _multiple, kernel, rref, solve
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
@@ -328,9 +329,7 @@ def invertible_combination(S: OperatorSpace, *, seed: int = 42,
 
     rows = None
     if F.kind == "prime":
-        from .scan import full_rank_rows
-
-        rows = full_rank_rows(S.space.rows, F.p, d)
+        rows = scan.full_rank_rows(S.space.rows, F.p, d)
     args, provenance = search(F, S.dim, lambda c: combination(c).rank() == d,
                               seed=seed, samples=samples, enum_cap=enum_cap,
                               rows=rows)
@@ -402,9 +401,7 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
 
     rows = None
     if mode == "exhaustive":    # a GF(p) walk inverts whole blocks at once
-        from .scan import noninvertible_rows
-
-        rows = noninvertible_rows(A, dmap)
+        rows = scan.noninvertible_rows(A, dmap)
     args, provenance = search(F, A.dim, hit, seed=seed, samples=samples,
                               enum_cap=enum_cap if mode == "exhaustive" else 0,
                               rows=rows)
@@ -501,9 +498,11 @@ def _lemma22_case1(double: InvolutiveAlgebra, u):
         raise ValueError("u must lie in the base subalgebra B")
     if not F.is_zero(C.trace(u)):
         raise ValueError("u must have trace zero")
-    # column m + j is d(v e_j) = v(e_j u), and e_j u stays in B
-    dmap = Matrix(F, [A.zero()] * m + [[F.zero] * m + A.mul(A.basis_vec(j), u)[:m]
-                                       for j in range(m)], d).transpose()
+    dmap = Matrix.zeros(F, d, d)
+    for j in range(m):
+        bu = A.mul(A.basis_vec(j), u)       # stays in B
+        for r in range(m):
+            dmap.rows[m + r][m + j] = bu[r]
     if not is_derivation(A, dmap):
         raise ValueError("constructed case I map fails the derivation law")
     bspace = Subspace.from_vectors(F, d, [A.basis_vec(i) for i in range(m)])

@@ -277,9 +277,11 @@ def cd_double(B: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
         names = list(A.names) + [f"v{n}" for n in A.names]
     D = Algebra(F, d, table, names)
 
-    # conj(a) - vb: column j is (sigma(e_j), 0), column m + j is (0, -e_j)
-    minus = [[F.neg(F.one) if k == j else F.zero for k in range(m)] for j in range(m)]
-    sigma = Matrix(F, [s + zero for s in sig] + [zero + r for r in minus], d).transpose()
+    sigma = Matrix.zeros(F, d, d)
+    for j in range(m):
+        for i in range(m):
+            sigma.rows[i][j] = sig[j][i]
+        sigma.rows[m + j][m + j] = F.neg(F.one)
 
     quad = None
     if B.quadratic is not None:

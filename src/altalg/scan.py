@@ -33,7 +33,19 @@ from __future__ import annotations
 import functools
 import itertools
 
-import numpy as np
+
+class _Numpy:
+    """Stands for numpy until its first use, which imports it and rebinds
+    ``np``: importing this module, and so the CLI, does not load numpy; only
+    a block walk or a batched elimination does."""
+
+    def __getattr__(self, name):
+        import numpy
+        globals()["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 BLOCK = 32768
 

@@ -13,6 +13,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
+from . import scan
 from .algebra import (check_identity, evaluate_identity, permuted, power_chain,
                       search)
 from .catalog import build, field_algebra, zero_algebra
@@ -156,8 +157,6 @@ def suite_zorn_identities(cfg: Config) -> list:
 
 def _residual_sweep(Z) -> CheckResult:
     """x^2 - t(x) x + n(x) 1 = 0 on every element of Z over GF(p)."""
-    from . import scan
-
     F, d = Z.field, Z.dim
     total = F.order ** d
     bad, provenance = search(F, d, None, enum_cap=total,
@@ -210,8 +209,6 @@ def suite_quadratic_relation(cfg: Config) -> list:
 
 
 def suite_norm_multiplicativity(cfg: Config) -> list:
-    from . import scan
-
     checks = []
     Z2 = zorn(PrimeField(2))
     # one pair (x, y) per row of F^16, x-major
@@ -238,8 +235,6 @@ def _invertibility_sweep(Z) -> list:
     """On every element x of Z over GF(p): x has a two-sided inverse (by
     linear solves) iff n(x) != 0, and then it is cd_inverse(Z, x).  The
     witness of each check is the element where it failed first."""
-    from . import scan
-
     F, d = Z.field, Z.dim
     p, total = F.p, F.order ** d
     bad, provenance = search(F, d, None, enum_cap=total, rows=scan._inverse_rows(Z))
@@ -444,8 +439,6 @@ def _imperfectness_check(degree_cap: int = 4) -> CheckResult:
 
 
 def suite_lemma23_outer(cfg: Config) -> list:
-    from . import scan
-
     inst = build("lemma23-Dx")
     A, d = inst.algebra, inst.derivation
     F = A.field

@@ -363,11 +363,13 @@ def test_cli_invertible_values_blames_the_rejected_file(capsys, tmp_path):
 
 
 def test_cli_and_q_operator_spaces_do_not_load_numpy():
-    # numpy serves the GF(p) block scans only, so suites imports scan lazily
+    # numpy serves the GF(p) block scans only; scan imports it on first use,
+    # while importing the CLI still imports every module of the package
     import subprocess
     import sys
 
     code = ("import sys, altalg.cli\n"
+            "assert 'altalg.scan' in sys.modules, 'scan not imported'\n"
             "assert 'numpy' not in sys.modules, 'loaded by import'\n"
             "altalg.cli.main(['derivations', 'split-octonions-Q', '--json'])\n"
             "assert 'numpy' not in sys.modules, 'loaded by derivations'\n")
