@@ -5,6 +5,16 @@ An algebra is a field, a dimension d, and a sparse table
 ``c[(i, j)] = ((k, coeff), ...)`` meaning ``e_i e_j = sum coeff * e_k``;
 unspecified basis pairs multiply to zero.  Elements are plain coefficient
 lists of length d.
+
+Over GF(p) and Q each algebra also keeps an integer form of its table,
+built once at construction: the constants as integers over one common
+denominator (over GF(p), residues over 1).  A product lifts both factors to
+integer vectors over the lcm of their denominators, sums plain integers per
+output coordinate and normalises each coordinate once (``fields._lift`` and
+``fields._lower``); ``Fraction`` is canonical and residues are reduced, so
+the values are those of one field operation per term.  Over GF(p)(s, t) the
+product replays the field operations term by term, which keeps their
+unreduced term forms.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import scan
-from .fields import Field, is_json_int, make_field
+from .fields import Field, _lift, _lower, is_json_int, make_field
 from .linalg import Matrix, Subspace, _pivot_col, kernel, solve
 
 
@@ -27,7 +37,7 @@ _UNSET = object()
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "table", "names", "_unit")
+    __slots__ = ("field", "dim", "table", "names", "_unit", "_lifted")
 
     def __init__(self, field: Field, dim: int, table: dict, names=None):
         if not is_json_int(dim) or dim < 1:
@@ -61,6 +71,8 @@ class Algebra:
         self.table = clean
         self.names = names
         self._unit = _UNSET
+        # the table never changes, so its integer form is built once here
+        self._lifted = None if F.kind == "ratfun2" else _lift_table(F, dim, clean)
 
     # ---- element helpers -------------------------------------------------
 
@@ -114,8 +126,30 @@ class Algebra:
     # ---- products --------------------------------------------------------
 
     def mul(self, x, y) -> list:
+        """xy: integer sums over the lifted table over GF(p) and Q, replayed
+        field operations over GF(p)(s, t) (see the module docstring)."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
+        F = self.field
+        if self._lifted is None:
+            return self._replay_mul(x, y)
+        rows, Dc = self._lifted
+        X, Dx = _lift(F, x)
+        Y, Dy = _lift(F, y)
+        acc = [0] * self.dim
+        for xi, row in zip(X, rows):
+            if not xi:
+                continue
+            for j, terms in row:
+                yj = Y[j]
+                if yj:
+                    s = xi * yj
+                    for k, c in terms:
+                        acc[k] += s * c
+        D = Dx * Dy * Dc
+        return [_lower(F, v, D) for v in acc]
+
+    def _replay_mul(self, x, y) -> list:
         F = self.field
         tab = self.table
         out = [F.zero] * self.dim
@@ -217,6 +251,19 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"<algebra dim {self.dim} over {self.field!r}>"
+
+
+def _lift_table(F: Field, dim: int, table: dict) -> tuple:
+    """(rows, Dc): the constants of a GF(p) or Q table as integers over one
+    common denominator Dc (over GF(p), residues and Dc = 1), with rows[i]
+    the pairs (j, ((k, c), ...)) of the products e_i e_j."""
+    keys = sorted(table)
+    ints, Dc = _lift(F, [c for key in keys for _, c in table[key]])
+    it = iter(ints)
+    rows = [[] for _ in range(dim)]
+    for i, j in keys:
+        rows[i].append((j, tuple((k, next(it)) for k, _ in table[(i, j)])))
+    return rows, Dc
 
 
 def make_algebra(field, dim, table, names=None) -> Algebra:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterator
 
 
@@ -96,6 +97,28 @@ def is_json_int(obj) -> bool:
     """Whether a decoded JSON value is an integer (a bool is a Python int,
     but not a JSON number)."""
     return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _lift(F, xs) -> tuple:
+    """(ints, D) with xs[i] = ints[i] / D: over GF(p) the residues and
+    D = 1, over Q the numerators over the lcm D of the denominators (an int
+    entry counts as denominator 1).  Sums of products of lifted entries are
+    plain integer sums, which ``_lower`` turns back into one element."""
+    if F.kind == "prime":
+        p = F.p
+        return [a % p for a in xs], 1
+    D = lcm(*[a.denominator for a in xs])
+    if D == 1:
+        return [a.numerator for a in xs], 1
+    return [a.numerator * (D // a.denominator) for a in xs], D
+
+
+def _lower(F, v: int, D: int):
+    """The element v / D of GF(p) or Q: the residue v % p, or the canonical
+    Fraction (F.zero for v = 0)."""
+    if F.kind == "prime":
+        return v % F.p
+    return Fraction(v, D) if v else F.zero
 
 
 # Products of at least this many term pairs are formed from sorted packed

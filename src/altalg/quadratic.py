@@ -5,7 +5,10 @@ inversion, and orthogonal complements.
 The norm is stored as upper-triangular quadratic-form coefficients and
 evaluated directly, which stays meaningful in characteristic 2 where the
 symmetric-matrix representation degenerates; the bilinear form is its
-polarization f(x, y) = n(x+y) - n(x) - n(y).
+polarization f(x, y) = n(x+y) - n(x) - n(y).  Over GF(p) and Q the trace,
+norm and bilinear form are integer sums over integer forms of the form data,
+normalised once, as ``Algebra.mul`` is; over GF(p)(s, t) they replay the
+field operations.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, search
-from .fields import Field, make_field
+from .fields import Field, _lift, _lower, make_field
 from .linalg import Matrix, Subspace, _multiple, kernel
 
 
@@ -26,7 +29,7 @@ class QuadraticAlgebra:
     any field.
     """
 
-    __slots__ = ("algebra", "trace_vec", "qform", "unit")
+    __slots__ = ("algebra", "trace_vec", "qform", "unit", "_lifted")
 
     def __init__(self, algebra: Algebra, trace_vec: list, qform: list):
         F = algebra.field
@@ -36,6 +39,7 @@ class QuadraticAlgebra:
         self.algebra = algebra
         self.trace_vec = list(trace_vec)
         self.qform = [list(r) for r in qform]
+        self._lift_forms()
         self.unit = unit
         two = F.add(F.one, F.one)
         if not F.eq(self.trace(unit), two):
@@ -43,6 +47,21 @@ class QuadraticAlgebra:
         if not F.eq(self.norm(unit), F.one):
             raise ValueError("norm of the unit must be 1")
         self._verify_quadratic_relation()
+
+    def _lift_forms(self):
+        """The integer forms, once per algebra: the nonzero (i, t) of the
+        trace vector over Dt, and (i, j, q) of the upper triangle of the
+        norm form over Dq.  None over GF(p)(s, t), which replays field ops.
+        Code that edits trace_vec or qform in place calls this again."""
+        F = self.field
+        if F.kind == "ratfun2":
+            self._lifted = None
+            return
+        T, Dt = _lift(F, self.trace_vec)
+        cells = [(i, j) for i, row in enumerate(self.qform) for j in range(i, len(row))]
+        Q, Dq = _lift(F, [self.qform[i][j] for i, j in cells])
+        self._lifted = ([(i, t) for i, t in enumerate(T) if t], Dt,
+                        [(i, j, q) for (i, j), q in zip(cells, Q) if q], Dq)
 
     @property
     def field(self) -> Field:
@@ -54,6 +73,10 @@ class QuadraticAlgebra:
 
     def trace(self, x):
         F = self.field
+        if self._lifted is not None:
+            T, Dt, _, _ = self._lifted
+            X, Dx = _lift(F, x)
+            return _lower(F, sum(t * X[i] for i, t in T), Dt * Dx)
         s = F.zero
         for t, a in zip(self.trace_vec, x):
             if not F.is_zero(t) and not F.is_zero(a):
@@ -62,6 +85,10 @@ class QuadraticAlgebra:
 
     def norm(self, x):
         F = self.field
+        if self._lifted is not None:
+            _, _, Q, Dq = self._lifted
+            X, Dx = _lift(F, x)
+            return _lower(F, sum(q * X[i] * X[j] for i, j, q in Q), Dq * Dx * Dx)
         s = F.zero
         for i, row in enumerate(self.qform):
             xi = x[i]
@@ -76,6 +103,12 @@ class QuadraticAlgebra:
     def bilinear(self, x, y):
         """f(x, y) = n(x+y) - n(x) - n(y), evaluated from the form data."""
         F = self.field
+        if self._lifted is not None:
+            _, _, Q, Dq = self._lifted
+            X, Dx = _lift(F, x)
+            Y, Dy = _lift(F, y)
+            return _lower(F, sum(q * (X[i] * Y[j] + X[j] * Y[i]) for i, j, q in Q),
+                          Dq * Dx * Dy)
         s = F.zero
         for i, row in enumerate(self.qform):
             for j in range(i, len(row)):

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass
 
 from . import scan
-from .algebra import (check_identity, evaluate_identity, permuted, power_chain,
-                      search)
+from .algebra import (_first_failure, _Law, check_identity, evaluate_identity,
+                      permuted, power_chain, search)
 from .catalog import build, field_algebra, zero_algebra
 from .fields import PrimeField, RationalField
 from .linalg import Matrix, Subspace, kernel
@@ -176,19 +176,13 @@ def suite_quadratic_relation(cfg: Config) -> list:
     for label, q in quads:
         A = q.algebra
         F = q.field
-        unit = q.unit
-        bad = None
-        for i in range(A.dim):
-            for j in range(A.dim):
-                x, y = A.basis_vec(i), A.basis_vec(j)
-                lhs = A.jordan_product(x, y)
-                rhs = A.vadd(A.smul(q.trace(x), y), A.smul(q.trace(y), x))
-                rhs = A.vsub(rhs, A.smul(q.bilinear(x, y), unit))
-                if not A.veq(lhs, rhs):
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        # linear in x and in y, so decided on basis pairs, x-major
+        expansion = _Law(1, 1, False, lambda A, x, y: A.vsub(
+            A.jordan_product(x, y),
+            A.vsub(A.vadd(A.smul(q.trace(x), y), A.smul(q.trace(y), x)),
+                   A.smul(q.bilinear(x, y), q.unit))))
+        args = _first_failure(A, expansion, A.basis())
+        bad = None if args is None else tuple(A.basis().index(v) for v in args)
         checks.append(CheckResult(
             f"{label}/jordan-product-expansion-on-basis-pairs", bad is None,
             "certified", witness=bad))

@@ -113,6 +113,30 @@ def test_lemma22_case2_associator_check_reports_first_failing_pair(monkeypatch):
     assert check["witness"] == suites._enc(inst.algebra.field, (first, first))
 
 
+def test_jordan_expansion_check_reports_first_failing_pair(monkeypatch):
+    # f(e_2, e_3) and f(e_3, e_1) off by one: x o y = t(x) y + t(y) x
+    # - f(x, y) 1 fails on those two basis pairs only, and the check walks
+    # x-major, so it reports (2, 3), not (3, 1)
+    from altalg.quadratic import QuadraticAlgebra
+
+    real = QuadraticAlgebra.bilinear
+
+    def off(q, x, y):
+        e = q.algebra.basis()
+        if (x, y) in ((e[2], e[3]), (e[3], e[1])):
+            return q.field.add(real(q, x, y), q.field.one)
+        return real(q, x, y)
+
+    monkeypatch.setattr(QuadraticAlgebra, "bilinear", off)
+    doc = run_suite("quadratic-relation").to_json(__version__)
+    expansion = [c for c in doc["checks"]
+                 if c["name"].endswith("/jordan-product-expansion-on-basis-pairs")]
+    assert len(expansion) == 6
+    for check in expansion:
+        assert check["verdict"] == "fail" and check["provenance"] == "certified"
+        assert json.loads(json.dumps(check["witness"])) == [2, 3]
+
+
 def test_gf2_norm_witness_is_the_first_failing_pair(monkeypatch):
     # with the product replaced by xy := y, n(xy) = n(x)n(y) fails exactly
     # where n(x) = 0 and n(y) = 1; pairs run x-major, so the witness is
@@ -178,6 +202,8 @@ def _break(monkeypatch, Z, fault):
         Z.qform[0][1] = (Z.qform[0][1] + 1) % p
     elif fault == "trace":      # a wrong trace, so a wrong conjugate
         Z.trace_vec[2] = (Z.trace_vec[2] + 1) % p
+    if fault in ("norm", "trace"):  # the forms are lifted once, at construction
+        Z._lift_forms()
     elif fault == "last":       # n(x) off by one at the last vector only
         last = [p - 1] * Z.dim
         norm, norms = QuadraticAlgebra.norm, scan.norms
