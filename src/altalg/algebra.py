@@ -194,18 +194,10 @@ class Algebra:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if len(a) != self.dim:
             raise ValueError("element dimension mismatch")
-        F = self.field
-        tab = self.table
-        m = Matrix.zeros(F, self.dim, self.dim)
-        rows = m.rows
         # column c is a e_c (left) or e_c a (right)
-        for c in range(self.dim):
-            for i, s in enumerate(a):
-                if F.is_zero(s):
-                    continue
-                for k, coeff in tab.get((i, c) if side == "left" else (c, i), ()):
-                    rows[k][c] = F.add(rows[k][c], F.mul(s, coeff))
-        return m
+        cols = [self.mul(a, e) if side == "left" else self.mul(e, a)
+                for e in self.basis()]
+        return Matrix(self.field, cols, self.dim).transpose()
 
     def find_unit(self):
         """The two-sided unit element, or None.  Cached."""
@@ -377,13 +369,14 @@ def evaluate_identity(A: Algebra, name: str, args) -> list:
     return _LAWS[name].evaluate(A, *args)
 
 
-def _first_failure(A: Algebra, law: _Law, xs):
+def _first_failure(A: Algebra, law: _Law, xs, ys=None):
     """The first arguments at which ``law`` fails, or None: x runs over xs,
-    the linear arguments over basis tuples in lexicographic order."""
-    e = A.basis()
+    the linear arguments over tuples of ys (default the basis) in
+    lexicographic order."""
+    ys = A.basis() if ys is None else ys
     for x in xs:
-        for ys in itertools.product(e, repeat=law.linear):
-            args = (*ys, x) if law.last else (x, *ys)
+        for lin in itertools.product(ys, repeat=law.linear):
+            args = (*lin, x) if law.last else (x, *lin)
             if not A.is_zero_vec(law.evaluate(A, *args)):
                 return args
     return None
@@ -462,14 +455,30 @@ def special_subspace(A: Algebra, kind: str) -> Subspace:
             rows += A.mult_operator("right", x).rows + A.mult_operator("left", x).rows
     else:
         raise ValueError(f"unknown special subspace {kind!r}")
-    return kernel(Matrix(F, _dedupe_rows(F, rows), d))
+    rows = _condition_rows(F, d, (dict(enumerate(r)) for r in rows))
+    return kernel(Matrix(F, rows, d))
 
 
-def _dedupe_rows(F: Field, rows: list) -> list:
-    """Drop zero and (over hashable fields) repeated condition rows,
-    keeping the first of each."""
-    rows = [r for r in rows if not all(F.is_zero(a) for a in r)]
-    return list(dict.fromkeys(map(tuple, rows))) if F.hashable_elements else rows
+def _condition_rows(F: Field, ncols: int, rows) -> list:
+    """The dense form of the sparse condition rows ``{column: value}``, zero
+    rows and (over hashable fields) repeats dropped, keeping the first of
+    each.  Rows are keyed by their sorted nonzero (column, value) pairs:
+    hashing dense tuples would hash every zero Fraction too."""
+    zero, is_zero = F.zero, F.is_zero
+    out, seen = [], set()
+    for row in rows:
+        if F.hashable_elements:
+            key = tuple(sorted((c, a) for c, a in row.items() if not is_zero(a)))
+            if not key or key in seen:
+                continue
+            seen.add(key)
+        elif all(is_zero(a) for a in row.values()):
+            continue
+        dense = [zero] * ncols
+        for c, a in row.items():
+            dense[c] = a
+        out.append(dense)
+    return out
 
 
 def subspace_product(A: Algebra, u: Subspace, v: Subspace) -> Subspace:
@@ -514,17 +523,14 @@ def derived_algebra(A: Algebra, sign: str) -> Algebra:
     """Same space with product x o y = xy + yx ('plus') or [x, y] ('minus')."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    F = A.field
     table = {}
     for i in range(A.dim):
         for j in range(A.dim):
             a = A.mul(A.basis_vec(i), A.basis_vec(j))
             b = A.mul(A.basis_vec(j), A.basis_vec(i))
             v = A.vadd(a, b) if sign == "plus" else A.vsub(a, b)
-            terms = [(k, c) for k, c in enumerate(v) if not F.is_zero(c)]
-            if terms:
-                table[(i, j)] = terms
-    return Algebra(F, A.dim, table, A.names)
+            table[(i, j)] = list(enumerate(v))
+    return Algebra(A.field, A.dim, table, A.names)
 
 
 def restricted_algebra(A: Algebra, S: Subspace, names=None) -> Algebra:
@@ -540,10 +546,7 @@ def restricted_algebra(A: Algebra, S: Subspace, names=None) -> Algebra:
             if not all(F.is_zero(a) for a in resid):
                 raise ValueError("subspace is not closed under multiplication")
             # RREF rows have unit pivots, so coordinates read off at pivots
-            coords = [prod[_pivot_col(F, S.rows[r])] for r in range(m)]
-            terms = [(k, c) for k, c in enumerate(coords) if not F.is_zero(c)]
-            if terms:
-                table[(i, j)] = terms
+            table[(i, j)] = [(r, prod[_pivot_col(F, S.rows[r])]) for r in range(m)]
     return Algebra(F, m, table, names)
 
 

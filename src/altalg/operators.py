@@ -7,9 +7,10 @@ Linear maps live in the d^2-dimensional coordinate space of matrices
 (row-major flattening); every defining law is stacked into one linear system
 and solved through the exact kernel routine.  Derivations, Leibniz-derivations
 and quasiderivations share one system builder: it computes the left-normed
-products of basis tuples once per node of their prefix trie and drops zero
-and repeated rows as they are emitted.  The rest is ``linalg``: combinations
-of maps are ``_combine``, the multiplication Lie algebra is a
+products of basis tuples once per node of their prefix trie and streams its
+rows through ``algebra._condition_rows``, the one condition-row filter, which
+drops zero and repeated rows as they are emitted.  The rest is ``linalg``:
+combinations of maps are ``_combine``, the multiplication Lie algebra is a
 ``Subspace._closure`` under commutators, and a map given by the images of a
 basis is read off one RREF of [sources | images].
 """
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from . import scan
-from .algebra import Algebra, search
+from .algebra import Algebra, _condition_rows, search
 from .linalg import Matrix, Subspace, _combine, _multiple, kernel, rref, solve
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
 
@@ -82,35 +83,27 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
         level = [rmul(v, j) for v in level for j in range(d)]
     negated = [v and [(m, F.neg(a)) for m, a in v] for v in level]
     strides = [d ** (n - 1 - t) for t in range(n)]
-    rows, seen = [], set()
-    for code, idx in enumerate(itertools.product(range(d), repeat=n)):
-        # slot t: the codes of idx with x_t replaced by e_0 .. e_{d-1}
-        slots = [negated[code - x * s:code + (d - x) * s:s] for x, s in zip(idx, strides)]
-        if level[code] is None and all(vs.count(None) == d for vs in slots):
-            continue
-        # per entry: F.zero + total[k], then minus each slot term, in that
-        # order; 0 + a and 0 - a are exactly a and -a in every field
-        sparse = [{q_offset + m * d + k: a for k, a in level[code] or ()}
-                  for m in range(d)]
-        for x, vecs in zip(idx, slots):
-            for r, v in enumerate(vecs):
-                c = r * d + x
-                for m, na in v or ():
-                    row = sparse[m]
-                    row[c] = add(row[c], na) if c in row else na
-        for row in sparse:
-            if F.hashable_elements:
-                key = tuple(sorted((c, a) for c, a in row.items() if not is_zero(a)))
-                if not key or key in seen:
-                    continue
-                seen.add(key)
-            elif all(is_zero(a) for a in row.values()):
+
+    def sparse_rows():
+        for code, idx in enumerate(itertools.product(range(d), repeat=n)):
+            # slot t: the codes of idx with x_t replaced by e_0 .. e_{d-1}
+            slots = [negated[code - x * s:code + (d - x) * s:s]
+                     for x, s in zip(idx, strides)]
+            if level[code] is None and all(vs.count(None) == d for vs in slots):
                 continue
-            dense = [zero] * (q_offset + d * d)
-            for c, a in row.items():
-                dense[c] = a
-            rows.append(dense)
-    return rows
+            # per entry: F.zero + total[k], then minus each slot term, in that
+            # order; 0 + a and 0 - a are exactly a and -a in every field
+            sparse = [{q_offset + m * d + k: a for k, a in level[code] or ()}
+                      for m in range(d)]
+            for x, vecs in zip(idx, slots):
+                for r, v in enumerate(vecs):
+                    c = r * d + x
+                    for m, na in v or ():
+                        row = sparse[m]
+                        row[c] = add(row[c], na) if c in row else na
+            yield from sparse
+
+    return _condition_rows(F, q_offset + d * d, sparse_rows())
 
 
 def _law_space(A: Algebra, n: int, label: str) -> OperatorSpace:

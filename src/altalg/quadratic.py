@@ -249,10 +249,8 @@ def zorn(field) -> QuadraticAlgebra:
         basis_parts.append(_vec_to_parts(v))
     for i in range(8):
         for j in range(8):
-            prod = _parts_to_vec(*zorn_mul_parts(F, basis_parts[i], basis_parts[j]))
-            terms = [(k, c) for k, c in enumerate(prod) if not F.is_zero(c)]
-            if terms:
-                table[(i, j)] = terms
+            table[(i, j)] = list(enumerate(
+                _parts_to_vec(*zorn_mul_parts(F, basis_parts[i], basis_parts[j]))))
     A = Algebra(F, 8, table, list(ZORN_BASIS))
     trace_vec = [F.one, F.one] + [F.zero] * 6
     qform = [[F.zero] * 8 for _ in range(8)]
@@ -292,10 +290,7 @@ def cd_double(B: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
     table = {}
 
     def put(i, j, first, second):
-        terms = [(k, c) for k, c in enumerate(first) if not F.is_zero(c)]
-        terms += [(m + k, c) for k, c in enumerate(second) if not F.is_zero(c)]
-        if terms:
-            table[(i, j)] = terms
+        table[(i, j)] = list(enumerate(first + second))
 
     zero = A.zero()
     for i in range(m):

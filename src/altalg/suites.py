@@ -9,13 +9,12 @@ witnesses.  Suites are deterministic given the configuration seed.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
 from . import scan
-from .algebra import (_first_failure, _Law, check_identity, evaluate_identity,
-                      permuted, power_chain, search)
+from .algebra import (_LAWS, _first_failure, _Law, check_identity,
+                      evaluate_identity, permuted, power_chain, search)
 from .catalog import build, field_algebra, zero_algebra
 from .fields import PrimeField, RationalField
 from .linalg import Matrix, Subspace, kernel
@@ -361,12 +360,10 @@ def suite_lemma22_case2(cfg: Config) -> list:
                               detail=f"dim = {B.dim}"))
     checks.append(CheckResult("B-equals-B-orthocomplement",
                               orthocomplement(q, B) == B, "certified"))
-    comm = all(Z.is_zero_vec(Z.commutator(list(a), list(b)))
-               for a in B.rows for b in B.rows)
-    assoc = all(Z.is_zero_vec(Z.associator(list(a), list(b), list(c)))
-                for a in B.rows for b in B.rows for c in B.rows)
-    checks.append(CheckResult("B-commutative-on-basis-pairs", comm, "certified"))
-    checks.append(CheckResult("B-associative-on-basis-triples", assoc, "certified"))
+    for name, label in (("commutative", "pairs"), ("associative", "triples")):
+        bad = _first_failure(Z, _LAWS[name], B.rows, B.rows)
+        checks.append(CheckResult(f"B-{name}-on-basis-{label}", bad is None,
+                                  "certified"))
     try:
         dmap, cert = lemma22_derivation(q, "II", b_space=B)
     except ValueError as e:
@@ -378,30 +375,21 @@ def suite_lemma22_case2(cfg: Config) -> list:
         witness=_enc(F, cert.x)))
     checks.append(_derivation_law_check(Z, dmap))
     unit = Z.find_unit()
-    one_span = Subspace.from_vectors(F, 8, [unit])
-    bad8 = None
-    for a in B.rows:
-        lhs = Z.commutator(cert.x, list(a))
-        rhs = Z.smul(q.bilinear(list(a), cert.x), unit)
-        if not (Z.veq(lhs, rhs) and one_span.contains_vector(lhs)):
-            bad8 = list(a)
-            break
+    # x is the swept argument, fixed at cert.x; a (and c) run over B's basis
+    bracket = _Law(1, 1, False, lambda A, x, a: A.vsub(
+        A.commutator(x, a), A.smul(q.bilinear(a, x), unit)))
+    bad8 = _first_failure(Z, bracket, [cert.x], B.rows)
     checks.append(CheckResult("[x,a]=f(a,x)1-in-center-on-basis-of-B",
                               bad8 is None, "certified",
-                              witness=_enc(F, bad8)))
-    bad9 = None
-    for a, c in itertools.product(B.rows, repeat=2):
-        av, cv = list(a), list(c)
-        lhs = Z.associator(av, cv, cert.x)
-        rhs = Z.smul(q.bilinear(cv, cert.x), av)
-        rhs = Z.vadd(rhs, Z.smul(q.bilinear(av, cert.x), cv))
-        rhs = Z.vadd(rhs, Z.smul(q.bilinear(cert.x, Z.mul(av, cv)), unit))
-        if not Z.veq(lhs, rhs):
-            bad9 = (av, cv)
-            break
+                              witness=None if bad8 is None else _enc(F, bad8[1])))
+    assoc = _Law(1, 2, True, lambda A, a, c, x: A.vsub(
+        A.associator(a, c, x),
+        A.vadd(A.vadd(A.smul(q.bilinear(c, x), a), A.smul(q.bilinear(a, x), c)),
+               A.smul(q.bilinear(x, A.mul(a, c)), unit))))
+    bad9 = _first_failure(Z, assoc, [cert.x], B.rows)
     checks.append(CheckResult("(a,c,x)=af(c,x)+f(a,x)c+f(x,ac)1-on-basis-pairs",
                               bad9 is None, "certified",
-                              witness=_enc(F, bad9)))
+                              witness=None if bad9 is None else _enc(F, bad9[:2])))
     checks.append(_imperfectness_check())
     checks.append(CheckResult("kernel-of-d-equals-B", kernel(dmap) == B,
                               "certified"))
@@ -472,12 +460,9 @@ def suite_remark22_singular(cfg: Config) -> list:
     checks.append(CheckResult("sanity/not-anticommutative",
                               not check_identity(A, "anticommutative").holds,
                               "certified"))
-    a2 = chain[1]
-    span = Subspace.from_vectors(F, 7, [A.mul(list(x), list(y))
-                                        for x in chain[0].rows
-                                        for y in chain[0].rows])
-    checks.append(CheckResult("A^2-=-span(u1,u2,v,w)", span == a2 and a2.dim == 4,
-                              "certified"))
+    # u1, u2, v, w are e_3 .. e_6
+    uvw = Subspace.from_vectors(F, 7, [A.basis_vec(i) for i in range(3, 7)])
+    checks.append(CheckResult("A^2-=-span(u1,u2,v,w)", chain[1] == uvw, "certified"))
     D = derivation_space(A)
     a4 = chain[3]
     v_idx, w_idx = 5, 6
@@ -583,12 +568,8 @@ def suite_qder_classification(cfg: Config) -> list:
                               "certified", detail=f"dim = {S.dim} < 64"))
     # oracle: re-solve with the 2 d^2 unknowns in reversed order
     rows = quasider_condition_rows(Z5)
-    n = 2 * 64
-    rev = list(reversed(range(n)))
-    rows_p = [[row[rev[c]] for c in range(n)] for row in rows]
-    ker_p = kernel(Matrix(Z5.field, rows_p, n))
-    unperm = [[row[rev.index(c)] for c in range(n)] for row in ker_p.rows]
-    fparts = [r[:64] for r in unperm]
+    ker_p = kernel(Matrix(Z5.field, [row[::-1] for row in rows], 2 * 64))
+    fparts = [row[::-1][:64] for row in ker_p.rows]
     oracle = Subspace.from_vectors(Z5.field, 64, fparts)
     checks.append(CheckResult("zorn-GF5/permuted-unknown-oracle-agrees",
                               oracle == S.space, "certified",

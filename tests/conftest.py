@@ -14,6 +14,26 @@ RIGHT_ALTERNATIVE = algebra._LAWS["right-alternative"]._replace(
     contraction=((1, "jau,ubm->abjm"), (-1, "abu,jum->abjm")))
 
 
+def reference_dedupe_rows(F, rows):
+    """Dense condition rows without zero rows and, over hashable fields,
+    without repeats (keyed on the dense tuple), keeping the first of each."""
+    out = []
+    if F.hashable_elements:
+        seen = set()
+        for r in rows:
+            if all(F.is_zero(a) for a in r):
+                continue
+            key = tuple(r)
+            if key not in seen:
+                seen.add(key)
+                out.append(r)
+    else:
+        for r in rows:
+            if not all(F.is_zero(a) for a in r):
+                out.append(r)
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(42)

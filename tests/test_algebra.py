@@ -153,15 +153,18 @@ def test_mult_operator_rank_of_left_idempotent(z3):
 
 
 def reference_mult_operator(A, side, a):
-    """The column-by-column construction: one Algebra.mul per basis vector."""
+    """Field operations over the table, entry by entry: independent of
+    Algebra.mul, whose products are the columns of mult_operator."""
     from altalg.linalg import Matrix
 
-    m = Matrix.zeros(A.field, A.dim, A.dim)
+    F = A.field
+    m = Matrix.zeros(F, A.dim, A.dim)
     for c in range(A.dim):
-        e = A.basis_vec(c)
-        col = A.mul(a, e) if side == "left" else A.mul(e, a)
-        for r in range(A.dim):
-            m.rows[r][c] = col[r]
+        for i, s in enumerate(a):
+            if F.is_zero(s):
+                continue
+            for k, coeff in A.table.get((i, c) if side == "left" else (c, i), ()):
+                m.rows[k][c] = F.add(m.rows[k][c], F.mul(s, coeff))
     return m
 
 

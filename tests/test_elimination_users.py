@@ -11,6 +11,7 @@ combination that ``_combine`` forms, must be byte-identical under
 import random
 
 import pytest
+from conftest import reference_dedupe_rows
 
 from altalg.algebra import Algebra, generated, special_subspace, subspace_product
 from altalg.fields import PrimeField, RatFunField, RationalField
@@ -105,24 +106,6 @@ def reference_find_unit(A):
                 rows.append([cols[a][m] for a in range(A.dim)])
                 rhs.append(e[m])
     return solve(Matrix(F, rows, A.dim), rhs)
-
-
-def reference_dedupe_rows(F, rows):
-    out = []
-    if F.hashable_elements:
-        seen = set()
-        for r in rows:
-            if all(F.is_zero(a) for a in r):
-                continue
-            key = tuple(r)
-            if key not in seen:
-                seen.add(key)
-                out.append(r)
-    else:
-        for r in rows:
-            if not all(F.is_zero(a) for a in r):
-                out.append(r)
-    return out
 
 
 def reference_special_subspace(A, kind):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-
+from conftest import reference_dedupe_rows
 
 from altalg.algebra import Algebra
 from altalg.catalog import build, field_algebra, mat2, zero_algebra
@@ -50,8 +50,6 @@ def test_derivation_space_dim_14_in_every_catalog_characteristic():
 def test_derivation_space_stable_under_unknown_reordering():
     # independent solve: reverse the d^2 unknown columns, solve, map back
     for A in (build("remark22").algebra, mat2(PrimeField(3))):
-        from altalg.algebra import _dedupe_rows
-
         F = A.field
         d = A.dim
         e = A.basis()
@@ -68,7 +66,7 @@ def test_derivation_space_stable_under_unknown_reordering():
                         row[r * d + i] = F.sub(row[r * d + i], P[r][j][m])
                         row[r * d + j] = F.sub(row[r * d + j], P[i][r][m])
                     rows.append(row)
-        rows = _dedupe_rows(F, rows)
+        rows = reference_dedupe_rows(F, rows)
         rev = list(reversed(range(d * d)))
         rows_p = [[row[rev[c]] for c in range(d * d)] for row in rows]
         ker_p = kernel(Matrix(F, rows_p, d * d))
@@ -80,10 +78,8 @@ def test_derivation_space_stable_under_unknown_reordering():
 def reference_leibniz_rows(A, n, q_offset=0):
     """The tuple-by-tuple builder the prefix-trie builder replaced: every
     basis n-tuple from scratch with Algebra.mul, dense rows, then
-    _dedupe_rows.  q_offset moves the phi([x1..xn]) block, as for the
+    reference_dedupe_rows.  q_offset moves the phi([x1..xn]) block, as for the
     Q unknowns of quasiderivations."""
-    from altalg.algebra import _dedupe_rows
-
     F = A.field
     d = A.dim
     e = A.basis()
@@ -115,7 +111,7 @@ def reference_leibniz_rows(A, n, q_offset=0):
                         col = r * d + idx[t]
                         row[col] = F.sub(row[col], a)
             rows.append(row)
-    return _dedupe_rows(F, rows)
+    return reference_dedupe_rows(F, rows)
 
 
 def random_sparse_algebra(F, d, rng):

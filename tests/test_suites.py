@@ -113,6 +113,60 @@ def test_lemma22_case2_associator_check_reports_first_failing_pair(monkeypatch):
     assert check["witness"] == suites._enc(inst.algebra.field, (first, first))
 
 
+def test_lemma22_case2_bracket_check_reports_the_failing_row(monkeypatch):
+    # f(b_2, x) off by one once d is built: [x,a] = f(a,x) 1 then fails at
+    # a = b_2 alone, and the check reports that row of B's basis
+    from altalg import suites
+    from altalg.quadratic import QuadraticAlgebra
+
+    inst = build("gagola-B")
+    F = inst.algebra.field
+    row = list(inst.extras["b_space"].rows[2])
+    real_bilinear = QuadraticAlgebra.bilinear
+    real = suites.lemma22_derivation
+
+    def shifted(target, case, **params):
+        dmap, cert = real(target, case, **params)
+
+        def off(q, a, y):
+            value = real_bilinear(q, a, y)
+            if suites._enc(F, a) == suites._enc(F, row) and y is cert.x:
+                return F.add(value, F.one)
+            return value
+
+        monkeypatch.setattr(QuadraticAlgebra, "bilinear", off)
+        return dmap, cert
+
+    monkeypatch.setattr(suites, "lemma22_derivation", shifted)
+    doc = run_suite("lemma22-case2").to_json(__version__)
+    check = {c["name"]: c for c in doc["checks"]}[
+        "[x,a]=f(a,x)1-in-center-on-basis-of-B"]
+    assert check["verdict"] == "fail" and check["provenance"] == "certified"
+    assert check["witness"] == suites._enc(F, row)
+
+
+def test_remark22_a2_check_compares_with_u1_u2_v_w(monkeypatch):
+    # swapping e3 and u2 keeps the power-chain dimensions (7, 4, 2, 1, 0),
+    # but A^2 is then spanned by e_2, e_3, e_5, e_6, not by e_3 .. e_6
+    from dataclasses import replace
+
+    from altalg import suites
+    from altalg.algebra import permuted
+
+    real = suites.build
+
+    def relabelled(name, **params):
+        inst = real(name, **params)
+        if name == "remark22":
+            inst = replace(inst, algebra=permuted(inst.algebra, [0, 1, 4, 3, 2, 5, 6]))
+        return inst
+
+    monkeypatch.setattr(suites, "build", relabelled)
+    checks = {c.name: c for c in run_suite("remark22-singular").checks}
+    assert checks["power-chain-dims-(7,4,2,1,0)"].passed
+    assert not checks["A^2-=-span(u1,u2,v,w)"].passed
+
+
 def test_jordan_expansion_check_reports_first_failing_pair(monkeypatch):
     # f(e_2, e_3) and f(e_3, e_1) off by one: x o y = t(x) y + t(y) x
     # - f(x, y) 1 fails on those two basis pairs only, and the check walks
