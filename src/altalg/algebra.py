@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from . import scan
@@ -460,23 +462,52 @@ def special_subspace(A: Algebra, kind: str) -> Subspace:
 
 
 def _condition_rows(F: Field, ncols: int, rows) -> list:
-    """The dense form of the sparse condition rows ``{column: value}``, zero
-    rows and (over hashable fields) repeats dropped, keeping the first of
-    each.  Rows are keyed by their sorted nonzero (column, value) pairs:
-    hashing dense tuples would hash every zero Fraction too."""
-    zero, is_zero = F.zero, F.is_zero
-    out, seen = [], set()
+    """The dense form of the sparse condition rows ``{column: value}``.
+
+    Over GF(p) and Q each row is lifted (``fields._lift``, which also takes
+    plain integers, as ``operators._law_rows`` hands them) and put in a
+    normal form, its sorted nonzero (column, value) pairs: over GF(p) with
+    leading entry 1, over Q as primitive integers with a positive leading
+    entry, handed on as ``Fraction``.  Zero rows and rows whose normal form was already seen,
+    that is nonzero multiples of an earlier row, are dropped.  Over
+    GF(p)(s, t) the rows are kept as they are, zero rows dropped."""
+    zero = F.zero
+    out = []
+    if F.kind == "ratfun2":
+        for row in rows:
+            if not all(F.is_zero(a) for a in row.values()):
+                dense = [zero] * ncols
+                for c, a in row.items():
+                    dense[c] = a
+                out.append(dense)
+        return out
+    p = F.p if F.kind == "prime" else 0
+    seen, met = set(), set()
     for row in rows:
-        if F.hashable_elements:
-            key = tuple(sorted((c, a) for c, a in row.items() if not is_zero(a)))
-            if not key or key in seen:
-                continue
-            seen.add(key)
-        elif all(is_zero(a) for a in row.values()):
+        # a row met before as it stands has the same normal form: skip it
+        # before lifting, which most rows of a high-order system are
+        raw = frozenset(row.items())
+        if raw in met:
             continue
+        met.add(raw)
+        ints, _ = _lift(F, list(row.values()))
+        pairs = sorted((c, a) for c, a in zip(row, ints) if a)
+        if not pairs:
+            continue
+        lead = pairs[0][1]
+        if p:
+            inv = pow(lead, p - 2, p)
+            key = tuple((c, a * inv % p) for c, a in pairs)
+        else:
+            g = gcd(*(a for _, a in pairs))
+            g = g if lead > 0 else -g
+            key = tuple((c, a // g) for c, a in pairs)
+        if key in seen:
+            continue
+        seen.add(key)
         dense = [zero] * ncols
-        for c, a in row.items():
-            dense[c] = a
+        for c, a in key:
+            dense[c] = a if p else Fraction(a)
         out.append(dense)
     return out
 

@@ -331,7 +331,6 @@ class Field:
     char: int
     is_finite: bool
     order: int | None
-    hashable_elements: bool
 
     zero = None
     one = None
@@ -405,7 +404,6 @@ class PrimeField(Field):
 
     kind = "prime"
     is_finite = True
-    hashable_elements = True
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -473,7 +471,6 @@ class RationalField(Field):
     char = 0
     is_finite = False
     order = None
-    hashable_elements = True
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -536,7 +533,6 @@ class RatFunField(Field):
     kind = "ratfun2"
     is_finite = False
     order = None
-    hashable_elements = False
 
     def __init__(self, p: int, var_names=("s", "t"), term_budget: int = DEFAULT_TERM_BUDGET):
         if not is_prime(p):

@@ -8,16 +8,22 @@ Linear maps live in the d^2-dimensional coordinate space of matrices
 and solved through the exact kernel routine.  Derivations, Leibniz-derivations
 and quasiderivations share one system builder: it computes the left-normed
 products of basis tuples once per node of their prefix trie and streams its
-rows through ``algebra._condition_rows``, the one condition-row filter, which
-drops zero and repeated rows as they are emitted.  The rest is ``linalg``:
-combinations of maps are ``_combine``, the multiplication Lie algebra is a
-``Subspace._closure`` under commutators, and a map given by the images of a
-basis is read off one RREF of [sources | images].
+rows through ``algebra._condition_rows``, the one condition-row filter.  Over
+GF(p) and Q the builder sums plain integers over the algebra's lifted table,
+and the filter puts each row in a normal form and keeps the first of each,
+so zero rows and nonzero multiples of earlier rows never reach elimination;
+over GF(p)(s, t) the builder replays field operations and the filter drops
+zero rows only.  The RREF is unique, so the kernels do not depend on which
+multiple of a row is kept.  The rest is ``linalg``: combinations of maps are
+``_combine``, the multiplication Lie algebra is a ``Subspace._closure`` under
+commutators, and a map given by the images of a basis is read off one RREF
+of [sources | images].
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from . import scan
@@ -55,33 +61,57 @@ class OperatorSpace:
 
 def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
     """Rows of phi([x1..xn]) - sum_t [x1.. phi(x_t) ..xn] = 0 over basis
-    n-tuples in ``itertools.product`` order, zero rows and (over hashable
-    fields) repeats dropped; the phi([x1..xn]) block starts at column
-    ``q_offset`` (d^2 for the Q unknowns of quasiderivations).  A slot
-    vector [x1.. e_r ..xn] is the prefix of another tuple, so each trie node
-    is one right multiplication of its parent; vectors are sparse nonzero
-    ``(index, value)`` lists, ``None`` when zero."""
+    n-tuples in ``itertools.product`` order, through ``_condition_rows``
+    (over GF(p) and Q each row in its normal form, the first of each kept);
+    the phi([x1..xn]) block starts at column ``q_offset`` (d^2 for the Q
+    unknowns of quasiderivations).  A slot vector [x1.. e_r ..xn] is the
+    prefix of another tuple, so each trie node is one right multiplication
+    of its parent; vectors are sparse nonzero ``(index, value)`` lists,
+    ``None`` when zero.
+
+    Over GF(p) and Q the values are integers over the lifted table: a
+    level-t vector is the true one times Dc^(t-1), so every row, built from
+    level-n vectors only, is the true row times Dc^(n-1).  Over GF(p)(s, t)
+    each product replays ``Algebra.mul``'s field operations, so unreduced
+    rational-function entries come out in the same form."""
     F = A.field
     d = A.dim
-    zero, one = F.zero, F.one
-    is_zero, add, mul = F.is_zero, F.add, F.mul
-    by_col = [[A.table.get((i, j)) for i in range(d)] for j in range(d)]
+    if A._lifted is None:
+        zero, one = F.zero, F.one
+        is_zero, add, mul, neg = F.is_zero, F.add, F.mul, F.neg
+        by_col = [[A.table.get((i, j)) for i in range(d)] for j in range(d)]
 
-    def rmul(v, j):
-        # A.mul(v, e_j), replaying its field operations so that unreduced
-        # rational-function entries come out in the same form
-        out = {}
-        for i, x in v or ():
-            if by_col[j][i]:
-                s = mul(x, one)
+        def rmul(v, j):
+            out = {}
+            for i, x in v or ():
+                if by_col[j][i]:
+                    s = mul(x, one)
+                    for k, c in by_col[j][i]:
+                        out[k] = add(out.get(k, zero), mul(s, c))
+            return [(k, a) for k, a in sorted(out.items()) if not is_zero(a)] or None
+    else:
+        one, add, neg = 1, operator.add, operator.neg
+        p = F.p if F.kind == "prime" else 0
+        by_col = [[()] * d for _ in range(d)]
+        for i, row in enumerate(A._lifted[0]):
+            for j, terms in row:
+                by_col[j][i] = terms
+
+        def rmul(v, j):
+            out = {}
+            for i, x in v or ():
                 for k, c in by_col[j][i]:
-                    out[k] = add(out.get(k, zero), mul(s, c))
-        return [(k, a) for k, a in sorted(out.items()) if not is_zero(a)] or None
+                    out[k] = out.get(k, 0) + x * c
+            if p:
+                return [(k, a % p) for k, a in sorted(out.items()) if a % p] or None
+            return [(k, a) for k, a in sorted(out.items()) if a] or None
 
     level = [[(r, one)] for r in range(d)]      # indexed by base-d tuple code
     for _ in range(n - 1):
         level = [rmul(v, j) for v in level for j in range(d)]
-    negated = [v and [(m, F.neg(a)) for m, a in v] for v in level]
+    if not any(level):      # every row is built from level-n vectors alone
+        return []
+    negated = [v and [(m, neg(a)) for m, a in v] for v in level]
     strides = [d ** (n - 1 - t) for t in range(n)]
 
     def sparse_rows():
@@ -127,7 +157,10 @@ def leibniz_space(A: Algebra, n: int) -> OperatorSpace:
 
 def quasider_condition_rows(A: Algebra) -> list:
     """Rows of the linear system for pairs (f, Q), unknowns f then Q
-    (2 d^2 columns): Q(e_i e_j) - f(e_i) e_j - e_i f(e_j) = 0."""
+    (2 d^2 columns): Q(e_i e_j) - f(e_i) e_j - e_i f(e_j) = 0.  Over GF(p)
+    and Q each row is in the normal form of ``algebra._condition_rows``, so
+    this is the same system up to row scaling, without rows that are
+    multiples of earlier ones."""
     return _law_rows(A, 2, q_offset=A.dim ** 2)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,10 +16,10 @@ RIGHT_ALTERNATIVE = algebra._LAWS["right-alternative"]._replace(
 
 
 def reference_dedupe_rows(F, rows):
-    """Dense condition rows without zero rows and, over hashable fields,
-    without repeats (keyed on the dense tuple), keeping the first of each."""
+    """Dense condition rows without zero rows and, over GF(p) and Q, without
+    repeats (keyed on the dense tuple), keeping the first of each."""
     out = []
-    if F.hashable_elements:
+    if F.kind != "ratfun2":
         seen = set()
         for r in rows:
             if all(F.is_zero(a) for a in r):
@@ -31,6 +32,27 @@ def reference_dedupe_rows(F, rows):
         for r in rows:
             if not all(F.is_zero(a) for a in r):
                 out.append(r)
+    return out
+
+
+def reference_normal_rows(F, rows):
+    """Dense condition rows over GF(p) or Q, each divided by its leading
+    entry and, over Q, multiplied by the lcm of the denominators (primitive
+    integers with a positive leading entry), zero rows dropped and the first
+    of each normal form kept."""
+    out, seen = [], set()
+    for r in rows:
+        lead = next((a for a in r if not F.is_zero(a)), None)
+        if lead is None:
+            continue
+        monic = [F.div(a, lead) for a in r]
+        if F.kind == "rationals":
+            scale = math.lcm(*(a.denominator for a in monic))
+            monic = [a * scale for a in monic]
+        key = tuple(monic)
+        if key not in seen:
+            seen.add(key)
+            out.append(monic)
     return out
 
 

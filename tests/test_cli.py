@@ -371,8 +371,12 @@ def test_cli_and_q_operator_spaces_do_not_load_numpy():
     code = ("import sys, altalg.cli\n"
             "assert 'altalg.scan' in sys.modules, 'scan not imported'\n"
             "assert 'numpy' not in sys.modules, 'loaded by import'\n"
-            "altalg.cli.main(['derivations', 'split-octonions-Q', '--json'])\n"
-            "assert 'numpy' not in sys.modules, 'loaded by derivations'\n")
+            "for argv in [['derivations', 'split-octonions-Q'],\n"
+            "             ['quasiderivations', 'split-octonions-Q'],\n"
+            "             ['leibniz', 'split-octonions-Q', '--order', '4'],\n"
+            "             ['leibniz', 'remark22', '--order', '5']]:\n"
+            "    altalg.cli.main(argv + ['--json'])\n"
+            "    assert 'numpy' not in sys.modules, f'loaded by {argv}'\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

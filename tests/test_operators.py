@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import reference_dedupe_rows
+from conftest import reference_dedupe_rows, reference_normal_rows
 
 from altalg.algebra import Algebra
 from altalg.catalog import build, field_algebra, mat2, zero_algebra
@@ -67,19 +67,17 @@ def test_derivation_space_stable_under_unknown_reordering():
                         row[r * d + j] = F.sub(row[r * d + j], P[i][r][m])
                     rows.append(row)
         rows = reference_dedupe_rows(F, rows)
-        rev = list(reversed(range(d * d)))
-        rows_p = [[row[rev[c]] for c in range(d * d)] for row in rows]
-        ker_p = kernel(Matrix(F, rows_p, d * d))
-        unperm = [[row[rev.index(c)] for c in range(d * d)] for row in ker_p.rows]
-        oracle = Subspace.from_vectors(F, d * d, unperm)
+        ker_p = kernel(Matrix(F, [row[::-1] for row in rows], d * d))
+        oracle = Subspace.from_vectors(F, d * d, [row[::-1] for row in ker_p.rows])
         assert oracle == derivation_space(A).space
 
 
 def reference_leibniz_rows(A, n, q_offset=0):
     """The tuple-by-tuple builder the prefix-trie builder replaced: every
     basis n-tuple from scratch with Algebra.mul, dense rows, then
-    reference_dedupe_rows.  q_offset moves the phi([x1..xn]) block, as for the
-    Q unknowns of quasiderivations."""
+    reference_normal_rows over GF(p) and Q and reference_dedupe_rows over
+    GF(p)(s,t).  q_offset moves the phi([x1..xn]) block, as for the Q
+    unknowns of quasiderivations."""
     F = A.field
     d = A.dim
     e = A.basis()
@@ -111,7 +109,9 @@ def reference_leibniz_rows(A, n, q_offset=0):
                         col = r * d + idx[t]
                         row[col] = F.sub(row[col], a)
             rows.append(row)
-    return reference_dedupe_rows(F, rows)
+    if F.kind == "ratfun2":
+        return reference_dedupe_rows(F, rows)
+    return reference_normal_rows(F, rows)
 
 
 def random_sparse_algebra(F, d, rng):
@@ -128,16 +128,22 @@ def encoded(F, rows):
     return [[F.encode(a) for a in row] for row in rows]
 
 
-@pytest.mark.parametrize("F", [PrimeField(3), RationalField(), RatFunField(2)],
-                         ids=["gf3", "rationals", "ratfun2"])
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(5),
+                               PrimeField(7), RationalField(), RatFunField(2)],
+                         ids=["gf2", "gf3", "gf5", "gf7", "rationals", "ratfun2"])
 def test_trie_builder_matches_tuple_by_tuple_reference(F):
-    # byte-identical encodings also pin the unreduced GF(2)(s,t) forms
+    # over GF(p) and Q the rows are the reference rows in normal form, the
+    # first of each kept; over GF(2)(s,t) byte-identical encodings also pin
+    # the unreduced forms.  The kernels are the same either way.
     from altalg.operators import _law_rows
 
     rng = random.Random(7)
     shapes = [(d, n) for d in (2, 3, 4) for n in (2, 3, 4) if d ** n <= 81]
+    denominators = set()
     for d, n in shapes:
         A = random_sparse_algebra(F, d, rng)
+        if A._lifted is not None:
+            denominators.add(A._lifted[1])
         ref = reference_leibniz_rows(A, n)
         assert encoded(F, _law_rows(A, n)) == encoded(F, ref)
         want = encoded(F, kernel(Matrix(F, ref, d * d)).rows)
@@ -146,6 +152,23 @@ def test_trie_builder_matches_tuple_by_tuple_reference(F):
             assert encoded(F, derivation_space(A).space.rows) == want
             assert (encoded(F, quasider_condition_rows(A))
                     == encoded(F, reference_leibniz_rows(A, 2, q_offset=d * d)))
+    if F.kind == "rationals":     # non-integral constants: Dc > 1
+        assert max(denominators) > 1
+
+
+def test_law_rows_of_a_nilpotent_algebra_stop_at_zero_products():
+    # from the nilpotency index on (remark22: 5, trivial-nilpotent: 3) every
+    # left-normed product of n basis vectors is zero, so there are no rows
+    # and every map is a Leibniz-derivation of order n
+    from altalg.operators import _law_rows
+
+    cases = {"remark22": (5, (10, 20, 37, 49, 49)),
+             "trivial-nilpotent": (3, (2, 4, 4))}
+    for name, (nil, dims) in cases.items():
+        A = build(name).algebra
+        for n, dim in enumerate(dims, start=2):
+            assert (_law_rows(A, n) == []) == (n >= nil)
+            assert leibniz_space(A, n).dim == dim
 
 
 def test_derivations_kill_unit():
