@@ -39,6 +39,7 @@ call of a public function.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -464,6 +465,9 @@ class PrimeField(Field):
         return f"<field GF({self.p})>"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class RationalField(Field):
     """Arbitrary-precision rationals in canonical reduced form."""
 
@@ -506,15 +510,15 @@ class RationalField(Field):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def parse(self, obj):
-        if isinstance(obj, bool):
-            raise FieldError(f"bad rational encoding: {obj!r}")
-        if isinstance(obj, int):
+        # only "int" and "num/den": Fraction alone also takes "1.5", " 7 "
+        # and "1e99999999", the last after minutes of expanding the power
+        if isinstance(obj, int) and not isinstance(obj, bool):
             return Fraction(obj)
-        if isinstance(obj, str):
+        if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
             try:
                 return Fraction(obj)
             except (ValueError, ZeroDivisionError):
-                raise FieldError(f"bad rational encoding: {obj!r}") from None
+                pass
         raise FieldError(f"bad rational encoding: {obj!r}")
 
     def encode(self, a):

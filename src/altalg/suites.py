@@ -9,7 +9,6 @@ witnesses.  Suites are deterministic given the configuration seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from . import scan
@@ -49,15 +48,12 @@ class SuiteReport:
     suite: str
     checks: list
     seed: int
-    wall_time: float
 
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self, version: str) -> dict:
-        # wall_time deliberately omitted: reports must be byte-identical
-        # across runs for fixed inputs, seed, and version
         return {
             "suite": self.suite,
             "overall": "pass" if self.overall else "fail",
@@ -604,17 +600,8 @@ def run_suite(name: str, cfg: Config | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     cfg = cfg or Config()
-    t0 = time.perf_counter()
-    checks = SUITES[name](cfg)
-    return SuiteReport(name, checks, cfg.seed, time.perf_counter() - t0)
+    return SuiteReport(name, SUITES[name](cfg), cfg.seed)
 
 
-def run_all(cfg: Config | None = None, parallel: bool = False) -> list:
-    cfg = cfg or Config()
-    if not parallel:
-        return [run_suite(name, cfg) for name in SUITE_ORDER]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = {name: pool.submit(run_suite, name, cfg) for name in SUITE_ORDER}
-        return [futures[name].result() for name in SUITE_ORDER]
+def run_all(cfg: Config | None = None) -> list:
+    return [run_suite(name, cfg) for name in SUITE_ORDER]

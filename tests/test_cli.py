@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import threading
 import time
 
 import pytest
@@ -237,21 +238,30 @@ def test_cli_seed_changes_are_honored(capsys):
 
 
 def test_cli_parallel_elapsed_is_wall_time(capsys, monkeypatch):
-    # four suites sleeping 0.3 s side by side: the stderr line must show the
-    # real wall time, not the 1.2 s sum of the per-suite times
+    # --parallel is accepted for compatibility only: the four 0.1 s suites
+    # run one after another on the main thread, in suite order, the report
+    # equals the serial one, and elapsed: shows the real 0.4 s or more
     from altalg import suites
 
-    def sleepy(cfg):
-        time.sleep(0.3)
-        return [suites.CheckResult("slept", True, "certified")]
+    ran = []
 
-    fake = {f"sleep-{i}": sleepy for i in range(4)}
+    def sleepy(name):
+        def run(cfg):
+            ran.append((name, threading.current_thread() is threading.main_thread()))
+            time.sleep(0.1)
+            return [suites.CheckResult("slept", True, "certified")]
+        return run
+
+    fake = {f"sleep-{i}": sleepy(f"sleep-{i}") for i in range(4)}
     monkeypatch.setattr(suites, "SUITES", fake)
     monkeypatch.setattr(suites, "SUITE_ORDER", tuple(fake))
-    code, _, err = run_cli(capsys, "verify", "all", "--parallel", "--json")
-    assert code == 0
+    _, serial, _ = run_cli(capsys, "verify", "all", "--json")
+    ran.clear()
+    code, out, err = run_cli(capsys, "verify", "all", "--parallel", "--json")
+    assert code == 0 and out == serial
+    assert ran == [(name, True) for name in fake]
     elapsed = float(re.search(r"elapsed: ([0-9.]+)s", err).group(1))
-    assert 0.3 <= elapsed < 0.9
+    assert elapsed >= 0.4
 
 
 @pytest.mark.parametrize("argv, dim, key, value", [
@@ -290,6 +300,8 @@ def test_cli_invertible_values_sample_fail_is_sampled(capsys, tmp_path):
 
 GF3_DOC = {"field": {"kind": "prime", "p": 3}, "dim": 2, "basis": ["e", "f"],
            "table": [{"i": 0, "j": 0, "terms": [{"k": 1, "c": "1"}]}]}
+Q_DOC = {"field": {"kind": "rationals"}, "dim": 2,
+         "table": [{"i": 0, "j": 0, "terms": [{"k": 1, "c": "1/2"}]}]}
 RATFUN_DOC = {"field": {"kind": "ratfun2", "p": 2, "vars": ["s", "t"]}, "dim": 2,
               "table": [{"i": 0, "j": 0, "terms": [
                   {"k": 1, "c": {"num": [[0, 0]], "den": [[0, 1]]}}]}]}
@@ -315,8 +327,11 @@ def _with(doc, path, value):
     (_with(GF3_DOC, ("basis",), "ab"), "'basis' must be a list"),
     (_with(RATFUN_DOC, ("field", "vars"), "st"), "'vars' must be a list"),
     (_with(GF3_DOC, ("field", "p"), 2 ** 89 - 1), "cannot decide whether"),
+    *[(_with(Q_DOC, ("table", 0, "terms", 0, "c"), c),
+       f"bad rational encoding: {c!r}") for c in ("1e99999999", "1.5", "1_0", " 7 ")],
 ], ids=["k-string", "k-float", "basis-number", "ratfun-empty-den", "dim-true",
-        "i-true", "basis-string", "vars-string", "p-beyond-primality-bound"])
+        "i-true", "basis-string", "vars-string", "p-beyond-primality-bound",
+        "q-exponent", "q-decimal", "q-underscore", "q-padded"])
 def test_cli_rejects_malformed_algebra_file(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -352,7 +367,9 @@ def test_cli_invertible_values_blames_the_rejected_file(capsys, tmp_path):
               "invertible-values analysis requires a unital algebra"),
              ("zorn", [["0"] * 8] * 8, "map", "the zero derivation is excluded"),
              ("zorn", [["1" if i == j else "0" for j in range(8)]
-                       for i in range(8)], "map", "map is not a derivation")]
+                       for i in range(8)], "map", "map is not a derivation"),
+             ("split-octonions-Q", [["1e99999999"] * 8] * 8, "map",
+              "bad rational encoding: '1e99999999'")]
     for i, (tgt, matrix, blamed, message) in enumerate(cases):
         dmap = tmp_path / f"map{i}.json"
         dmap.write_text(json.dumps({"matrix": matrix}))
@@ -360,6 +377,20 @@ def test_cli_invertible_values_blames_the_rejected_file(capsys, tmp_path):
         path = tgt if blamed == "target" else str(dmap)
         assert (code, out) == (1, "")
         assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" + b"7" * 5001 + b"]"],
+                         ids=["not-utf8", "integer-past-digit-limit"])
+@pytest.mark.parametrize("role", ["algebra", "map"])
+def test_cli_rejects_unreadable_json(capsys, tmp_path, content, role):
+    # json.load raises these as ValueError, not JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = (("powers", str(bad)) if role == "algebra"
+            else ("inner", "zorn", "--map", str(bad)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: unreadable JSON: ")
 
 
 def test_cli_and_q_operator_spaces_do_not_load_numpy():

@@ -190,6 +190,20 @@ def test_rational_encoding_roundtrip(rng):
         assert f.parse(f.encode(a)) == a
     assert f.encode(f.parse("3")) == "3"
     assert f.encode(f.parse("-4/6")) == "-2/3"
+    assert [f.encode(f.parse(s)) for s in ("+3", "12", "2/4", 7)] == \
+        ["3", "12", "1/2", "7"]
+
+
+@pytest.mark.parametrize("obj", ["1e99999999", "1e9999999", "1.5", "1_0", " 7 ",
+                                 "7\n", "1/0", "", "1/", "/2", "1" * 5000,
+                                 True, 1.5, None])
+def test_rational_parse_rejects_forms_outside_grammar(obj):
+    # only "int" and "num/den" are documented; an exponent must be refused
+    # before Fraction expands it
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError):
+        RationalField().parse(obj)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_ratfun_encoding_roundtrip(rng):
