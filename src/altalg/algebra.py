@@ -6,15 +6,15 @@ An algebra is a field, a dimension d, and a sparse table
 unspecified basis pairs multiply to zero.  Elements are plain coefficient
 lists of length d.
 
-Over GF(p) and Q each algebra also keeps an integer form of its table,
-built once at construction: the constants as integers over one common
-denominator (over GF(p), residues over 1).  A product lifts both factors to
-integer vectors over the lcm of their denominators, sums plain integers per
-output coordinate and normalises each coordinate once (``fields._lift`` and
-``fields._lower``); ``Fraction`` is canonical and residues are reduced, so
-the values are those of one field operation per term.  Over GF(p)(s, t) the
-product replays the field operations term by term, which keeps their
-unreduced term forms.
+Each algebra also keeps a lifted form of its table, built once at
+construction: over Q the constants as integers over one common denominator,
+over GF(p) residues over 1, over GF(p)(s, t) the fractions themselves over
+1.  A product lifts both factors over the lcm of their denominators, sums
+products per output coordinate from the int 0 and lowers each coordinate
+once (``fields._lift`` and ``fields._lower``).  ``Fraction`` is canonical
+and residues are reduced, so the values are those of one field operation
+per term; GF(p)(s, t) fractions combine by ``RatFun``'s operators, so a
+coordinate keeps the unreduced term form of those field operations.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class Algebra:
         self.table = clean
         self.names = names
         self._unit = _UNSET
-        # the table never changes, so its integer form is built once here
-        self._lifted = None if F.kind == "ratfun2" else _lift_table(F, dim, clean)
+        # the table never changes, so its lifted form is built once here
+        self._lifted = _lift_table(F, dim, clean)
 
     # ---- element helpers -------------------------------------------------
 
@@ -128,13 +128,10 @@ class Algebra:
     # ---- products --------------------------------------------------------
 
     def mul(self, x, y) -> list:
-        """xy: integer sums over the lifted table over GF(p) and Q, replayed
-        field operations over GF(p)(s, t) (see the module docstring)."""
+        """xy: sums over the lifted table (see the module docstring)."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
         F = self.field
-        if self._lifted is None:
-            return self._replay_mul(x, y)
         rows, Dc = self._lifted
         X, Dx = _lift(F, x)
         Y, Dy = _lift(F, y)
@@ -150,24 +147,6 @@ class Algebra:
                         acc[k] += s * c
         D = Dx * Dy * Dc
         return [_lower(F, v, D) for v in acc]
-
-    def _replay_mul(self, x, y) -> list:
-        F = self.field
-        tab = self.table
-        out = [F.zero] * self.dim
-        for i, xi in enumerate(x):
-            if F.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if F.is_zero(yj):
-                    continue
-                terms = tab.get((i, j))
-                if not terms:
-                    continue
-                s = F.mul(xi, yj)
-                for k, c in terms:
-                    out[k] = F.add(out[k], F.mul(s, c))
-        return out
 
     def commutator(self, x, y) -> list:
         return self.vsub(self.mul(x, y), self.mul(y, x))
@@ -248,9 +227,9 @@ class Algebra:
 
 
 def _lift_table(F: Field, dim: int, table: dict) -> tuple:
-    """(rows, Dc): the constants of a GF(p) or Q table as integers over one
-    common denominator Dc (over GF(p), residues and Dc = 1), with rows[i]
-    the pairs (j, ((k, c), ...)) of the products e_i e_j."""
+    """(rows, Dc): the constants of a table lifted over one common
+    denominator Dc (``fields._lift``), with rows[i] the pairs
+    (j, ((k, c), ...)) of the products e_i e_j."""
     keys = sorted(table)
     ints, Dc = _lift(F, [c for key in keys for _, c in table[key]])
     it = iter(ints)

@@ -95,6 +95,8 @@ def _read_json(path: str):
         # bytes that are not UTF-8, or an integer literal past Python's
         # digit limit
         raise CliInputError(f"{path}: unreadable JSON: {e}") from None
+    except RecursionError:
+        raise CliInputError(f"{path}: JSON nested too deeply") from None
 
 
 def parse_algebra_file(path: str) -> Algebra:

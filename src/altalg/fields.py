@@ -30,11 +30,18 @@ from the operand sizes:
   when a key could reach 2**62, the dict loop runs instead.
 
 Every method yields the canonical term dict of the product, so the results
-are term-identical to the schoolbook product.  ``RatFunField`` arithmetic
-works on the term dicts with ``_mul_terms`` and ``_add_terms``, which the
-GF(p)(s, t) elimination in ``linalg`` also uses.  They are private because
-they run once per product: ``perfbench/tracer.py`` records a span for every
-call of a public function.
+are term-identical to the schoolbook product.  ``RatFun`` arithmetic is its
+operators ``+``, ``-``, ``*``, unary ``-`` and truthiness (numerator
+nonzero), on the term dicts with ``_mul_terms`` and ``_add_terms``, which
+the GF(p)(s, t) elimination in ``linalg`` also uses; ``RatFunField.add``,
+``sub``, ``mul`` and ``neg`` check the operands' field and apply them.  The
+helpers are private because they run once per product:
+``perfbench/tracer.py`` records a span for every call of a public function.
+
+So GF(p)(s, t) values combine like the integers of GF(p) and Q: ``_lift``
+hands them on as they are (D = 1), and every sum of products in
+``algebra``, ``operators`` and ``quadratic`` is one loop over ``_lift``
+and ``_lower`` for all three field kinds.
 """
 
 from __future__ import annotations
@@ -58,7 +65,9 @@ class ZeroDenominatorError(FieldError, ZeroDivisionError):
     """A decoded rational function whose denominator is zero."""
 
 
-DEFAULT_TERM_BUDGET = 2 ** 16
+# Terms a GF(p)(s, t) fraction, and a product inside elimination, may have;
+# read at call time, so a test can lower it
+TERM_BUDGET = 2 ** 16
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -103,23 +112,29 @@ def is_json_int(obj) -> bool:
 def _lift(F, xs) -> tuple:
     """(ints, D) with xs[i] = ints[i] / D: over GF(p) the residues and
     D = 1, over Q the numerators over the lcm D of the denominators (an int
-    entry counts as denominator 1).  Sums of products of lifted entries are
-    plain integer sums, which ``_lower`` turns back into one element."""
+    entry counts as denominator 1), over GF(p)(s, t) the fractions
+    themselves and D = 1.  Sums of products of lifted entries are sums
+    started from the int 0, which ``_lower`` turns back into one element."""
     if F.kind == "prime":
         p = F.p
         return [a % p for a in xs], 1
-    D = lcm(*[a.denominator for a in xs])
-    if D == 1:
-        return [a.numerator for a in xs], 1
-    return [a.numerator * (D // a.denominator) for a in xs], D
+    if F.kind == "rationals":
+        D = lcm(*[a.denominator for a in xs])
+        if D == 1:
+            return [a.numerator for a in xs], 1
+        return [a.numerator * (D // a.denominator) for a in xs], D
+    return list(xs), 1
 
 
-def _lower(F, v: int, D: int):
-    """The element v / D of GF(p) or Q: the residue v % p, or the canonical
-    Fraction (F.zero for v = 0)."""
+def _lower(F, v, D: int):
+    """The element v / D: the residue v % p, the canonical Fraction (F.zero
+    for v = 0), or over GF(p)(s, t) the accumulated fraction as it stands
+    (F.zero for a sum that received no term, still the int 0)."""
     if F.kind == "prime":
         return v % F.p
-    return Fraction(v, D) if v else F.zero
+    if F.kind == "rationals":
+        return Fraction(v, D) if v else F.zero
+    return F.zero if type(v) is int else v
 
 
 # Products of at least this many term pairs are formed from sorted packed
@@ -300,7 +315,8 @@ def _mono_str(exps, c) -> str:
 
 
 class RatFun:
-    """Unreduced fraction of two ``Poly2`` with nonzero denominator."""
+    """Unreduced fraction of two ``Poly2`` with nonzero denominator; its
+    operators are the GF(p)(s, t) field operations."""
 
     __slots__ = ("num", "den")
 
@@ -318,6 +334,45 @@ class RatFun:
         res.num = _poly(p, num)
         res.den = _poly(p, den)
         return res
+
+    def _terms(self, other) -> tuple:
+        """p and the four term dicts of two operands over one GF(p)."""
+        p = self.num.p
+        if not (isinstance(other, RatFun)
+                and self.den.p == other.num.p == other.den.p == p):
+            raise FieldError("mixed-field rational-function operands")
+        return p, self.num.terms, self.den.terms, other.num.terms, other.den.terms
+
+    def _plus(self, other, sign: int) -> "RatFun":
+        # num*other.den + sign*other.num*den over den*other.den
+        p, an, ad, bn, bd = self._terms(other)
+        num = _add_terms(p, _mul_terms(p, an, bd), _mul_terms(p, bn, ad), sign)
+        # the guard is looked up on the class per call, where
+        # perfbench/tracer.py wraps it
+        return RatFunField._guard(None, RatFun.of(p, num, _mul_terms(p, ad, bd)))
+
+    def __add__(self, other) -> "RatFun":
+        return self._plus(other, 1)
+
+    def __radd__(self, other) -> "RatFun":
+        # sums start from the int 0, and 0 + a has the term dicts of a
+        if type(other) is int and other == 0:
+            return self
+        return NotImplemented
+
+    def __sub__(self, other) -> "RatFun":
+        return self._plus(other, -1)
+
+    def __mul__(self, other) -> "RatFun":
+        p, an, ad, bn, bd = self._terms(other)
+        return RatFunField._guard(
+            None, RatFun.of(p, _mul_terms(p, an, bn), _mul_terms(p, ad, bd)))
+
+    def __neg__(self) -> "RatFun":
+        return RatFun(self.num.neg(), self.den)
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def __repr__(self) -> str:
         if self.den.terms == {(0, 0): 1}:
@@ -400,6 +455,10 @@ class Field:
         return f"<field {self.kind}>"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class PrimeField(Field):
     """GF(p) for prime p; elements are int residues in [0, p)."""
 
@@ -448,12 +507,14 @@ class PrimeField(Field):
         return rng.randrange(self.p)
 
     def parse(self, obj):
-        if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-            raise FieldError(f"bad GF({self.p}) element encoding: {obj!r}")
-        try:
-            return int(obj) % self.p
-        except ValueError:
-            raise FieldError(f"bad GF({self.p}) element encoding: {obj!r}") from None
+        # an int or "[+-]?[0-9]+": int() alone also takes " 7 ", "1_0" and
+        # non-ASCII digits
+        if is_json_int(obj) or isinstance(obj, str) and _INTEGER.fullmatch(obj):
+            try:
+                return int(obj) % self.p
+            except ValueError:      # a string past Python's digit limit
+                pass
+        raise FieldError(f"bad GF({self.p}) element encoding: {obj!r}")
 
     def encode(self, a):
         return str(a % self.p)
@@ -463,9 +524,6 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"<field GF({self.p})>"
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class RationalField(Field):
@@ -538,7 +596,7 @@ class RatFunField(Field):
     is_finite = False
     order = None
 
-    def __init__(self, p: int, var_names=("s", "t"), term_budget: int = DEFAULT_TERM_BUDGET):
+    def __init__(self, p: int, var_names=("s", "t")):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if len(var_names) != 2:
@@ -546,16 +604,17 @@ class RatFunField(Field):
         self.p = p
         self.char = p
         self.var_names = tuple(var_names)
-        self.term_budget = term_budget
         self.zero = RatFun(Poly2(p, {}), Poly2.const(p, 1))
         self.one = RatFun(Poly2.const(p, 1), Poly2.const(p, 1))
 
     def _guard(self, a: RatFun) -> RatFun:
+        """a, or a TermBudgetError past ``TERM_BUDGET`` terms; every result
+        of the ``RatFun`` operators passes here (``self`` is unused)."""
         n = len(a.num.terms) + len(a.den.terms)
-        if n > self.term_budget:
+        if n > TERM_BUDGET:
             raise TermBudgetError(
                 f"rational function grew to {n} terms "
-                f"(budget {self.term_budget}); aborting"
+                f"(budget {TERM_BUDGET}); aborting"
             )
         return a
 
@@ -568,33 +627,24 @@ class RatFunField(Field):
     def t(self) -> RatFun:
         return self.poly({(0, 1): 1})
 
-    def _terms(self, a, b) -> tuple:
-        """The four term dicts of two operands, which must be over GF(p)."""
-        p = self.p
-        if not (a.num.p == a.den.p == b.num.p == b.den.p == p):
+    def _check(self, a):
+        """a, which must be over this GF(p); the operators check the other
+        operand against it."""
+        if not (isinstance(a, RatFun) and a.num.p == a.den.p == self.p):
             raise FieldError("mixed-field rational-function operands")
-        return a.num.terms, a.den.terms, b.num.terms, b.den.terms
-
-    def _plus(self, a, b, sign: int) -> RatFun:
-        # a.num*b.den + sign*b.num*a.den over a.den*b.den
-        an, ad, bn, bd = self._terms(a, b)
-        p = self.p
-        num = _add_terms(p, _mul_terms(p, an, bd), _mul_terms(p, bn, ad), sign)
-        return self._guard(RatFun.of(p, num, _mul_terms(p, ad, bd)))
+        return a
 
     def add(self, a, b):
-        return self._plus(a, b, 1)
+        return self._check(a) + b
 
     def sub(self, a, b):
-        return self._plus(a, b, -1)
+        return self._check(a) - b
 
     def neg(self, a):
-        return RatFun(a.num.neg(), a.den)
+        return -self._check(a)
 
     def mul(self, a, b):
-        an, ad, bn, bd = self._terms(a, b)
-        p = self.p
-        return self._guard(RatFun.of(p, _mul_terms(p, an, bn), _mul_terms(p, ad, bd)))
+        return self._check(a) * b
 
     def inv(self, a):
         if a.num.is_zero():

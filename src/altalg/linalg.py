@@ -33,7 +33,7 @@ polynomials as the numerator and denominator of
 ``F.sub(F.mul(piv, x), F.mul(f, y))``, because GF(p)[s, t] is commutative
 and associative and a polynomial has one term dict.  So the unreduced
 fractions, and every encoded output, match that formula term for term.
-Each product is checked against the field's term budget, and each stored
+Each product is checked against ``fields.TERM_BUDGET``, and each stored
 entry goes through ``F._guard``.
 
 Everything built on elimination lives here too.  ``_combine`` is the one
@@ -49,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import fields
 from .fields import (Field, FieldError, RatFun, RatFunField, TermBudgetError,
                      _add_terms, _mul_terms)
 
@@ -214,7 +215,7 @@ def _primitive(row: list) -> list:
 def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
     """GF(p)(s, t) with the fused row step of the module docstring; each
     pivot row is scaled by its inverse at the end."""
-    p, budget, guard = F.p, F.term_budget, F._guard
+    p, budget, guard = F.p, fields.TERM_BUDGET, F._guard
     if not all(x.num.p == x.den.p == p for row in rows for x in row):
         raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
 

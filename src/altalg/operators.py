@@ -8,16 +8,17 @@ Linear maps live in the d^2-dimensional coordinate space of matrices
 and solved through the exact kernel routine.  Derivations, Leibniz-derivations
 and quasiderivations share one system builder: it computes the left-normed
 products of basis tuples once per node of their prefix trie and streams its
-rows through ``algebra._condition_rows``, the one condition-row filter.  Over
-GF(p) and Q the builder sums plain integers over the algebra's lifted table,
-and the filter puts each row in a normal form and keeps the first of each,
-so zero rows and nonzero multiples of earlier rows never reach elimination;
-over GF(p)(s, t) the builder replays field operations and the filter drops
-zero rows only.  The RREF is unique, so the kernels do not depend on which
-multiple of a row is kept.  The rest is ``linalg``: combinations of maps are
-``_combine``, the multiplication Lie algebra is a ``Subspace._closure`` under
-commutators, and a map given by the images of a basis is read off one RREF
-of [sources | images].
+rows through ``algebra._condition_rows``, the one condition-row filter.  The
+builder sums products over the algebra's lifted table: plain integers over
+GF(p) and Q, unreduced fractions by ``RatFun``'s operators over GF(p)(s, t).
+Over GF(p) and Q the filter puts each row in a normal form and keeps the
+first of each, so zero rows and nonzero multiples of earlier rows never
+reach elimination; over GF(p)(s, t) it drops zero rows only.  The RREF is
+unique, so the kernels do not depend on which multiple of a row is kept.
+The rest is ``linalg``: combinations of maps are ``_combine``, the
+multiplication Lie algebra is a ``Subspace._closure`` under commutators,
+and a map given by the images of a basis is read off one RREF of
+[sources | images].
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import scan
 from .algebra import Algebra, _condition_rows, search
+from .fields import _lift
 from .linalg import Matrix, Subspace, _combine, _multiple, kernel, rref, solve
 from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
 
@@ -69,42 +71,29 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
     of its parent; vectors are sparse nonzero ``(index, value)`` lists,
     ``None`` when zero.
 
-    Over GF(p) and Q the values are integers over the lifted table: a
+    The values are sums over the lifted table, as in ``Algebra.mul``: a
     level-t vector is the true one times Dc^(t-1), so every row, built from
-    level-n vectors only, is the true row times Dc^(n-1).  Over GF(p)(s, t)
-    each product replays ``Algebra.mul``'s field operations, so unreduced
-    rational-function entries come out in the same form."""
+    level-n vectors only, is the true row times Dc^(n-1) (Dc = 1 over GF(p)
+    and GF(p)(s, t), whose unreduced entries come out in the form of
+    ``Algebra.mul``'s field operations)."""
     F = A.field
     d = A.dim
-    if A._lifted is None:
-        zero, one = F.zero, F.one
-        is_zero, add, mul, neg = F.is_zero, F.add, F.mul, F.neg
-        by_col = [[A.table.get((i, j)) for i in range(d)] for j in range(d)]
+    (one,), _ = _lift(F, [F.one])
+    add, neg = operator.add, operator.neg
+    p = F.p if F.kind == "prime" else 0
+    by_col = [[()] * d for _ in range(d)]
+    for i, row in enumerate(A._lifted[0]):
+        for j, terms in row:
+            by_col[j][i] = terms
 
-        def rmul(v, j):
-            out = {}
-            for i, x in v or ():
-                if by_col[j][i]:
-                    s = mul(x, one)
-                    for k, c in by_col[j][i]:
-                        out[k] = add(out.get(k, zero), mul(s, c))
-            return [(k, a) for k, a in sorted(out.items()) if not is_zero(a)] or None
-    else:
-        one, add, neg = 1, operator.add, operator.neg
-        p = F.p if F.kind == "prime" else 0
-        by_col = [[()] * d for _ in range(d)]
-        for i, row in enumerate(A._lifted[0]):
-            for j, terms in row:
-                by_col[j][i] = terms
-
-        def rmul(v, j):
-            out = {}
-            for i, x in v or ():
-                for k, c in by_col[j][i]:
-                    out[k] = out.get(k, 0) + x * c
-            if p:
-                return [(k, a % p) for k, a in sorted(out.items()) if a % p] or None
-            return [(k, a) for k, a in sorted(out.items()) if a] or None
+    def rmul(v, j):
+        out = {}
+        for i, x in v or ():
+            for k, c in by_col[j][i]:
+                out[k] = out.get(k, 0) + x * c
+        if p:
+            return [(k, a % p) for k, a in sorted(out.items()) if a % p] or None
+        return [(k, a) for k, a in sorted(out.items()) if a] or None
 
     level = [[(r, one)] for r in range(d)]      # indexed by base-d tuple code
     for _ in range(n - 1):

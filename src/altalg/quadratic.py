@@ -5,10 +5,11 @@ inversion, and orthogonal complements.
 The norm is stored as upper-triangular quadratic-form coefficients and
 evaluated directly, which stays meaningful in characteristic 2 where the
 symmetric-matrix representation degenerates; the bilinear form is its
-polarization f(x, y) = n(x+y) - n(x) - n(y).  Over GF(p) and Q the trace,
-norm and bilinear form are integer sums over integer forms of the form data,
-normalised once, as ``Algebra.mul`` is; over GF(p)(s, t) they replay the
-field operations.
+polarization f(x, y) = n(x+y) - n(x) - n(y).  The trace, norm and
+bilinear form are sums over lifted forms of the form data, lowered once, as
+``Algebra.mul`` is.  They skip zero coordinates and zero cross terms: that
+changes no integer sum, and it keeps the GF(p)(s, t) term forms, since
+adding 0/den to an unreduced fraction multiplies its denominator by den.
 """
 
 from __future__ import annotations
@@ -49,14 +50,11 @@ class QuadraticAlgebra:
         self._verify_quadratic_relation()
 
     def _lift_forms(self):
-        """The integer forms, once per algebra: the nonzero (i, t) of the
+        """The lifted forms, once per algebra: the nonzero (i, t) of the
         trace vector over Dt, and (i, j, q) of the upper triangle of the
-        norm form over Dq.  None over GF(p)(s, t), which replays field ops.
-        Code that edits trace_vec or qform in place calls this again."""
+        norm form over Dq.  Code that edits trace_vec or qform in place
+        calls this again."""
         F = self.field
-        if F.kind == "ratfun2":
-            self._lifted = None
-            return
         T, Dt = _lift(F, self.trace_vec)
         cells = [(i, j) for i, row in enumerate(self.qform) for j in range(i, len(row))]
         Q, Dq = _lift(F, [self.qform[i][j] for i, j in cells])
@@ -73,52 +71,25 @@ class QuadraticAlgebra:
 
     def trace(self, x):
         F = self.field
-        if self._lifted is not None:
-            T, Dt, _, _ = self._lifted
-            X, Dx = _lift(F, x)
-            return _lower(F, sum(t * X[i] for i, t in T), Dt * Dx)
-        s = F.zero
-        for t, a in zip(self.trace_vec, x):
-            if not F.is_zero(t) and not F.is_zero(a):
-                s = F.add(s, F.mul(t, a))
-        return s
+        T, Dt, _, _ = self._lifted
+        X, Dx = _lift(F, x)
+        return _lower(F, sum(t * X[i] for i, t in T if X[i]), Dt * Dx)
 
     def norm(self, x):
         F = self.field
-        if self._lifted is not None:
-            _, _, Q, Dq = self._lifted
-            X, Dx = _lift(F, x)
-            return _lower(F, sum(q * X[i] * X[j] for i, j, q in Q), Dq * Dx * Dx)
-        s = F.zero
-        for i, row in enumerate(self.qform):
-            xi = x[i]
-            if F.is_zero(xi):
-                continue
-            for j in range(i, len(row)):
-                q = row[j]
-                if not F.is_zero(q) and not F.is_zero(x[j]):
-                    s = F.add(s, F.mul(q, F.mul(xi, x[j])))
-        return s
+        _, _, Q, Dq = self._lifted
+        X, Dx = _lift(F, x)
+        return _lower(F, sum(q * X[i] * X[j] for i, j, q in Q if X[i] and X[j]),
+                      Dq * Dx * Dx)
 
     def bilinear(self, x, y):
         """f(x, y) = n(x+y) - n(x) - n(y), evaluated from the form data."""
         F = self.field
-        if self._lifted is not None:
-            _, _, Q, Dq = self._lifted
-            X, Dx = _lift(F, x)
-            Y, Dy = _lift(F, y)
-            return _lower(F, sum(q * (X[i] * Y[j] + X[j] * Y[i]) for i, j, q in Q),
-                          Dq * Dx * Dy)
-        s = F.zero
-        for i, row in enumerate(self.qform):
-            for j in range(i, len(row)):
-                q = row[j]
-                if F.is_zero(q):
-                    continue
-                cross = F.add(F.mul(x[i], y[j]), F.mul(x[j], y[i]))
-                if not F.is_zero(cross):
-                    s = F.add(s, F.mul(q, cross))
-        return s
+        _, _, Q, Dq = self._lifted
+        X, Dx = _lift(F, x)
+        Y, Dy = _lift(F, y)
+        return _lower(F, sum(q * c for i, j, q in Q
+                             if (c := X[i] * Y[j] + X[j] * Y[i])), Dq * Dx * Dy)
 
     def conjugate(self, x) -> list:
         t = self.trace(x)

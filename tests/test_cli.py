@@ -393,6 +393,17 @@ def test_cli_rejects_unreadable_json(capsys, tmp_path, content, role):
     assert err.startswith(f"error: {bad}: unreadable JSON: ")
 
 
+@pytest.mark.parametrize("role", ["algebra", "map"])
+def test_cli_rejects_deeply_nested_json(capsys, tmp_path, role):
+    # json.load raises RecursionError past the interpreter's recursion limit
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    argv = (("powers", str(bad)) if role == "algebra"
+            else ("inner", "zorn", "--map", str(bad)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {bad}: JSON nested too deeply\n")
+
+
 def test_cli_and_q_operator_spaces_do_not_load_numpy():
     # numpy serves the GF(p) block scans only; scan imports it on first use,
     # while importing the CLI still imports every module of the package

@@ -167,8 +167,9 @@ def test_ratfun_eq_equivalence_relation(rng):
             assert f.eq(a, c)
 
 
-def test_term_budget_guard():
-    f = RatFunField(2, term_budget=8)
+def test_term_budget_guard(monkeypatch):
+    monkeypatch.setattr(fields, "TERM_BUDGET", 8)
+    f = RatFunField(2)
     dense = f.poly({(i, j): 1 for i in range(3) for j in range(3)})
     with pytest.raises(TermBudgetError):
         f.mul(dense, dense)
@@ -181,6 +182,21 @@ def test_prime_encoding_roundtrip():
     assert f.parse("12") == 5
     with pytest.raises(FieldError):
         f.parse("x")
+
+
+def test_prime_parse_takes_signed_ascii_integers():
+    f = PrimeField(7)
+    assert [f.parse(s) for s in ("-1", "+3", "12", "0", "007", 12, -1)] == \
+        [6, 3, 5, 0, 0, 5, 6]
+
+
+@pytest.mark.parametrize("obj", [" 7 ", "1_0", "+3\n", "\u0663", "7\n", "", "+",
+                                 "1.0", "1/2", "0x1", "1" * 5000, True, 1.0,
+                                 None, [1]])
+def test_prime_parse_rejects_forms_outside_grammar(obj):
+    # int() alone takes the first four as 0, 3, 3 and 3
+    with pytest.raises(FieldError, match="bad GF\\(7\\) element encoding"):
+        PrimeField(7).parse(obj)
 
 
 def test_rational_encoding_roundtrip(rng):
@@ -385,3 +401,57 @@ def test_every_product_path_rejects_mixed_characteristic(monkeypatch):
                 op(y, x)
     with pytest.raises(FieldError):
         f3.mul(f3.s(), RatFun(Poly2(3, one), Poly2(2, one)))
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES + (5,))
+def test_ratfun_operators_are_the_field_operations(p, rng):
+    """+, -, *, unary -, 0 + a, sum() and truthiness give the term dicts of
+    the RatFunField methods and of the schoolbook reference."""
+    F = RatFunField(p)
+    zero_over = RatFun(Poly2(p, {}), Poly2(p, {(0, 0): 1, (1, 2): 1}))
+    for _ in range(40):
+        a, b = random_ratfun(F, rng), random_ratfun(F, rng)
+        for got, method, ref in ((a + b, F.add(a, b), reference_add(a, b)),
+                                 (a - b, F.sub(a, b), reference_sub(a, b)),
+                                 (a * b, F.mul(a, b), reference_mul(a, b)),
+                                 (-a, F.neg(a), reference_neg(a)),
+                                 (0 + a, F.add(F.zero, a), a),
+                                 (a + zero_over, F.add(a, zero_over),
+                                  reference_add(a, zero_over))):
+            assert (got.num.terms, got.den.terms) == (method.num.terms,
+                                                      method.den.terms)
+            assert F.encode(got) == F.encode(method) == F.encode(ref)
+        c = random_ratfun(F, rng)
+        assert F.encode(sum([a, b, c])) == F.encode(F.add(F.add(a, b), c))
+        assert bool(a) is not F.is_zero(a)
+    assert not zero_over and not F.zero and F.one
+    assert F.encode(sum([zero_over])) == F.encode(zero_over)
+    assert sum([]) == 0 and type(sum([])) is int
+
+
+def test_ratfun_operators_guard_the_budget_and_the_field(monkeypatch):
+    f2, f3 = RatFunField(2), RatFunField(3)
+    # 9 terms over 1 and over 1 + t: the product, sum and difference have
+    # 18, 8 and 11 terms in all
+    square = {(i, j): 1 for i in range(3) for j in range(3)}
+    a = RatFun(Poly2(3, square), Poly2.const(3, 1))
+    b = RatFun(Poly2(3, square), Poly2(3, {(0, 0): 1, (0, 1): 1}))
+    ops = (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y)
+    assert [len(c.num.terms) + len(c.den.terms)
+            for c in (op(a, b) for op in ops)] == [18, 8, 11]
+    monkeypatch.setattr(fields, "TERM_BUDGET", 7)
+    for op in ops:
+        with pytest.raises(TermBudgetError):
+            op(a, b)
+    monkeypatch.undo()
+    for op in ops:
+        with pytest.raises(FieldError):
+            op(f2.s(), f3.s())
+        with pytest.raises(FieldError):
+            op(f3.t(), f2.t())
+    with pytest.raises(FieldError):
+        f2.neg(f3.s())
+    with pytest.raises(FieldError):
+        f2.s() + RatFun(Poly2(2, {(0, 0): 1}), Poly2(3, {(0, 0): 1}))
+    with pytest.raises(TypeError):
+        1 + f2.s()

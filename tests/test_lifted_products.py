@@ -1,8 +1,9 @@
 """The integer-lifted product and forms against the field-op loops they
 replaced: over GF(p) and Q, ``Algebra.mul`` and ``QuadraticAlgebra.trace``,
 ``norm`` and ``bilinear`` sum exact integers and normalise once per
-coordinate.  The ``reference_*`` functions below are the former loops, one
-field operation per structure-constant term.  Values, Python types and
+coordinate; over GF(p)(s, t) the same loops sum the fractions with
+``RatFun``'s operators.  The ``reference_*`` functions below are the former
+loops, one field operation per structure-constant term.  Values, Python types and
 ``F.encode`` bytes must agree."""
 
 import json
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from altalg.algebra import Algebra, algebra_from_json, check_identity, evaluate_identity
-from altalg.fields import PrimeField, RatFunField, RationalField
+from altalg.fields import Poly2, PrimeField, RatFun, RatFunField, RationalField
 from altalg.quadratic import QuadraticAlgebra, cd_tower, zorn
 
 
@@ -228,19 +229,69 @@ def test_dimension_mismatch_raises(F):
             reference_mul(A, x, y)
 
 
+def ratfun_scalar(F, rng, nonzero=False):
+    """A GF(p)(s, t) entry: often a multi-term fraction, sometimes 0/1 or a
+    zero fraction over a denominator other than 1, which an unreduced sum
+    must not absorb."""
+    p = F.p
+    kind = rng.randrange(6 if nonzero else 8)
+    if kind == 6:
+        return F.zero
+    if kind == 7:
+        return RatFun(Poly2(p, {}), Poly2(p, {(0, 0): 1, (rng.randint(0, 2), 1): 1}))
+    if kind < 2:
+        return F.random_nonzero(rng)
+
+    def poly(nterms, box):
+        return Poly2(p, {(rng.randint(0, box), rng.randint(0, box)):
+                         rng.randint(1, p - 1) for _ in range(nterms)})
+
+    return RatFun(poly(rng.randint(1, 3), 2), poly(rng.randint(1, 2), 1))
+
+
 def test_ratfun_product_replays_field_ops():
-    """GF(p)(s, t) keeps the field-op loop: the unreduced fractions are the
-    reference's term for term."""
-    F = RatFunField(2)
-    rng = random.Random(9)
-    for _ in range(10):
-        d = rng.randint(1, 3)
-        table = {(i, j): [(rng.randrange(d), F.random_nonzero(rng))]
-                 for i in range(d) for j in range(d) if rng.random() < 0.6}
-        A = Algebra(F, d, table)
-        x, y = A.random_element(rng), A.random_element(rng)
-        assert ([F.encode(a) for a in A.mul(x, y)]
-                == [F.encode(a) for a in reference_mul(A, x, y)])
+    """Over GF(p)(s, t) the lifted loops run on the fractions themselves:
+    the product and the three forms give the reference's unreduced
+    fractions term for term.  Odd p shows a sign slip that GF(2) hides."""
+    for p in (2, 3, 5):
+        F = RatFunField(p)
+        rng = random.Random(9 + p)
+        for _ in range(12):
+            d = rng.randint(1, 3)
+            table = {(i, j): [(k, ratfun_scalar(F, rng, nonzero=True))
+                              for k in rng.sample(range(d), rng.randint(1, d))]
+                     for i in range(d) for j in range(d) if rng.random() < 0.6}
+            A = Algebra(F, d, table)
+            q = QuadraticAlgebra.__new__(QuadraticAlgebra)
+            q.algebra = A
+            q.trace_vec = [ratfun_scalar(F, rng) for _ in range(d)]
+            q.qform = [[ratfun_scalar(F, rng) for _ in range(d)] for _ in range(d)]
+            q._lift_forms()
+            for _ in range(4):
+                x = [ratfun_scalar(F, rng) for _ in range(d)]
+                y = [ratfun_scalar(F, rng) for _ in range(d)]
+                assert ([F.encode(a) for a in A.mul(x, y)]
+                        == [F.encode(a) for a in reference_mul(A, x, y)])
+                for got, want in ((q.trace(x), reference_trace(q, x)),
+                                  (q.norm(x), reference_norm(q, x)),
+                                  (q.bilinear(x, y), reference_bilinear(q, x, y))):
+                    assert F.encode(got) == F.encode(want)
+        # sums whose terms cancel keep their unreduced zero 0/den (over
+        # GF(2) the cross terms of bilinear(x, x) are 2ab = 0, and skipped)
+        a = RatFun(Poly2(p, {(1, 0): 1}), Poly2(p, {(0, 0): 1, (0, 1): 1}))
+        c = F.neg(a)
+        C = Algebra(F, 2, {(0, 0): [(0, a)], (1, 1): [(0, c)]})
+        q = QuadraticAlgebra.__new__(QuadraticAlgebra)
+        q.algebra, q.trace_vec, q.qform = C, [a, c], [[a, F.zero], [F.zero, c]]
+        q._lift_forms()
+        x = [a, a]
+        for got, want in ((C.mul(x, x)[0], reference_mul(C, x, x)[0]),
+                          (q.trace(x), reference_trace(q, x)),
+                          (q.norm(x), reference_norm(q, x)),
+                          (q.bilinear(x, x), reference_bilinear(q, x, x))):
+            assert F.is_zero(got)
+            assert F.encode(got) == F.encode(want)
+            assert len(got.den.terms) > 1 or (p == 2 and got is F.zero)
 
 
 def test_fractional_fixture_fails_by_sampling_with_fractional_witnesses(monkeypatch):

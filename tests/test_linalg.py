@@ -310,7 +310,8 @@ def test_rref_ratfun2_is_term_identical_to_reference(p, pairs, rng, monkeypatch)
 
 def test_rref_ratfun2_checks_every_product_against_the_budget(monkeypatch):
     # the hoisted product piv.num * f.den has 12 terms, over a budget of 10
-    F = RatFunField(2, term_budget=10)
+    monkeypatch.setattr(fields, "TERM_BUDGET", 10)
+    F = RatFunField(2)
     monkeypatch.setattr(RatFunField, "inv", lambda self, a: pytest.fail("not reached"))
     piv = RatFun(Poly2(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}), Poly2.const(2, 1))
     f = RatFun(Poly2.const(2, 1), Poly2(2, {(0, j): 1 for j in range(4)}))
@@ -320,7 +321,8 @@ def test_rref_ratfun2_checks_every_product_against_the_budget(monkeypatch):
 
 def test_rref_ratfun2_stops_when_entries_outgrow_the_budget(rng, monkeypatch):
     monkeypatch.setattr(RatFunField, "inv", lambda self, a: pytest.fail("not reached"))
-    F = RatFunField(3, term_budget=40)
+    monkeypatch.setattr(fields, "TERM_BUDGET", 40)
+    F = RatFunField(3)
     rows = [[ratfun_entry(F, rng) for _ in range(6)] for _ in range(6)]
     with pytest.raises(TermBudgetError):
         rref(Matrix(F, rows, 6))

@@ -129,12 +129,15 @@ def encoded(F, rows):
 
 
 @pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(5),
-                               PrimeField(7), RationalField(), RatFunField(2)],
-                         ids=["gf2", "gf3", "gf5", "gf7", "rationals", "ratfun2"])
+                               PrimeField(7), RationalField(), RatFunField(2),
+                               RatFunField(3)],
+                         ids=["gf2", "gf3", "gf5", "gf7", "rationals", "ratfun2",
+                              "ratfun2-gf3"])
 def test_trie_builder_matches_tuple_by_tuple_reference(F):
     # over GF(p) and Q the rows are the reference rows in normal form, the
-    # first of each kept; over GF(2)(s,t) byte-identical encodings also pin
-    # the unreduced forms.  The kernels are the same either way.
+    # first of each kept; over GF(2)(s,t) and GF(3)(s,t) byte-identical
+    # encodings also pin the unreduced forms.  The kernels are the same
+    # either way.
     from altalg.operators import _law_rows
 
     rng = random.Random(7)
@@ -142,8 +145,7 @@ def test_trie_builder_matches_tuple_by_tuple_reference(F):
     denominators = set()
     for d, n in shapes:
         A = random_sparse_algebra(F, d, rng)
-        if A._lifted is not None:
-            denominators.add(A._lifted[1])
+        denominators.add(A._lifted[1])
         ref = reference_leibniz_rows(A, n)
         assert encoded(F, _law_rows(A, n)) == encoded(F, ref)
         want = encoded(F, kernel(Matrix(F, ref, d * d)).rows)
