@@ -3,18 +3,19 @@ subspaces, powers, and generated subalgebras/ideals.
 
 An algebra is a field, a dimension d, and a sparse table
 ``c[(i, j)] = ((k, coeff), ...)`` meaning ``e_i e_j = sum coeff * e_k``;
-unspecified basis pairs multiply to zero.  Elements are plain coefficient
-lists of length d.
+unspecified basis pairs multiply to zero; elements are lists of d coefficients.
 
 Each algebra also keeps a lifted form of its table, built once at
 construction: over Q the constants as integers over one common denominator,
-over GF(p) residues over 1, over GF(p)(s, t) the fractions themselves over
-1.  A product lifts both factors over the lcm of their denominators, sums
+over GF(p) residues and over GF(p)(s, t) the fractions themselves, over 1.
+A product lifts both factors over the lcm of their denominators, sums
 products per output coordinate from the int 0 and lowers each coordinate
 once (``fields._lift`` and ``fields._lower``).  ``Fraction`` is canonical
 and residues are reduced, so the values are those of one field operation
 per term; GF(p)(s, t) fractions combine by ``RatFun``'s operators, so a
 coordinate keeps the unreduced term form of those field operations.
+``check_identity`` never lowers: it evaluates each law on lifted values
+(``_Lifted``) and recomputes only a witness's value by field operations.
 """
 
 from __future__ import annotations
@@ -132,11 +133,15 @@ class Algebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
         F = self.field
-        rows, Dc = self._lifted
         X, Dx = _lift(F, x)
         Y, Dy = _lift(F, y)
+        D = Dx * Dy * self._lifted[1]
+        return [_lower(F, v, D) for v in self._mul_lifted(X, Y)]
+
+    def _mul_lifted(self, X, Y) -> list:
+        """XY on lifted coordinates: sums over the lifted table from the int 0."""
         acc = [0] * self.dim
-        for xi, row in zip(X, rows):
+        for xi, row in zip(X, self._lifted[0]):
             if not xi:
                 continue
             for j, terms in row:
@@ -145,8 +150,7 @@ class Algebra:
                     s = xi * yj
                     for k, c in terms:
                         acc[k] += s * c
-        D = Dx * Dy * Dc
-        return [_lower(F, v, D) for v in acc]
+        return acc
 
     def commutator(self, x, y) -> list:
         return self.vsub(self.mul(x, y), self.mul(y, x))
@@ -237,6 +241,32 @@ def _lift_table(F: Field, dim: int, table: dict) -> tuple:
     for i, j in keys:
         rows[i].append((j, tuple((k, next(it)) for k, _ in table[(i, j)])))
     return rows, Dc
+
+
+class _Lifted:
+    """A stand-in for A on lifted coordinates (``fields._lift``) for the laws
+    of ``_LAWS``: products sum over the lifted table and are never lowered.
+    In such a law every term has the same degree in each argument and the
+    same number of products, so one nonzero factor scales the whole value
+    and the zero test (mod p over GF(p)) is exact."""
+
+    associator = Algebra.associator
+    commutator = Algebra.commutator
+    mul = Algebra._mul_lifted
+
+    def __init__(self, A: Algebra):
+        self.field, self.dim, self._lifted = A.field, A.dim, A._lifted
+        self._p = A.field.p if A.field.kind == "prime" else 0
+
+    def lift(self, x) -> list:
+        return _lift(self.field, x)[0]
+
+    def vsub(self, x, y) -> list:
+        # over GF(p)(s, t) a coordinate may be the int 0: 0 - b is -b
+        return [(a - b if a else -b) if b else a for a, b in zip(x, y)]
+
+    def is_zero_vec(self, x) -> bool:
+        return not any(a % self._p for a in x) if self._p else not any(x)
 
 
 def make_algebra(field, dim, table, names=None) -> Algebra:
@@ -350,47 +380,23 @@ def evaluate_identity(A: Algebra, name: str, args) -> list:
     return _LAWS[name].evaluate(A, *args)
 
 
-def _first_failure(A: Algebra, law: _Law, xs, ys=None):
+def _first_failure(A: Algebra, law: _Law, xs, ys=None, L=None):
     """The first arguments at which ``law`` fails, or None: x runs over xs,
     the linear arguments over tuples of ys (default the basis) in
-    lexicographic order."""
+    lexicographic order.  With L, A's ``_Lifted`` stand-in (for a law of
+    ``_LAWS``), the law is evaluated there, on arguments lifted once."""
     ys = A.basis() if ys is None else ys
+    L, lift = (A, lambda v: v) if L is None else (L, L.lift)
+    pairs = [(y, lift(y)) for y in ys]
     for x in xs:
-        for lin in itertools.product(ys, repeat=law.linear):
-            args = (*lin, x) if law.last else (x, *lin)
-            if not A.is_zero_vec(law.evaluate(A, *args)):
-                return args
+        X = lift(x)
+        for lin in itertools.product(pairs, repeat=law.linear):
+            vals = [v for _, v in lin]
+            if not L.is_zero_vec(law.evaluate(
+                    L, *((*vals, X) if law.last else (X, *vals)))):
+                lin = [y for y, _ in lin]
+                return (*lin, x) if law.last else (x, *lin)
     return None
-
-
-def _report(A: Algebra, name: str, provenance: str, args) -> IdentityReport:
-    witness = None if args is None else IdentityWitness(
-        list(args), evaluate_identity(A, name, args))
-    return IdentityReport(name, witness is None, provenance, witness)
-
-
-def _check_certified(A: Algebra, name: str) -> IdentityReport:
-    """A law f of degree <= 2 in x and linear in its other arguments vanishes
-    identically iff it vanishes with those arguments on basis vectors and x
-    at every e_i, then (degree 2) at every e_i + e_j, i < j: once the square
-    coefficients f(e_i) are zero, f(e_i + e_j) is the cross coefficient.
-    This holds over every field, characteristic 2 included."""
-    law = _LAWS[name]
-    xs = A.probes() if law.degree == 2 else A.basis()
-    return _report(A, name, "certified", _first_failure(A, law, xs))
-
-
-def _check_scanned(A: Algebra, name: str, seed: int, samples: int,
-                   enum_cap: int) -> IdentityReport:
-    law = _LAWS[name]
-    args, provenance = search(
-        A.field, A.dim, lambda *a: not A.is_zero_vec(law.evaluate(A, *a)),
-        arity=1 + law.linear, seed=seed, samples=samples, enum_cap=enum_cap,
-        rows=scan.sweep(A, law))
-    if args is not None and provenance == "exhaustive":
-        # the first failing x of the sweep, then its first failing basis tuple
-        args = _first_failure(A, law, args)
-    return _report(A, name, provenance, args)
 
 
 def check_identity(A: Algebra, name: str, *, seed: int = 42, samples: int = 128,
@@ -399,12 +405,34 @@ def check_identity(A: Algebra, name: str, *, seed: int = 42, samples: int = 128,
 
     Verdict provenance is 'certified' when basis conditions decide the law
     over any field, 'exhaustive' for a full finite scan, 'sampled' otherwise.
+    The law is evaluated on A's ``_Lifted`` stand-in; a witness's value is
+    recomputed by field operations.
+
+    Certified: a law f of degree <= 2 in x and linear in its other arguments
+    vanishes identically iff it vanishes with those arguments on basis
+    vectors and x at every e_i, then (degree 2) at every e_i + e_j, i < j:
+    once the square coefficients f(e_i) are zero, f(e_i + e_j) is the cross
+    coefficient.  This holds over every field, characteristic 2 included.
     """
     if name not in _LAWS:
         raise ValueError(f"unknown identity {name!r}")
-    if _LAWS[name].contraction is not None:
-        return _check_scanned(A, name, seed, samples, enum_cap)
-    return _check_certified(A, name)
+    law = _LAWS[name]
+    L = _Lifted(A)
+    if law.contraction is None:
+        xs = A.probes() if law.degree == 2 else A.basis()
+        args, provenance = _first_failure(A, law, xs, L=L), "certified"
+    else:
+        args, provenance = search(
+            A.field, A.dim,
+            lambda *a: not L.is_zero_vec(law.evaluate(L, *map(L.lift, a))),
+            arity=1 + law.linear, seed=seed, samples=samples, enum_cap=enum_cap,
+            rows=scan.sweep(A, law))
+        if args is not None and provenance == "exhaustive":
+            # the first failing x of the sweep, then its first failing basis tuple
+            args = _first_failure(A, law, args, L=L)
+    witness = None if args is None else IdentityWitness(
+        list(args), evaluate_identity(A, name, args))
+    return IdentityReport(name, witness is None, provenance, witness)
 
 
 # ---- distinguished subspaces ----------------------------------------------

@@ -8,13 +8,12 @@ Linear maps live in the d^2-dimensional coordinate space of matrices
 and solved through the exact kernel routine.  Derivations, Leibniz-derivations
 and quasiderivations share one system builder: it computes the left-normed
 products of basis tuples once per node of their prefix trie and streams its
-rows through ``algebra._condition_rows``, the one condition-row filter.  The
-builder sums products over the algebra's lifted table: plain integers over
-GF(p) and Q, unreduced fractions by ``RatFun``'s operators over GF(p)(s, t).
-Over GF(p) and Q the filter puts each row in a normal form and keeps the
-first of each, so zero rows and nonzero multiples of earlier rows never
-reach elimination; over GF(p)(s, t) it drops zero rows only.  The RREF is
-unique, so the kernels do not depend on which multiple of a row is kept.
+rows through ``algebra._condition_rows``, which over GF(p) and Q keeps the
+first row of each normal form, so zero rows and multiples of earlier rows
+never reach elimination (the RREF is unique, so the kernel is the same), and
+over GF(p)(s, t) drops zero rows only.  ``is_leibniz`` walks the same trie
+for one map, three products per node.  Both sum over the algebra's lifted
+table: integers over GF(p) and Q, unreduced ``RatFun`` sums over GF(p)(s, t).
 The rest is ``linalg``: combinations of maps are ``_combine``, the
 multiplication Lie algebra is a ``Subspace._closure`` under commutators,
 and a map given by the images of a basis is read off one RREF of
@@ -24,7 +23,6 @@ and a map given by the images of a basis is read off one RREF of
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from . import scan
@@ -61,6 +59,28 @@ class OperatorSpace:
         return self.space.contains_vector(flatten_map(m))
 
 
+def _by_col(A: Algebra) -> list:
+    """by_col[j][i]: the lifted terms (k, c) of e_i e_j, () when zero."""
+    by_col = [[()] * A.dim for _ in range(A.dim)]
+    for i, row in enumerate(A._lifted[0]):
+        for j, terms in row:
+            by_col[j][i] = terms
+    return by_col
+
+
+def _rsum(p: int, *pairs) -> list:
+    """Sum of v y over the pairs (v, ops), ops[i] the terms (k, c) of e_i y:
+    sparse (index, value) lists of lifted values, reduced mod p when p."""
+    out = {}
+    for v, ops in pairs:
+        for i, x in v:
+            for k, c in ops[i]:
+                out[k] = out.get(k, 0) + x * c
+    if p:
+        return [(k, a % p) for k, a in sorted(out.items()) if a % p]
+    return [(k, a) for k, a in sorted(out.items()) if a]
+
+
 def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
     """Rows of phi([x1..xn]) - sum_t [x1.. phi(x_t) ..xn] = 0 over basis
     n-tuples in ``itertools.product`` order, through ``_condition_rows``
@@ -68,8 +88,7 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
     the phi([x1..xn]) block starts at column ``q_offset`` (d^2 for the Q
     unknowns of quasiderivations).  A slot vector [x1.. e_r ..xn] is the
     prefix of another tuple, so each trie node is one right multiplication
-    of its parent; vectors are sparse nonzero ``(index, value)`` lists,
-    ``None`` when zero.
+    of its parent; vectors are sparse nonzero ``(index, value)`` lists.
 
     The values are sums over the lifted table, as in ``Algebra.mul``: a
     level-t vector is the true one times Dc^(t-1), so every row, built from
@@ -79,28 +98,14 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
     F = A.field
     d = A.dim
     (one,), _ = _lift(F, [F.one])
-    add, neg = operator.add, operator.neg
     p = F.p if F.kind == "prime" else 0
-    by_col = [[()] * d for _ in range(d)]
-    for i, row in enumerate(A._lifted[0]):
-        for j, terms in row:
-            by_col[j][i] = terms
-
-    def rmul(v, j):
-        out = {}
-        for i, x in v or ():
-            for k, c in by_col[j][i]:
-                out[k] = out.get(k, 0) + x * c
-        if p:
-            return [(k, a % p) for k, a in sorted(out.items()) if a % p] or None
-        return [(k, a) for k, a in sorted(out.items()) if a] or None
-
+    by_col = _by_col(A)
     level = [[(r, one)] for r in range(d)]      # indexed by base-d tuple code
     for _ in range(n - 1):
-        level = [rmul(v, j) for v in level for j in range(d)]
+        level = [_rsum(p, (v, by_col[j])) for v in level for j in range(d)]
     if not any(level):      # every row is built from level-n vectors alone
         return []
-    negated = [v and [(m, neg(a)) for m, a in v] for v in level]
+    negated = [[(m, -a) for m, a in v] for v in level]
     strides = [d ** (n - 1 - t) for t in range(n)]
 
     def sparse_rows():
@@ -108,18 +113,18 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
             # slot t: the codes of idx with x_t replaced by e_0 .. e_{d-1}
             slots = [negated[code - x * s:code + (d - x) * s:s]
                      for x, s in zip(idx, strides)]
-            if level[code] is None and all(vs.count(None) == d for vs in slots):
+            if not level[code] and not any(any(vs) for vs in slots):
                 continue
             # per entry: F.zero + total[k], then minus each slot term, in that
             # order; 0 + a and 0 - a are exactly a and -a in every field
-            sparse = [{q_offset + m * d + k: a for k, a in level[code] or ()}
+            sparse = [{q_offset + m * d + k: a for k, a in level[code]}
                       for m in range(d)]
             for x, vecs in zip(idx, slots):
                 for r, v in enumerate(vecs):
                     c = r * d + x
-                    for m, na in v or ():
+                    for m, na in v:
                         row = sparse[m]
-                        row[c] = add(row[c], na) if c in row else na
+                        row[c] = row[c] + na if c in row else na
             yield from sparse
 
     return _condition_rows(F, q_offset + d * d, sparse_rows())
@@ -217,29 +222,56 @@ def is_inner(A: Algebra, dmap: Matrix) -> bool:
 
 
 def is_leibniz(A: Algebra, phi: Matrix, n: int):
-    """Exact Leibniz-law check over all d^n basis tuples.
+    """Exact Leibniz-law check over all d^n basis tuples: (True, None) or
+    (False, (tuple_of_indices, discrepancy)) at the first failing tuple in
+    ``itertools.product`` order, its discrepancy by field operations.
 
-    Returns (True, None) or (False, (tuple_of_indices, discrepancy)).
-    """
+    A depth-first walk of the tuples' prefix trie over the lifted table:
+    node x1..xt carries P = [x1..xt] and Q = sum_s [x1.. phi(x_s) ..xt],
+    child j carries P e_j and Q e_j + P phi(e_j), and a leaf passes when
+    phi(P) = Q; three products per node, every leaf visited.  Over Q, P
+    carries Dc^(t-1), and Q and phi(P) carry Dc^(t-1) times phi's common
+    denominator, so the test is exact."""
     if n < 2:
         raise ValueError("Leibniz order must be at least 2")
+    F = A.field
     d = A.dim
-    e = A.basis()
-    phi_e = [phi.mulvec(e[r]) for r in range(d)]
-    for idx in itertools.product(range(d), repeat=n):
-        prefixes = [e[idx[0]]]
-        for t in range(1, n):
-            prefixes.append(A.mul(prefixes[-1], e[idx[t]]))
-        lhs = phi.mulvec(prefixes[-1])
-        rhs = A.zero()
-        for t in range(n):
-            v = phi_e[idx[t]] if t == 0 else A.mul(prefixes[t - 1], phi_e[idx[t]])
-            for u in range(t + 1, n):
-                v = A.mul(v, e[idx[u]])
-            rhs = A.vadd(rhs, v)
-        diff = A.vsub(lhs, rhs)
-        if not A.is_zero_vec(diff):
-            return False, (idx, diff)
+    if phi.field != F or phi.nrows != d or phi.ncols != d:
+        raise ValueError(f"phi must be a {d}x{d} matrix over {F!r}")
+    p = F.p if F.kind == "prime" else 0
+    (one,), _ = _lift(F, [F.one])
+    ints, _ = _lift(F, flatten_map(phi))
+    cols = [[(r, ints[r * d + c]) for r in range(d) if ints[r * d + c]]
+            for c in range(d)]
+    by_col = _by_col(A)
+    by_row = list(zip(*by_col))
+    # right multiplication by phi(e_j), and e_i -> -phi(e_i e_j)
+    by_phi = [[_rsum(p, (cols[j], by_row[i])) for i in range(d)] for j in range(d)]
+    neg_cols = [[(r, -a) for r, a in col] for col in cols]
+    minus_phi = [[_rsum(p, (by_col[j][i], neg_cols)) for i in range(d)]
+                 for j in range(d)]
+
+    def walk(P, Q, idx):
+        for j in range(d):
+            if len(idx) == n - 1:
+                bad = _rsum(p, (Q, by_col[j]), (P, by_phi[j]),
+                            (P, minus_phi[j])) and idx + (j,)
+            else:
+                bad = walk(_rsum(p, (P, by_col[j])),
+                           _rsum(p, (Q, by_col[j]), (P, by_phi[j])), idx + (j,))
+            if bad:
+                return bad
+        return None
+
+    for j in range(d):
+        idx = walk([(j, one)], cols[j], (j,))
+        if idx:
+            xs = [A.basis_vec(x) for x in idx]
+            rhs = A.zero()
+            for t in range(n):
+                rhs = A.vadd(rhs, A.left_normed_product(
+                    xs[:t] + [phi.mulvec(xs[t])] + xs[t + 1:]))
+            return False, (idx, A.vsub(phi.mulvec(A.left_normed_product(xs)), rhs))
     return True, None
 
 

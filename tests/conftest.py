@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -54,6 +55,32 @@ def reference_normal_rows(F, rows):
             seen.add(key)
             out.append(monic)
     return out
+
+
+def reference_is_leibniz(A, phi, n):
+    """The Leibniz law of order n on all d^n basis tuples in
+    ``itertools.product`` order, every left-normed product formed from
+    scratch with field operations, as ``is_leibniz`` did before it walked
+    the prefix trie on lifted values.  (True, None) or (False, (tuple,
+    discrepancy))."""
+    d = A.dim
+    e = A.basis()
+    phi_e = [phi.mulvec(e[r]) for r in range(d)]
+    for idx in itertools.product(range(d), repeat=n):
+        prefixes = [e[idx[0]]]
+        for t in range(1, n):
+            prefixes.append(A.mul(prefixes[-1], e[idx[t]]))
+        lhs = phi.mulvec(prefixes[-1])
+        rhs = A.zero()
+        for t in range(n):
+            v = phi_e[idx[t]] if t == 0 else A.mul(prefixes[t - 1], phi_e[idx[t]])
+            for u in range(t + 1, n):
+                v = A.mul(v, e[idx[u]])
+            rhs = A.vadd(rhs, v)
+        diff = A.vsub(lhs, rhs)
+        if not A.is_zero_vec(diff):
+            return False, (idx, diff)
+    return True, None
 
 
 @pytest.fixture

@@ -12,8 +12,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import reference_is_leibniz
 
-from altalg.algebra import check_identity, evaluate_identity, permuted, power_chain
+from altalg.algebra import Algebra, check_identity, evaluate_identity, permuted, power_chain
 from altalg.catalog import build, field_algebra, zero_algebra
 from altalg.fields import PrimeField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
@@ -307,6 +308,22 @@ def test_criterion_11_moens_construction_and_forward():
           and one.contains_vector(verdict.kernel_vector))
     _report(11, "nilpotent Leibniz-derivation construction and forward desk check", ok,
             "n = s//2 + 1 maps invertible; Zorn rejected; common kernel = <1>")
+
+
+def test_criterion_11_moens_construction_on_null_filiform_order_5():
+    # x^i x^j = x^(i+j) on x^1..x^8 over Q, nilpotency index 9: the map
+    # is checked at order 5, on all 8^5 = 32768 basis tuples
+    Q = RationalField()
+    d = 8
+    A = Algebra(Q, d, {(i, j): [(i + j + 1, Q.one)]
+                       for i in range(d) for j in range(d) if i + j + 1 < d})
+    t0 = time.perf_counter()
+    r = moens_construction(A)
+    elapsed = time.perf_counter() - t0
+    ok = (r.order == 5 and r.nilpotency_index == 9 and r.map.rank() == d
+          and elapsed < 5.0 and reference_is_leibniz(A, r.map, 5) == (True, None))
+    _report(11, "order-5 Leibniz-derivation of the 8-dim null-filiform algebra",
+            ok, f"construction in {elapsed:.2f}s < 5s, re-checked tuple by tuple")
 
 
 def test_criterion_12_qder_classification_desk_checks():

@@ -1,12 +1,16 @@
 import functools
 import itertools
+import json
+import os
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 
 from altalg import scan
-from altalg.algebra import (Algebra, TableFormatError, algebra_from_json,
+from altalg.algebra import (IDENTITY_NAMES, _LAWS, Algebra, IdentityReport,
+                            IdentityWitness, TableFormatError, algebra_from_json,
                             algebra_to_json, check_identity, derived_algebra,
                             evaluate_identity, generated, make_algebra,
                             permuted, power_chain, restricted_algebra,
@@ -590,6 +594,80 @@ def test_certified_route_matches_reference_on_zorn():
         for name in CERTIFIED_LAWS:
             assert (encoded_report(A.field, check_identity(A, name))
                     == encoded_report(A.field, reference_check_certified(A, name)))
+
+
+# --- every identity route against values by field operations -------------
+
+def reference_check_identity(A, name, **kw):
+    """check_identity with every law value computed on A by field
+    operations, as it was before the laws ran on lifted integers."""
+    law = _LAWS[name]
+
+    def first_failure(xs):
+        for x in xs:
+            for lin in itertools.product(A.basis(), repeat=law.linear):
+                args = (*lin, x) if law.last else (x, *lin)
+                if not A.is_zero_vec(law.evaluate(A, *args)):
+                    return args
+        return None
+
+    if law.contraction is None:
+        provenance = "certified"
+        args = first_failure(A.probes() if law.degree == 2 else A.basis())
+    else:
+        args, provenance = search(
+            A.field, A.dim, lambda *a: not A.is_zero_vec(law.evaluate(A, *a)),
+            arity=1 + law.linear, rows=scan.sweep(A, law), **kw)
+        if args is not None and provenance == "exhaustive":
+            args = first_failure(args)
+    return IdentityReport(name, args is None, provenance, None if args is None
+                          else IdentityWitness(list(args), law.evaluate(A, *args)))
+
+
+IDENTITY_FIELDS = {"gf2": PrimeField(2), "gf3": PrimeField(3), "gf5": PrimeField(5),
+                   "gf7": PrimeField(7), "q-integral": RationalField(),
+                   "q-fractional": RationalField(), "ratfun2": RatFunField(2),
+                   "ratfun2-gf3": RatFunField(3)}
+
+
+@pytest.mark.parametrize("kind", list(IDENTITY_FIELDS))
+def test_identity_routes_match_field_operation_reference(kind):
+    # all eight laws: the certified probe walk, the sampled hit (over GF(p)
+    # forced by enum_cap=0) and the basis search after a failed sweep give
+    # the verdict, tag, witness and encoded value of field operations
+    F = IDENTITY_FIELDS[kind]
+    rng = random.Random(29)
+    seen, denominators = set(), set()
+    for n in range(40):
+        A = random_law_algebra(F, 1 + n % 4, rng)
+        if kind == "q-integral":
+            A = Algebra(F, A.dim, {key: [(k, Fraction(round(c * 3))) for k, c in terms]
+                                   for key, terms in A.table.items()})
+        denominators.add(A._lifted[1])
+        caps = (0, 2 ** 20) if F.is_finite else (2 ** 20,)
+        for name, cap in itertools.product(IDENTITY_NAMES, caps):
+            kw = {"seed": n, "samples": 16, "enum_cap": cap}
+            got = check_identity(A, name, **kw)
+            assert encoded_report(F, got) == encoded_report(
+                F, reference_check_identity(A, name, **kw)), (name, A.table)
+            seen.add((got.provenance, got.holds))
+    assert {("certified", True), ("certified", False), ("sampled", False)} <= seen
+    if F.is_finite:
+        assert ("exhaustive", False) in seen
+    if kind == "q-integral":
+        assert denominators == {1}
+    elif kind == "q-fractional":
+        assert max(denominators) >= 360
+
+
+def test_identity_routes_on_fractional_constants_match_reference():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "q_fractional.json")
+    with open(path) as fh:
+        A = algebra_from_json(json.load(fh))
+    assert A._lifted[1] == 1260
+    for name in IDENTITY_NAMES:
+        assert encoded_report(A.field, check_identity(A, name)) == encoded_report(
+            A.field, reference_check_identity(A, name))
 
 
 # --- the evidence search ---------------------------------------------------

@@ -1,11 +1,15 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import reference_dedupe_rows, reference_normal_rows
+from conftest import (reference_dedupe_rows, reference_is_leibniz,
+                      reference_normal_rows)
 
-from altalg.algebra import Algebra
+from altalg import operators
+from altalg.algebra import Algebra, algebra_from_json
 from altalg.catalog import build, field_algebra, mat2, zero_algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
@@ -708,3 +712,113 @@ def test_invertible_in_space_sampling_matches_reference(F, space):
         assert kinds == {"inconclusive"}
     if space != "alternating-3" and not F.is_finite:
         assert kinds == {"witness"}
+
+
+# --- is_leibniz: the trie walk against the tuple-by-tuple loop -------------
+
+def q_fractional():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "q_fractional.json")
+    with open(path) as fh:
+        return algebra_from_json(json.load(fh))
+
+
+def integral_q_algebra(d, rng):
+    Q = RationalField()
+    return Algebra(Q, d, {(i, j): [(k, Fraction(rng.choice((-3, -2, -1, 1, 2, 3))))
+                                   for k in rng.sample(range(d), rng.randint(1, 2))]
+                          for i in range(d) for j in range(d) if rng.random() < 0.5})
+
+
+def leibniz_test_maps(A, n, rng):
+    """The zero map, the identity, a random map, and each of (up to) three
+    basis maps of Leib_n with one entry moved by 1."""
+    F, d = A.field, A.dim
+    maps = [Matrix.zeros(F, d, d), Matrix.identity(F, d),
+            Matrix(F, [[F.random_element(rng) for _ in range(d)]
+                       for _ in range(d)], d)]
+    for M in leibniz_space(A, n).basis_maps()[:3]:
+        bent = Matrix(F, [list(row) for row in M.rows], d)
+        r, c = rng.randrange(d), rng.randrange(d)
+        bent.rows[r][c] = F.add(bent.rows[r][c], F.one)
+        maps += [M, bent]
+    return maps
+
+
+def assert_same_leibniz(A, phi, n):
+    F = A.field
+    got, want = is_leibniz(A, phi, n), reference_is_leibniz(A, phi, n)
+    assert got[0] == want[0]
+    if not got[0]:
+        assert got[1][0] == want[1][0]
+        assert [F.encode(a) for a in got[1][1]] == [F.encode(a) for a in want[1][1]]
+    return got[0]
+
+
+LEIBNIZ_SHAPES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5),
+                  (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("kind", ["gf2", "gf3", "gf5", "gf7", "q-integral",
+                                  "q-fractional", "ratfun2", "ratfun2-gf3"])
+def test_is_leibniz_matches_tuple_by_tuple_reference(kind):
+    # verdict, first failing tuple and the encoded discrepancy (GF(p)(s,t)
+    # term forms included) agree with the loop over all d^n tuples
+    rng = random.Random(23)
+    verdicts = set()
+    fields = {"gf2": PrimeField(2), "gf3": PrimeField(3), "gf5": PrimeField(5),
+              "gf7": PrimeField(7), "ratfun2": RatFunField(2),
+              "ratfun2-gf3": RatFunField(3)}
+    for d, n in LEIBNIZ_SHAPES:
+        if kind == "q-integral":
+            A = integral_q_algebra(d, rng)
+        elif kind == "q-fractional":
+            if d != 3:
+                continue
+            A = q_fractional()      # Dc = 1260
+        else:
+            A = random_sparse_algebra(fields[kind], d, rng)
+        for M in leibniz_test_maps(A, n, rng):
+            verdicts.add(assert_same_leibniz(A, M, n))
+    assert verdicts == {True, False}
+
+
+def test_is_leibniz_on_fractional_constants_and_maps_reaches_order_5():
+    A = q_fractional()
+    assert A._lifted[1] == 1260
+    rng = random.Random(3)
+    maps = leibniz_test_maps(A, 5, rng)
+    assert any(max(a.denominator for row in M.rows for a in row) > 1 for M in maps)
+    assert {assert_same_leibniz(A, M, 5) for M in maps} == {True, False}
+
+
+def test_is_leibniz_visits_every_leaf_of_a_passing_map(monkeypatch):
+    # a leaf is the one three-pair sum of the walk; a passing map reaches
+    # all d^n of them, a failing one stops at the first in product order
+    leaves = []
+    real = operators._rsum
+
+    def counting(p, *pairs):
+        out = real(p, *pairs)
+        if len(pairs) == 3:
+            leaves.append(out)
+        return out
+
+    monkeypatch.setattr(operators, "_rsum", counting)
+    A = build("remark22").algebra
+    ident = Matrix.identity(A.field, 7)
+    assert is_leibniz(A, ident, 4) == (True, None)
+    assert len(leaves) == 7 ** 4 and not any(leaves)
+    leaves.clear()
+    ok, (idx, _) = is_leibniz(A, ident, 2)
+    assert not ok and idx == reference_is_leibniz(A, ident, 2)[1][0]
+    assert len(leaves) == idx[0] * 7 + idx[1] + 1
+
+
+def test_is_leibniz_rejects_maps_of_another_field_or_shape():
+    A = build("remark22").algebra
+    for phi in (Matrix.identity(RationalField(), 7), Matrix.identity(PrimeField(5), 7),
+                Matrix.identity(A.field, 6), Matrix.zeros(A.field, 7, 6)):
+        with pytest.raises(ValueError):
+            is_leibniz(A, phi, 2)
+        with pytest.raises(ValueError):
+            is_derivation(A, phi)
