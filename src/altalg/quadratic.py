@@ -14,10 +14,11 @@ adding 0/den to an unreduced fraction multiplies its denominator by den.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import Algebra, search
-from .fields import Field, _lift, _lower, make_field
+from .fields import Field, RationalField, _lift, _lower, make_field
 from .linalg import Matrix, Subspace, _multiple, kernel
 
 
@@ -205,6 +206,18 @@ def _parts_to_vec(tl, tr, bl, br):
     return [tl, br] + list(tr) + list(bl)
 
 
+@functools.cache
+def _zorn_ints() -> tuple:
+    """The Zorn structure constants, all in {-1, 0, 1}: entry 64 i + 8 j + k
+    is the e_k coefficient of e_i e_j.  Worked out once over Q, and kept as
+    one flat tuple of ints."""
+    Q = RationalField()
+    parts = [_vec_to_parts([Q.one if k == i else Q.zero for k in range(8)])
+             for i in range(8)]
+    return tuple(int(c) for i in range(8) for j in range(8)
+                 for c in _parts_to_vec(*zorn_mul_parts(Q, parts[i], parts[j])))
+
+
 def zorn(field) -> QuadraticAlgebra:
     """The split Cayley-Dickson algebra as 8-dim Zorn vector matrices.
 
@@ -212,16 +225,9 @@ def zorn(field) -> QuadraticAlgebra:
     t(x) = alpha + beta, n(x) = alpha*beta - (u, v).
     """
     F = make_field(field)
-    table = {}
-    basis_parts = []
-    for i in range(8):
-        v = [F.zero] * 8
-        v[i] = F.one
-        basis_parts.append(_vec_to_parts(v))
-    for i in range(8):
-        for j in range(8):
-            table[(i, j)] = list(enumerate(
-                _parts_to_vec(*zorn_mul_parts(F, basis_parts[i], basis_parts[j]))))
+    c = _zorn_ints()
+    table = {(i, j): [(k, F.from_int(c[64 * i + 8 * j + k])) for k in range(8)]
+             for i in range(8) for j in range(8)}
     A = Algebra(F, 8, table, list(ZORN_BASIS))
     trace_vec = [F.one, F.one] + [F.zero] * 6
     qform = [[F.zero] * 8 for _ in range(8)]

@@ -9,11 +9,15 @@ arguments range over basis vectors only, which by linearity loses nothing.
 The law's coefficients are exact integer contractions of the structure tensor
 (the linearization of Zhevlakov-Slinko-Shestakov-Shirshov, *Rings that are
 nearly associative*), summed over the orderings of each degree-k monomial and
-reduced mod p, once per sweep.  Each chunk of swept vectors then costs one
-GEMM of its monomials against that (monomials) x (basis tuples * d) matrix
-and an exact divisibility test mod p, so every vector is evaluated against
-every output.  The GEMM runs in float32 or float64 when a bound on its sums
-keeps every integer exact, and on Python integers otherwise.
+reduced mod p, once per sweep.  Each column of that (monomials) x (basis
+tuples * d) matrix is one output, and a vector's monomials are 0 against
+every column iff they are 0 against a basis mod p of the columns' span, so
+the sweep keeps only such a basis, ``column_basis``, (monomials) x (rank).
+Each chunk of swept vectors then costs one GEMM of its monomials against
+that basis and an exact divisibility test mod p: every vector is evaluated
+against a basis of the outputs' span.  The GEMM runs in float32 or float64
+when a bound on its sums keeps every integer exact, and on Python integers
+otherwise.
 
 Ranks, linear solves and two-sided inverses come from one Gauss-Jordan
 elimination over GF(p), ``batched_rref_mod_p``, run on a whole stack of
@@ -81,7 +85,11 @@ def vector_blocks(p: int, d: int, block: int | None = None):
         yield start, ((idx[:, None] // weights[None, :]) % p).astype(np.float64)
 
 
-SWEEP_BYTES = 1 << 21   # cap on one chunk's GEMM operands; about an L2 cache
+# cap on the larger GEMM operand of one chunk; with the chunk's gathered
+# monomial factor and coordinates its arrays take about twice that, which
+# stays inside a 2 MB L2 cache (on a Xeon with 2 MB of L2 per core, a 2 MB
+# cap ran the rank-0 GF(5) zorn sweep 5x slower)
+SWEEP_BYTES = 1 << 19
 
 
 def coefficients(A, law):
@@ -126,10 +134,30 @@ def gemm_dtype(p: int, monomials: int, degree: int):
     return object
 
 
+def column_basis(T: np.ndarray, p: int) -> np.ndarray:
+    """(M, rank) residues whose columns are a basis of the span mod p of the
+    columns of the (M, c) residue matrix T: the nonzero rows of the reduced
+    row-echelon form of T's transpose.  batched_rref_mod_p takes it while
+    its arithmetic is exact for p, linalg.rref over GF(p) above."""
+    if _exact(p, 1):
+        R, rank, _ = batched_rref_mod_p(T.T[None], p)
+        # int64, so that an object GEMM dtype gets Python ints, not floats
+        return R[0, :rank[0]].astype(np.int64).T
+    from .fields import PrimeField
+    from .linalg import Matrix, rref
+    R, rank, _ = rref(Matrix(PrimeField(p), T.T.tolist(), len(T)))
+    return np.array(R.rows[:rank], dtype=object).reshape(rank, len(T)).T
+
+
 def _gemm(X: np.ndarray, monomials: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Unreduced law values at the rows of X, computed in T's dtype."""
-    # one row per coordinate, so gathering a monomial factor copies a row
-    Xt = X.T.astype(np.int64, order="C").astype(T.dtype)
+    # one row per coordinate, so gathering a monomial factor copies a row;
+    # the residues of X are exact in a float dtype, and an object GEMM
+    # takes them as Python ints
+    if T.dtype == object:
+        Xt = X.T.astype(np.int64, order="C").astype(object)
+    else:
+        Xt = X.T.astype(T.dtype, order="C")
     mono = Xt[monomials[:, 0]]
     for c in range(1, monomials.shape[1]):
         mono *= Xt[monomials[:, c]]
@@ -154,21 +182,22 @@ def sweep(A, law):
     """Block predicate for algebra.search: rows(X) is the index of the first
     row of X at which `law` fails on A for some tuple of basis vectors, or -1.
 
-    The coefficient matrix is built at the first call, so a walk that only
-    samples never builds it.  Each block is cut into chunks whose GEMM
-    operands take about SWEEP_BYTES.
+    The coefficient matrix and a basis of its column span mod p are built at
+    the first call, so a walk that only samples never builds them.  Each
+    block is cut into chunks whose larger GEMM operand, the chunk's
+    monomials or its values against the basis, takes about SWEEP_BYTES.
     """
     @functools.cache
     def setup():
         p = A.field.p
         monomials, T = coefficients(A, law)
-        T = T.astype(gemm_dtype(p, len(monomials), law.degree))
-        return p, monomials, T, max(1, SWEEP_BYTES // (max(T.shape) * T.itemsize))
+        B = column_basis(T, p).astype(gemm_dtype(p, len(monomials), law.degree))
+        return p, monomials, B, max(1, SWEEP_BYTES // (max(B.shape) * B.itemsize))
 
     def rows(X: np.ndarray) -> int:
-        p, monomials, T, chunk = setup()
+        p, monomials, B, chunk = setup()
         for start in range(0, len(X), chunk):
-            bad = _nonzero_mod(_gemm(X[start:start + chunk], monomials, T), p)
+            bad = _nonzero_mod(_gemm(X[start:start + chunk], monomials, B), p)
             if bad.any():
                 return start + int(np.flatnonzero(bad.any(axis=1))[0])
         return -1

@@ -2,7 +2,9 @@
 plain Python evaluation."""
 
 import itertools
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from conftest import LEFT_ALTERNATIVE, RIGHT_ALTERNATIVE
 
 from altalg import scan
-from altalg.algebra import _LAWS, Algebra, check_identity, evaluate_identity, search
+from altalg.algebra import (_LAWS, Algebra, algebra_from_json, check_identity,
+                            evaluate_identity, search)
 from altalg.fields import PrimeField, is_prime
 from altalg.linalg import Matrix, Subspace, rref, solve
 from altalg.operators import (OperatorSpace, derivation_space,
@@ -173,26 +176,144 @@ def test_sweep_matches_reference_kernels(monkeypatch, swept):
     assert outcomes == {True, False}
 
 
-def test_zorn_sweep_evaluates_every_vector(monkeypatch):
-    # the coefficient matrix is 0 mod 5 here; the sweep must still run
-    from altalg.algebra import check_identity
+# ---- the column-basis sweep against the full coefficient matrix ----------
 
-    drawn = []
-    blocks = scan.vector_blocks
+def _null_filiform(p, d):
+    """e_i e_j = e_(i+j+1) (e_i = x^(i+1) in x F[x] / x^(d+1)): associative
+    and commutative, so both scanned laws hold with a zero matrix."""
+    table = {(i, j): [(i + j + 1, 1)]
+             for i in range(d) for j in range(d) if i + j + 1 < d}
+    return Algebra(PrimeField(p), d, table)
 
-    def counted(p, d, block=scan.BLOCK):
+
+def _jordan_gf2():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "jordan_gf2.json")
+    with open(path) as f:
+        return algebra_from_json(json.load(f))
+
+
+def _full_matrix_failures(X, monomials, T, p):
+    """Mask of the rows of X at which a law with coefficient matrix T fails
+    for some tuple of basis vectors, from every column of T, in exact ints."""
+    mono = np.prod(X.astype(np.int64)[:, monomials], axis=2)
+    return (mono @ T.astype(np.int64) % p != 0).any(axis=1)
+
+
+def test_column_basis_sweep_matches_full_matrix(monkeypatch):
+    # blocks of 97 rows, and GEMM chunks of a few rows to a whole block
+    monkeypatch.setattr(scan, "BLOCK", 97)
+    rng = random.Random(1909)
+    algebras = [random_sparse_algebra((2, 3, 5, 7)[t % 4], 2 + t // 4 % 4, rng)
+                for t in range(32)]
+    algebras += [_null_filiform(p, d) for p, d in ((2, 5), (3, 4), (5, 3), (7, 2))]
+    algebras.append(_jordan_gf2())
+    seen = set()
+    for A in algebras:
+        p, d = A.field.p, A.dim
+        for name in ("middle-moufang", "jordan"):
+            law = _LAWS[name]
+            monomials, T = scan.coefficients(A, law)
+            B = scan.column_basis(T, p).astype(
+                scan.gemm_dtype(p, len(monomials), law.degree))
+            blocks = list(scan.vector_blocks(p, d))
+            fails = [_full_matrix_failures(X, monomials, T, p) for _, X in blocks]
+            # each vector is 0 against the basis iff it is 0 against T
+            for (_, X), want in zip(blocks, fails):
+                got = scan._nonzero_mod(scan._gemm(X, monomials, B), p)
+                assert (got.any(axis=1) == want).all(), (A.table, name)
+            for nbytes in (1 << 8, 1 << 11, scan.SWEEP_BYTES):
+                with monkeypatch.context() as m:
+                    m.setattr(scan, "SWEEP_BYTES", nbytes)
+                    rows = scan.sweep(A, law)
+                    for (_, X), want in zip(blocks, fails):
+                        i = rows(X)
+                        assert i == scan.first_true(want), (A.table, name, nbytes)
+                        if i >= 0:
+                            assert rows(X[i + 1:]) == scan.first_true(want[i + 1:])
+            seen.add((any(f.any() for f in fails), B.shape[1] > 0))
+    # a failing law has a nonzero matrix; a passing one may too (Jordan, GF(2))
+    assert seen == {(True, True), (False, False), (False, True)}
+
+
+def _independent_columns(F, m, r, rng):
+    while True:
+        cols = [[rng.randrange(F.p) for _ in range(m)] for _ in range(r)]
+        if Matrix(F, cols, m).rank() == r:
+            return cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 257, 2 ** 31 - 1])
+def test_column_basis_spans_planted_columns(p):
+    # p = 2^31 - 1 is past batched_rref_mod_p's float64 limit, and its T is
+    # an object array, as coefficients returns it; no sweep runs
+    F = PrimeField(p)
+    rng = random.Random(p)
+    dtype = object if p > 2 ** 20 else np.int64
+    for m, r in ((6, 3), (4, 4), (5, 1), (3, 0)):
+        cols = _independent_columns(F, m, r, rng)
+        planted = [[0] * m] + cols[:1] + [[2 * v % p for v in c] for c in cols[1:2]]
+        if r > 1:
+            planted.append([(a + (p - 1) * b) % p for a, b in zip(cols[0], cols[-1])])
+        T = cols + planted
+        rng.shuffle(T)
+        B = scan.column_basis(np.array(T, dtype=dtype).T, p)
+        assert B.shape == (m, r)
+        basis = [[int(v) for v in col] for col in B.T]
+        assert all(0 <= v < p for col in basis for v in col)
+        assert Matrix(F, basis, m).rank() == r
+        assert Matrix(F, basis + T, m).rank() == r
+        if p > 2 ** 20:
+            assert B.dtype == object and all(type(v) is int for v in B.ravel())
+    with pytest.raises(ValueError):
+        scan.batched_rref_mod_p(np.zeros((1, 2, 2)), 2 ** 31 - 1)
+
+
+def _count_walk(monkeypatch):
+    """(drawn, gemmed): the lengths of the blocks vector_blocks yields and
+    of the chunks of rows that reach scan._gemm, appended as they go."""
+    drawn, gemmed = [], []
+    blocks, gemm = scan.vector_blocks, scan._gemm
+
+    def counted(p, d, block=None):
         for start, X in blocks(p, d, block):
             drawn.append(len(X))
             yield start, X
 
+    def counted_gemm(X, monomials, T):
+        gemmed.append(len(X))
+        return gemm(X, monomials, T)
+
     monkeypatch.setattr(scan, "vector_blocks", counted)
+    monkeypatch.setattr(scan, "_gemm", counted_gemm)
+    return drawn, gemmed
+
+
+def test_zorn_sweep_evaluates_every_vector(monkeypatch):
+    # the coefficient matrix is 0 mod 5 here; the sweep must still run, and
+    # every vector must reach the GEMM
+    drawn, gemmed = _count_walk(monkeypatch)
     A = zorn(PrimeField(5)).algebra
     rows = scan.sweep(A, _LAWS["middle-moufang"])
     assert search(A.field, 8, None, enum_cap=5 ** 8, rows=rows) == (None, "exhaustive")
     assert sum(drawn) == 5 ** 8
+    assert sum(gemmed) == 5 ** 8
     drawn.clear()
+    gemmed.clear()
     assert check_identity(A, "middle-moufang").provenance == "exhaustive"
     assert sum(drawn) == 5 ** 8
+    assert sum(gemmed) == 5 ** 8
+
+
+def test_jordan_holds_over_gf2_with_nonzero_coefficients(monkeypatch):
+    # x_a^2 x_b and x_a x_b^2 agree as functions on GF(2)^d, so the law
+    # holds though its matrix has rank 1: the walk must decide it
+    A = _jordan_gf2()
+    _, T = scan.coefficients(A, _LAWS["jordan"])
+    assert scan.column_basis(T, 2).shape[1] == 1
+    drawn, gemmed = _count_walk(monkeypatch)
+    r = check_identity(A, "jordan")
+    assert (r.holds, r.provenance) == (True, "exhaustive")
+    assert sum(drawn) == sum(gemmed) == 2 ** 3
 
 
 # ---- exactness of the sweep GEMM at its dtype switch points ---------------
