@@ -291,6 +291,10 @@ def special_product(A: Algebra, kind: str, *args) -> list:
 
 # ---- evidence search ----------------------------------------------------------
 
+# scan.vector_blocks numbers the vectors of an exhaustive walk in int64
+MAX_ENUM_CAP = 2 ** 63 - 1
+
+
 def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
            samples: int = 128, enum_cap: int = 0, rows=None):
     """(first ``args`` with ``hit(*args)``, or None; provenance): when
@@ -306,6 +310,8 @@ def search(F: Field, n: int, hit, *, arity: int = 1, seed: int = 42,
     ``hit`` may be None where every walk is exhaustive."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if enum_cap > MAX_ENUM_CAP:
+        raise ValueError(f"enum_cap must be at most {MAX_ENUM_CAP}, got {enum_cap}")
     if (F.is_finite and F.order ** n <= enum_cap
             and (rows is not None or arity == 1)):
         if rows is None:

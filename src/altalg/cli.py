@@ -15,7 +15,8 @@ import sys
 import time
 
 from . import __version__
-from .algebra import Algebra, TableFormatError, algebra_from_json, algebra_to_json
+from .algebra import (MAX_ENUM_CAP, Algebra, TableFormatError, algebra_from_json,
+                      algebra_to_json)
 from .catalog import CATALOG_NAMES, UnknownInstanceError, build
 from .fields import FieldError
 from .linalg import Matrix
@@ -286,8 +287,9 @@ def main(argv=None) -> int:
     try:
         if args.samples < 1:
             raise CliUsageError(f"--samples must be at least 1, got {args.samples}")
-        if args.enum_cap < 0:
-            raise CliUsageError(f"--enum-cap must be at least 0, got {args.enum_cap}")
+        if not 0 <= args.enum_cap <= MAX_ENUM_CAP:
+            raise CliUsageError(f"--enum-cap must be at least 0 and at most "
+                                f"{MAX_ENUM_CAP}, got {args.enum_cap}")
         if args.verb == "build":
             try:
                 inst = build(args.name)

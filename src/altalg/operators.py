@@ -105,26 +105,25 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
         level = [_rsum(p, (v, by_col[j])) for v in level for j in range(d)]
     if not any(level):      # every row is built from level-n vectors alone
         return []
-    negated = [[(m, -a) for m, a in v] for v in level]
     strides = [d ** (n - 1 - t) for t in range(n)]
 
     def sparse_rows():
         for code, idx in enumerate(itertools.product(range(d), repeat=n)):
             # slot t: the codes of idx with x_t replaced by e_0 .. e_{d-1}
-            slots = [negated[code - x * s:code + (d - x) * s:s]
+            slots = [level[code - x * s:code + (d - x) * s:s]
                      for x, s in zip(idx, strides)]
             if not level[code] and not any(any(vs) for vs in slots):
                 continue
             # per entry: F.zero + total[k], then minus each slot term, in that
-            # order; 0 + a and 0 - a are exactly a and -a in every field
+            # order; 0 + a is exactly a, and x - a is x + (-a), in every field
             sparse = [{q_offset + m * d + k: a for k, a in level[code]}
                       for m in range(d)]
             for x, vecs in zip(idx, slots):
                 for r, v in enumerate(vecs):
                     c = r * d + x
-                    for m, na in v:
+                    for m, a in v:
                         row = sparse[m]
-                        row[c] = row[c] + na if c in row else na
+                        row[c] = row[c] - a if c in row else -a
             yield from sparse
 
     return _condition_rows(F, q_offset + d * d, sparse_rows())

@@ -14,22 +14,20 @@ tuples * d) matrix is one output, and a vector's monomials are 0 against
 every column iff they are 0 against a basis mod p of the columns' span, so
 the sweep keeps only such a basis, ``column_basis``, (monomials) x (rank).
 Each chunk of swept vectors then costs one GEMM of its monomials against
-that basis and an exact divisibility test mod p: every vector is evaluated
-against a basis of the outputs' span.  The GEMM runs in float32 or float64
-when a bound on its sums keeps every integer exact, and on Python integers
-otherwise.
+that basis and one remainder mod p of its values, in int64 (or on Python
+integers): every vector is evaluated against a basis of the outputs' span.
+The GEMM runs in float32 or float64 when a bound on its sums keeps every
+integer exact, and on Python integers otherwise.
 
 Ranks, linear solves and two-sided inverses come from one Gauss-Jordan
 elimination over GF(p), ``batched_rref_mod_p``, run on a whole stack of
-small matrices at once.  Its entries are non-negative
-integers: uint8 while p(p-1) <= 255, uint16 while p(p-1) <= 65535, where a
-lookup table of residues reduces them, and float64 above, where
-v - p*floor(v/p) does, exactly while v + p < 2^53.  A step adds at most
-(p-1)^2 to an entry, so the stack is reduced only when the next step could
-pass its dtype's bound.  ``inverses`` solves L_x y = 1 and R_x y' = 1 for a
-block of elements x, with the rule of ``Algebra.invert_element``.  A block
-predicate whose float64 products would not be exact for p is None, and the
-caller tests element by element.
+small matrices at once.  Its entries are non-negative integers: uint8
+while p(p-1) <= 255, and float64 above, exact while v + p < 2^53.  A step
+adds at most (p-1)^2 to an entry, so the stack is reduced, in place, only
+when the next step could pass its dtype's bound.  ``inverses`` solves
+L_x y = 1 and R_x y' = 1 for a block of elements x, with the rule of
+``Algebra.invert_element``.  A block predicate whose float64 products
+would not be exact for p is None, and the caller tests element by element.
 """
 
 from __future__ import annotations
@@ -54,11 +52,9 @@ np = _Numpy()
 BLOCK = 32768
 
 
-@functools.lru_cache(maxsize=8)
 def structure_tensor(A) -> np.ndarray:
-    """Structure constants as a dense (d, d, d) float array of residues,
-    built once per algebra (a table is not changed after construction) and
-    read-only."""
+    """Structure constants of the prime-field algebra A as a dense
+    (d, d, d) float64 array of residues."""
     if A.field.kind != "prime":
         raise ValueError("structure_tensor needs a prime-field algebra")
     d = A.dim
@@ -66,7 +62,6 @@ def structure_tensor(A) -> np.ndarray:
     for (i, j), terms in A.table.items():
         for k, c in terms:
             C[i, j, k] = c % A.field.p
-    C.flags.writeable = False
     return C
 
 
@@ -167,15 +162,7 @@ def _gemm(X: np.ndarray, monomials: np.ndarray, T: np.ndarray) -> np.ndarray:
 def _nonzero_mod(R: np.ndarray, p: int) -> np.ndarray:
     """Mask of the entries of R, exact non-negative integers, not divisible
     by p."""
-    if R.dtype == object:
-        return R % p != 0
-    ut, w = (np.uint32, 32) if R.dtype == np.float32 else (np.uint64, 64)
-    u = R.astype(ut)
-    if p == 2:
-        return (u & 1).astype(bool)
-    # for odd p, n * p^-1 mod 2^w is at most (2^w - 1) // p iff p divides n
-    u *= ut(pow(p, -1, 2 ** w))
-    return u > ut((2 ** w - 1) // p)
+    return (R if R.dtype == object else R.astype(np.int64)) % p != 0
 
 
 def sweep(A, law):
@@ -299,16 +286,13 @@ def _residue_arithmetic(p: int):
     """(dtype, limit, reduce) for exact elimination mod p.
 
     Entries are non-negative integers at most `limit` in `dtype`, and
-    reduce(v) is v mod p.  Up to p = 16 (p(p-1) <= 255) they are uint8 and
-    up to p = 256 uint16, and a lookup table of limit + 1 residues reduces
-    them; above, they are float64 and v - p*floor(v/p) reduces them, which
-    is exact while v + p < 2^53 (the quotient cannot round up to the next
-    integer)."""
-    for dtype in (np.uint8, np.uint16):
-        limit = int(np.iinfo(dtype).max)
-        if p * (p - 1) <= limit:
-            table = (np.arange(limit + 1) % p).astype(dtype)
-            return dtype, limit, lambda v: np.take(table, v)
+    reduce(v) is v mod p.  Up to p = 13 (p(p-1) <= 255) they are uint8 and
+    a lookup table of 256 residues reduces them; above, they are float64
+    and v - p*floor(v/p) reduces them, which is exact while v + p < 2^53
+    (the quotient cannot round up to the next integer)."""
+    if p * (p - 1) <= 255:
+        table = (np.arange(256) % p).astype(np.uint8)
+        return np.uint8, 255, lambda v: np.take(table, v)
     if not _exact(p, 1):
         raise ValueError(f"p = {p} is too large for float64 elimination")
     return np.float64, 2 ** 53 - p - 1, lambda v: v - p * np.floor(v / p)
@@ -325,12 +309,14 @@ def batched_rref_mod_p(stack: np.ndarray, p: int):
     of n entries.  A step scales the pivot row by the inverse v^(p-2) of its
     pivot and adds (p - f) times it to every other row, which raises an
     entry's bound by at most (p-1)^2; rows are put in pivot order at the
-    end.  The whole stack is reduced only when the next step could pass the
-    limit of _residue_arithmetic; a step reduces just the pivot column and
-    the pivot rows."""
+    end.  The whole stack is reduced, in place by %=, only when the next
+    step could pass the limit of _residue_arithmetic; a step reduces just
+    the pivot column and the pivot rows, through its `reduce`, which on
+    such slices is faster."""
     dtype, limit, red = _residue_arithmetic(p)
     n, r, c = np.shape(stack)
-    A = np.ascontiguousarray(np.transpose(stack, (1, 2, 0)), dtype=dtype)
+    # a copy: a one-matrix stack in `dtype` transposes to a contiguous view
+    A = np.array(np.transpose(stack, (1, 2, 0)), dtype=dtype, order="C")
     rows = np.zeros((r, n), dtype=np.intp)  # rows[k, m]: k-th pivot row
     pivots = np.full((r, n), -1, dtype=np.intp)
     free = np.ones((r, n), dtype=bool)      # not yet a pivot row
@@ -340,7 +326,7 @@ def batched_rref_mod_p(stack: np.ndarray, p: int):
     top = p - 1                 # bound on every entry of A
     for col in range(c):
         if top > limit - step:
-            A = red(A)
+            A %= p
             top = p - 1
         column = red(A[:, col])
         eligible = (column != 0) & free
@@ -370,7 +356,7 @@ def batched_rref_mod_p(stack: np.ndarray, p: int):
     at = rows * n + idx
     for j in range(c):
         R[:, j] = np.take(A[:, j], at)
-    R = red(R)
+    R %= p
     R *= (pivots >= 0)[:, None, :]
     return R.transpose(2, 0, 1), rank, pivots.T
 

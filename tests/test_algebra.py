@@ -760,3 +760,11 @@ def test_search_needs_a_sample():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             search(PrimeField(3), 2, lambda x: False, samples=samples)
+
+
+def test_search_rejects_a_cap_past_int64():
+    # 2^64 vectors of GF(2)^64 would be walked, numbered in int64
+    with pytest.raises(ValueError, match="enum_cap must be at most"):
+        search(PrimeField(2), 64, lambda x: False, enum_cap=2 ** 64)
+    assert search(PrimeField(2), 64, lambda x: False, enum_cap=2 ** 63 - 1,
+                  samples=2) == (None, "sampled")

@@ -220,12 +220,14 @@ def test_cli_enum_cap_forces_sampled_verdicts(capsys):
       fixture("lemma23_dmap.json"), "--mode", "sample", "--samples", "0"), "--samples"),
     (("verify", "all", "--enum-cap", "-1"), "--enum-cap"),
     (("identities", "zorn", "--enum-cap", "-10"), "--enum-cap"),
+    (("identities", "zorn", "--enum-cap", str(2 ** 64)), "--enum-cap"),
 ], ids=["verify-samples-negative", "identities-samples-zero",
         "invertible-values-samples-zero", "verify-enum-cap-negative",
-        "identities-enum-cap-negative"])
+        "identities-enum-cap-negative", "identities-enum-cap-past-int64"])
 def test_cli_rejects_evidence_flags_below_minimum(capsys, argv, flag):
-    # a sampled verdict needs at least one sample, and a negative cap
-    # means nothing: both are usage errors, before any check runs
+    # a sampled verdict needs at least one sample, a negative cap means
+    # nothing, and the exhaustive walk numbers its vectors in int64: all
+    # are usage errors, before any check runs
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least")

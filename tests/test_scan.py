@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,10 @@ def test_nonzero_mod_matches_remainder():
                                    top - np.arange(50), p * rng.integers(0, top // p, 50)])
             R = vals.astype(dt)
             assert (scan._nonzero_mod(R, p) == (vals % p != 0)).all()
+        # an object GEMM's Python integers, past every fixed-width dtype
+        big = [2 ** 70 + k for k in range(-60, 60)] + [p * 3 ** 50, p ** 20 + 1]
+        R = np.array(big, dtype=object)
+        assert scan._nonzero_mod(R, p).tolist() == [v % p != 0 for v in big]
 
 
 def test_vector_blocks_match_itertools_product():
@@ -464,10 +469,10 @@ def _random_systems(p, r, c, rng, count=40):
     return mats
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 251, 257])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 251, 257])
 def test_batched_rref_matches_linalg(p):
     # p = 2..13 run on uint8 (p = 7 and 13 reduce the whole stack between
-    # pivot steps), 251 on uint16 and 257 on float64
+    # pivot steps); 17, the first prime past uint8, 251 and 257 on float64
     F = PrimeField(p)
     rng = random.Random(p)
     kinds = set()
@@ -489,6 +494,28 @@ def test_batched_rref_matches_linalg(p):
             kinds.add((want is not None, want_rank < min(r, c - 1)))
     # consistent and inconsistent systems, rank-deficient among both
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_batched_rref_peak_memory_is_a_few_stacks():
+    # a full_rank_rows block of remark22-singular: whole-stack reductions
+    # run in place, so no intp copy of the uint8 stack (8x its bytes) is made
+    stack = np.random.default_rng(0).integers(0, 3, (32768, 7, 7), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        scan.batched_rref_mod_p(stack, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * stack.nbytes
+
+
+def test_batched_rref_leaves_its_input_unchanged():
+    # one matrix in the elimination dtype (uint8 for p = 3, float64 for
+    # p = 17) transposes to a contiguous (r, c, 1) array
+    for p, dt in ((3, np.uint8), (17, np.float64)):
+        S = np.array([[[2, 1], [1, 1]]], dtype=dt)
+        _, rank, _ = scan.batched_rref_mod_p(S, p)
+        assert S.tolist() == [[[2, 1], [1, 1]]] and int(rank[0]) == 2
 
 
 def test_batched_rref_edge_shapes_and_field_size():
