@@ -47,9 +47,11 @@ and ``_lower`` for all three field kinds.
 from __future__ import annotations
 
 import re
+from array import array
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from itertools import chain, count
+from math import isqrt, lcm
+from operator import itemgetter
 from typing import Iterator
 
 
@@ -736,6 +738,94 @@ def make_field(desc) -> Field:
             raise FieldError(f"ratfun2 'vars' must be a list of two names: {desc!r}")
         return RatFunField(desc["p"], tuple(names))
     raise FieldError(f"unknown field kind {kind!r}")
+
+
+# GF(q), q = p^k the largest power of p up to _GF_Q_MAX, by Zech logarithms:
+# the field of the point at which ``linalg.kernel`` picks its rows
+_GF_Q_MAX = 2 ** 16
+_GF_TABLES: dict = {}
+
+
+def _gf_table(p: int) -> tuple:
+    """(n, zech, logc) for GF(q), n = q - 1, built on first use for each p.
+
+    An element of GF(q) is 0 or an exponent e in 1..n, which stands for
+    g^e, g a root of ``_primitive_poly(p, k)``: a product adds exponents
+    mod n, and g^x + g^v = g^(x + zech[(v - x) % n]), where zech[d] is the
+    exponent of 1 + g^d (0 if that is 0).  logc[c] is the exponent of the
+    constant c of GF(p).
+
+    The powers of g are listed once, each as the base-p number W(y) with
+    digits L(y), L(g y), ..., L(g^(k-1) y) from the lowest, where L is the
+    GF(p)-linear form with L(g^i) = 1 for i = k - 1 and 0 for smaller i.
+    W is a linear bijection onto 0..q-1 with W(c) = c*p^(k-1), so 1 + y
+    adds 1 to the top digit, and W(g y) drops the lowest digit of W(y) and
+    takes L(g^k y) = -sum f_i L(g^i y) as its new top digit."""
+    if p not in _GF_TABLES:
+        k = next(k for k in count(1) if p ** (k + 1) > _GF_Q_MAX)
+        q, top, f = p ** k, p ** (k - 1), _primitive_poly(p, k)
+        feed = [0]          # feed[W(y)] = L(g^k y), built digit by digit
+        for a in f[:k]:
+            feed = [(d * -a + x) % p for d in range(p) for x in feed] if a else feed * p
+        w, log = top, [0] * q
+        exp = [w := w // p + top * feed[w] for _ in range(q - 1)]  # W(g^1..g^n)
+        for e, w in enumerate(exp, 1):
+            log[w] = e
+        # W(1 + y) = (W(y) + top) mod q, so the rotated log gives log(1 + y)
+        zech = array("H", itemgetter(*exp)(log[top:] + log[:top]))
+        _GF_TABLES[p] = (q - 1, zech[-1:] + zech[:-1],
+                         array("H", [log[c * top] for c in range(p)]))
+    return _GF_TABLES[p]
+
+
+def _primitive_poly(p: int, k: int) -> list:
+    """The first monic f of degree k over GF(p) whose root x has order
+    n = p^k - 1 (x^n = 1, and x^(n/r) != 1 for each prime r | n), as its
+    coefficients from degree 0; the candidates are counted by f - x^k as a
+    base-p number, from x on, and those with a root in GF(p) are skipped."""
+    n, one = p ** k - 1, [1] + [0] * (k - 1)
+    primes, m = [], n
+    for r in range(2, isqrt(n) + 1):
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+    primes += [m] if m > 1 else []
+    for code in count(p):
+        f = [code // p ** i % p for i in range(k)] + [1]
+        if k > 1 and not all(sum(a * c ** i for i, a in enumerate(f)) % p
+                             for c in range(p)):
+            continue
+        if _xpow(n, f, p) == one and all(_xpow(n // r, f, p) != one for r in primes):
+            return f
+
+
+def _xpow(e: int, f: list, p: int) -> list:
+    """x^e mod the monic f over GF(p), as its k coefficients from degree 0;
+    left to right over the bits of e, squaring and multiplying by x."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(out, [0, 1], f, p)
+    return out
+
+
+def _mulmod(a: list, b: list, f: list, p: int) -> list:
+    """a*b mod the monic f over GF(p), on coefficient lists from degree 0."""
+    k = len(f) - 1
+    c = [0] * (len(a) + len(b) + k)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+    taps = [i for i in range(k) if f[i]]
+    for d in range(len(c) - 1, k - 1, -1):
+        t = c[d] % p
+        if t:
+            for i in taps:
+                c[d - k + i] -= t * f[i]
+    return [x % p for x in c[:k]]
 
 
 GF2 = PrimeField(2)

@@ -36,6 +36,19 @@ fractions, and every encoded output, match that formula term for term.
 Each product is checked against ``fields.TERM_BUDGET``, and each stored
 entry goes through ``F._guard``.
 
+``kernel`` solves a GF(p)(s, t) matrix with more rows than columns, p up
+to 2^16, on few of its rows.  It evaluates the entries at the first of four
+fixed points (a, b) of GF(q) (``fields._gf_table``) where no denominator
+vanishes, runs ``_gauss_jordan`` there, and eliminates exactly only the
+pivot rows of that run, in pivot order.  Pivot rows change only through
+pivot rows, so unless an entry vanishes at the point but not over
+GF(p)(s, t), the full run picks the same rows and makes the same fused
+steps: the bytes are the same.  Rows independent at the point are
+independent over GF(p)(s, t), so the kernel found contains the true one.
+It is certified: every dropped row must vanish on its basis, by exact
+sparse dot products.  If one does not, or no point is usable, all rows are
+eliminated, so the kernel is always exact and a bad point costs only time.
+
 Everything built on elimination lives here too.  ``_combine`` is the one
 sum c*v of vectors; it skips zero coefficients but, unlike
 ``Matrix.mulvec``, not zero entries, since that would change the unreduced
@@ -48,10 +61,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from random import Random
 
 from . import fields
-from .fields import (Field, FieldError, RatFun, RatFunField, TermBudgetError,
-                     _add_terms, _mul_terms)
+from .fields import (_GF_Q_MAX, Field, FieldError, RatFun, RatFunField,
+                     TermBudgetError, _add_terms, _gf_table, _mul_terms)
 
 
 class Matrix:
@@ -216,8 +230,7 @@ def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
     """GF(p)(s, t) with the fused row step of the module docstring; each
     pivot row is scaled by its inverse at the end."""
     p, budget, guard = F.p, fields.TERM_BUDGET, F._guard
-    if not all(x.num.p == x.den.p == p for row in rows for x in row):
-        raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
+    _check_ratfun2(p, rows)
 
     def mul(a: dict, b: dict) -> dict:
         ab = _mul_terms(p, a, b)
@@ -248,6 +261,57 @@ def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
     return rows, r, pivots
 
 
+def _check_ratfun2(p: int, rows: list):
+    if not all(x.num.p == x.den.p == p for row in rows for x in row):
+        raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
+
+
+def _points(n: int) -> list:
+    """The fixed points (g^a, g^b) that ``kernel`` tries, in order."""
+    rng = Random(n)
+    return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(4)]
+
+
+def _point_rows(F: RatFunField, rows: list, ncols: int):
+    """Indices of the pivot rows, in pivot order, of ``_gauss_jordan`` on
+    rows at the first of ``_points`` where no denominator of a nonzero
+    entry vanishes (GF(q) elements as in ``fields._gf_table``); None if
+    there is no such point."""
+    _check_ratfun2(F.p, rows)
+    n, zech, logc = _gf_table(F.p)
+
+    def value(terms, a, b):
+        acc = 0
+        for (i, j), c in terms.items():
+            e = (logc[c] + i * a + j * b) % n or n
+            z = zech[(e - acc) % n] if acc else e
+            acc = z and ((acc + z) % n or n)
+        return acc
+    for a, b in _points(n):
+        vals = [[(value(x.num.terms, a, b), value(x.den.terms, a, b)) if x else (0, 1)
+                 for x in row] for row in rows]
+        if all(d for row in vals for _, d in row):
+            break
+    else:
+        return None
+    minus, held = (n if n % 2 else n // 2), [None]
+
+    def step(prow, c, row):
+        # row + m*prow, m = -row[c]/prow[c]: the zeros of the row step
+        if held[0] is not prow:
+            held[:] = prow, [(j, y) for j, y in zip(range(ncols), prow) if y]
+        m, out = row[c] - prow[c] + minus, row.copy()
+        for j, y in held[1]:
+            v, x = (m + y) % n or n, out[j]
+            z = zech[(v - x) % n] if x else v
+            out[j] = z and ((x + z) % n or n)
+        return out
+
+    pt = [[u and ((u - d) % n or n) for u, d in row] + [i] for i, row in enumerate(vals)]
+    pt, r, _ = _gauss_jordan(pt, ncols, bool, step)
+    return [row[ncols] for row in pt[:r]]
+
+
 def rref(m: Matrix):
     """Reduced row-echelon form: returns (Matrix, rank, pivot columns)."""
     F = m.field
@@ -261,13 +325,29 @@ def rref(m: Matrix):
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Canonical basis of {x : m @ x = 0}; dim = ncols - rank."""
+    """Canonical basis of {x : m @ x = 0}; dim = ncols - rank.  Tall
+    GF(p)(s, t) matrices are solved at a point first (module docstring)."""
+    F, rows, nc = m.field, m.rows, m.ncols
+    if F.kind != "ratfun2" or len(rows) <= nc or F.p > _GF_Q_MAX:
+        return Subspace.from_vectors(F, nc, _kernel_vectors(m))
+    kept = _point_rows(F, rows, nc)
+    if kept is not None:
+        vecs, keep = _kernel_vectors(Matrix(F, [rows[i] for i in kept], nc)), set(kept)
+        nzs = ([(j, x) for j, x in enumerate(row) if x]
+               for i, row in enumerate(rows) if i not in keep)
+        if not any(sum(x * v[j] for j, x in nz if v[j]) for nz in nzs for v in vecs):
+            return Subspace.from_vectors(F, nc, vecs)
+    return Subspace.from_vectors(F, nc, _kernel_vectors(m))
+
+
+def _kernel_vectors(m: Matrix) -> list:
+    """One kernel vector per free column c of rref(m): 1 at c, minus the
+    column's RREF entries at the pivot columns."""
     F = m.field
     red, rank, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     vecs = []
-    for fc in free:
+    for fc in (c for c in range(m.ncols) if c not in pivot_set):
         v = [F.zero] * m.ncols
         v[fc] = F.one
         for r, pc in enumerate(pivots):
@@ -275,7 +355,7 @@ def kernel(m: Matrix) -> "Subspace":
             if not F.is_zero(a):
                 v[pc] = F.neg(a)
         vecs.append(v)
-    return Subspace.from_vectors(F, m.ncols, vecs)
+    return vecs
 
 
 def solve(m: Matrix, b: list):

@@ -455,3 +455,84 @@ def test_ratfun_operators_guard_the_budget_and_the_field(monkeypatch):
         f2.s() + RatFun(Poly2(2, {(0, 0): 1}), Poly2(3, {(0, 0): 1}))
     with pytest.raises(TypeError):
         1 + f2.s()
+
+
+def naive_mulmod(a, b, f, p):
+    """Schoolbook product of two coefficient lists (from degree 0) mod the
+    monic f over GF(p)."""
+    k = len(f) - 1
+    c = [0] * (2 * k)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] = (c[i + j] + x * y) % p
+    for d in range(2 * k - 1, k - 1, -1):
+        for i in range(k):
+            c[d - k + i] = (c[d - k + i] - c[d] * f[i]) % p
+    return c[:k]
+
+
+def naive_power(e, f, p):
+    """x^e in GF(p)[x]/(f), by square and multiply."""
+    k = len(f) - 1
+    out, base = [1] + [0] * (k - 1), ([0, 1] + [0] * (k - 2)) if k > 1 else [-f[0] % p]
+    while e:
+        if e & 1:
+            out = naive_mulmod(out, base, f, p)
+        base, e = naive_mulmod(base, base, f, p), e >> 1
+    return out
+
+
+GF_TABLE_CASES = [(2, 16), (3, 10), (5, 6), (7, 5), (17, 3)]
+
+
+@pytest.mark.parametrize("p,k", GF_TABLE_CASES)
+def test_gf_table_generator_has_order_q_minus_1(p, k):
+    n, zech, logc = fields._gf_table(p)
+    assert n == p ** k - 1 and len(zech) == n and len(logc) == p
+    f = fields._primitive_poly(p, k)
+    one = [1] + [0] * (k - 1)
+    assert len(f) == k + 1 and f[-1] == 1
+    assert naive_power(n, f, p) == one
+    for r in (r for r in range(2, n + 1) if n % r == 0 and is_prime(r)):
+        assert naive_power(n // r, f, p) != one, r
+
+
+@pytest.mark.parametrize("p,k", GF_TABLE_CASES)
+def test_gf_table_products_and_zech_sums_match_polynomial_basis(p, k, rng):
+    # exponent e stands for x^e mod f, f the table's primitive polynomial
+    n, zech, logc = fields._gf_table(p)
+    f = fields._primitive_poly(p, k)
+    zero = [0] * k
+
+    def elem(e):
+        return zero if e == 0 else naive_power(e, f, p)
+
+    for c in range(p):
+        assert elem(logc[c]) == [c] + [0] * (k - 1)
+    minus_one = n if p == 2 else n // 2
+    assert zech[minus_one % n] == 0 and elem(minus_one) == [p - 1] + [0] * (k - 1)
+    for _ in range(40):
+        a, b = rng.randint(1, n), rng.randint(1, n)
+        u, v = elem(a), elem(b)
+        assert naive_mulmod(u, v, f, p) == elem((a + b) % n or n)
+        z = zech[(b - a) % n]
+        total = [(x + y) % p for x, y in zip(u, v)]
+        assert total == (zero if z == 0 else elem((a + z) % n or n))
+    assert all(z or d == minus_one % n for d, z in enumerate(zech))
+
+
+def test_gf_table_is_built_once_per_p(monkeypatch):
+    monkeypatch.setattr(fields, "_GF_TABLES", {})
+    first = fields._gf_table(5)
+    assert fields._gf_table(5) is first and list(fields._GF_TABLES) == [5]
+
+
+def test_gf_table_of_a_prime_near_the_bound_is_the_prime_field():
+    p = 65521
+    n, zech, logc = fields._gf_table(p)
+    g = -fields._primitive_poly(p, 1)[0] % p
+    assert n == p - 1
+    for c in (1, 2, 3, 4096, p - 1):
+        assert pow(g, logc[c], p) == c
+    for d in (1, 7, 40000):
+        assert pow(g, zech[d], p) == (1 + pow(g, d, p)) % p

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -356,3 +357,207 @@ def test_rref_ratfun2_rejects_mixed_characteristic():
     other = RatFunField(3).s()
     with pytest.raises(FieldError):
         rref(Matrix(F, [[F.s(), F.t()], [F.one, other]], 2))
+
+
+def full_kernel(m):
+    """The kernel from the RREF of every row of m, one vector per free
+    column: the elimination the point in ``kernel`` replaces."""
+    F = m.field
+    red, _, pivots = rref(m)
+    vecs = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [F.zero] * m.ncols
+        v[fc] = F.one
+        for r, pc in enumerate(pivots):
+            if not F.is_zero(red.rows[r][fc]):
+                v[pc] = F.neg(red.rows[r][fc])
+        vecs.append(v)
+    return Subspace.from_vectors(F, m.ncols, vecs)
+
+
+def tall_systems(F, rng):
+    """Overdetermined systems: rank independent rows, then repeats, scalings
+    by s and sums of them and zero rows, shuffled; rank < ncols makes them
+    rank-deficient."""
+    out = []
+    for nc, rank in [(3, 1), (3, 2), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]:
+        base = [[ratfun_entry(F, rng) for _ in range(nc)] for _ in range(rank)]
+        rows = [list(r) for r in base]
+        for kind in range(2 * nc):
+            x, y = rng.choice(base), rng.choice(base)
+            if kind % 4 == 0:
+                rows.append(list(x))
+            elif kind % 4 == 1:
+                rows.append([F.mul(F.s(), a) for a in x])
+            elif kind % 4 == 2:
+                rows.append([F.add(a, F.mul(F.t(), b)) for a, b in zip(x, y)])
+            else:
+                rows.append([F.zero] * nc)
+        rng.shuffle(rows)
+        out.append(Matrix(F, rows, nc))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tall_ratfun2_kernel_is_byte_identical_to_full_elimination(p, rng):
+    F = RatFunField(p)
+    deficient = 0
+    for m in tall_systems(F, rng):
+        assert m.nrows > m.ncols
+        want = full_kernel(m)
+        assert encoded(F, kernel(m).rows) == encoded(F, want.rows)
+        deficient += want.dim > 0
+    assert deficient >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tall_ratfun2_kernel_replays_the_pivot_order_not_the_row_order(p, rng):
+    # column 0's pivot C is swapped up past the zero row, so the full run
+    # takes A before B in column 1; A, B, C in row order would take B
+    from altalg import linalg
+    F = RatFunField(p)
+    for _ in range(4):
+        a, b, c = ([monomial_den_entry(F, rng) for _ in range(3)] for _ in range(3))
+        A, B, C = [F.zero, F.s(), *a[1:]], [F.zero, F.t(), *b[1:]], [F.one, *c]
+        m = Matrix(F, [[F.zero] * 4, A, B, C, [F.add(x, y) for x, y in zip(A, B)]], 4)
+        assert linalg._point_rows(F, m.rows, 4) == [3, 1, 2]
+        assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
+        sorted_rows = Subspace.from_vectors(F, 4, linalg._kernel_vectors(Matrix(F, [A, B, C], 4)))
+        assert sorted_rows == kernel(m)
+        if encoded(F, sorted_rows.rows) != encoded(F, kernel(m).rows):
+            return
+    pytest.fail("row order and pivot order gave the same bytes")
+
+
+def gagola_systems():
+    from altalg.catalog import build
+    from altalg.operators import _law_rows, quasider_condition_rows
+    A = build("gagola-B").algebra
+    d2 = A.dim ** 2
+    return A, {"derivations": Matrix(A.field, _law_rows(A, 2), d2),
+               "quasiderivations": Matrix(A.field, quasider_condition_rows(A), 2 * d2),
+               "leibniz-3": Matrix(A.field, _law_rows(A, 3), d2)}
+
+
+def test_gagola_operator_kernels_are_byte_identical_to_full_elimination():
+    A, systems = gagola_systems()
+    F = A.field
+    for name, m in systems.items():
+        assert m.nrows > m.ncols, name
+        assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows), name
+
+
+def test_gagola_leibniz_3_eliminates_only_the_rows_picked_at_the_point(monkeypatch):
+    from altalg import linalg
+    from altalg.catalog import build
+    from altalg.operators import _law_rows, leibniz_space
+    A = build("gagola-B").algebra
+    assert len(_law_rows(A, 3)) == 1802
+    sizes, solves = [], []
+    real_rref, real_vectors = linalg._rref_ratfun2, linalg._kernel_vectors
+    monkeypatch.setattr(linalg, "_rref_ratfun2", lambda F, rows, nc: (
+        sizes.append(len(rows)), real_rref(F, rows, nc))[1])
+    monkeypatch.setattr(linalg, "_kernel_vectors", lambda m: (
+        solves.append(m.nrows), real_vectors(m))[1])
+    S = leibniz_space(A, 3)
+    rank = A.dim ** 2 - S.space.dim
+    assert rank == 49 and solves == [rank]
+    assert max(sizes) <= rank
+
+
+def monomial_den_entry(F, rng):
+    """Like ``ratfun_entry``, with a one-term denominator s^i t^j, which
+    vanishes at no point with both coordinates nonzero."""
+    num = Poly2(F.p, {(rng.randrange(3), rng.randrange(3)): rng.randrange(1, F.p)
+                      for _ in range(rng.choice([0, 1, 2]))})
+    return RatFun(num, Poly2(F.p, {(rng.randrange(2), rng.randrange(2)): 1}))
+
+
+def minus_one_exponent(p):
+    n = fields._gf_table(p)[0]
+    return n if p == 2 else n // 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_row_vanishing_at_the_point_falls_back_to_full_elimination(p, rng, monkeypatch):
+    # base rows of rank 2 in 4 columns, repeated, and one more independent
+    # row times (1 + s): it vanishes at s = -1, so there the rank is 2
+    from altalg import linalg
+    F = RatFunField(p)
+    one_plus_s = F.poly({(0, 0): 1, (1, 0): 1})
+    for _ in range(3):
+        base = [[monomial_den_entry(F, rng) for _ in range(4)] for _ in range(3)]
+        rows = base[:2] * 3 + [[F.mul(one_plus_s, a) for a in base[2]]]
+        m = Matrix(F, rows, 4)
+        want = full_kernel(m)
+        if rref(Matrix(F, base, 4))[1] < 3:
+            continue
+        solves = []
+        real_vectors = linalg._kernel_vectors
+        monkeypatch.setattr(linalg, "_kernel_vectors", lambda m: (
+            solves.append(m.nrows), real_vectors(m))[1])
+        monkeypatch.setattr(linalg, "_points", lambda n: [(minus_one_exponent(p), 5)])
+        got = kernel(m)
+        assert solves == [2, m.nrows] and got.dim == 1
+        assert encoded(F, got.rows) == encoded(F, want.rows)
+        return
+    pytest.fail("no independent base rows drawn")
+
+
+def test_a_vanishing_denominator_moves_to_the_next_point(rng, monkeypatch):
+    from altalg import linalg
+    F = RatFunField(3)
+    rows = [[monomial_den_entry(F, rng) for _ in range(3)] for _ in range(5)]
+    rows[3][1] = RatFun(Poly2(3, {(0, 1): 1}), Poly2(3, {(0, 0): 1, (1, 0): 1}))
+    m = Matrix(F, rows, 3)
+    drawn = []
+    real_points = linalg._points
+
+    def points(n):
+        for pt in itertools.chain([(minus_one_exponent(3), 7)], real_points(n)):
+            drawn.append(pt)
+            yield pt
+    monkeypatch.setattr(linalg, "_points", points)
+    assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
+    assert len(drawn) == 2
+
+
+def test_a_denominator_vanishing_at_every_point_takes_the_full_path():
+    # s^65535 + 1 = s^n - 1 over GF(2), n = 2^16 - 1, vanishes on all of
+    # GF(2^16)*, where every point of ``_points`` lies
+    from altalg import linalg
+    from altalg.algebra import Algebra
+    from altalg.operators import _law_rows, derivation_space
+    F = RatFunField(2)
+    c = RatFun(Poly2(2, {(1, 0): 1}), Poly2(2, {(65535, 0): 1, (0, 0): 1}))
+    A = Algebra(F, 2, {(0, 0): [(1, c)], (1, 1): [(0, F.one)], (0, 1): [(1, F.t())]})
+    m = Matrix(F, _law_rows(A, 2), 4)
+    assert m.nrows > m.ncols and linalg._point_rows(F, m.rows, 4) is None
+    want = encoded(F, full_kernel(m).rows)
+    assert encoded(F, kernel(m).rows) == want
+    assert encoded(F, derivation_space(A).space.rows) == want
+
+
+def test_ratfun2_above_the_table_bound_eliminates_every_row(rng, monkeypatch):
+    from altalg import linalg
+    F = RatFunField(65537)
+    assert F.p > fields._GF_Q_MAX
+    monkeypatch.setattr(linalg, "_point_rows", lambda *a: pytest.fail("point taken"))
+    for m in tall_systems(F, rng)[:4]:
+        assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
+
+
+def test_ratfun2_kernels_with_rows_at_most_columns_take_no_point(rng, monkeypatch):
+    from altalg import linalg
+    monkeypatch.setattr(linalg, "_point_rows", lambda *a: pytest.fail("point taken"))
+    F = RatFunField(2)
+    for nr, nc in [(3, 4), (4, 4), (2, 8)]:
+        m = Matrix(F, [[ratfun_entry(F, rng) for _ in range(nc)] for _ in range(nr)], nc)
+        assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
+
+
+def test_tall_ratfun2_kernel_rejects_mixed_characteristic():
+    F = RatFunField(2)
+    rows = [[F.s(), F.t()], [F.one, F.one], [F.one, RatFunField(3).s()]]
+    with pytest.raises(FieldError):
+        kernel(Matrix(F, rows, 2))

@@ -329,3 +329,15 @@ def test_quadratic_relation_sweep_matches_reference(monkeypatch, fault):
         assert (bad is None) == (fault is None)
         if fault == "last":
             assert bad[0] == [p - 1] * 8
+
+
+def test_verify_all_builds_no_gf_table_and_takes_no_point(monkeypatch):
+    # its GF(p)(s, t) kernels have no more rows than columns, so verify all
+    # keeps its cost and its bytes
+    from altalg import fields, linalg
+    monkeypatch.setattr(fields, "_GF_TABLES", {})
+    taken = []
+    monkeypatch.setattr(linalg, "_point_rows", lambda *a: taken.append(a))
+    reports = run_all(Config())
+    assert [r.suite for r in reports] == list(SUITE_ORDER)
+    assert fields._GF_TABLES == {} and taken == []
