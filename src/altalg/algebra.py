@@ -16,6 +16,10 @@ per term; GF(p)(s, t) fractions combine by ``RatFun``'s operators, so a
 coordinate keeps the unreduced term form of those field operations.
 ``check_identity`` never lowers: it evaluates each law on lifted values
 (``_Lifted``) and recomputes only a witness's value by field operations.
+
+Elimination is ``linalg``'s: a distinguished subspace is the kernel of its
+basis conditions, put in normal form by ``linalg._condition_rows``, and a
+restricted algebra reads coordinates off ``Subspace.pivots``.
 """
 
 from __future__ import annotations
@@ -23,13 +27,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Callable, NamedTuple
 
 from . import scan
 from .fields import Field, _lift, _lower, is_json_int, make_field
-from .linalg import Matrix, Subspace, _pivot_col, kernel, solve
+from .linalg import Matrix, Subspace, _condition_rows, kernel, solve
 
 
 class TableFormatError(ValueError):
@@ -474,57 +476,6 @@ def special_subspace(A: Algebra, kind: str) -> Subspace:
     return kernel(Matrix(F, rows, d))
 
 
-def _condition_rows(F: Field, ncols: int, rows) -> list:
-    """The dense form of the sparse condition rows ``{column: value}``.
-
-    Over GF(p) and Q each row is lifted (``fields._lift``, which also takes
-    plain integers, as ``operators._law_rows`` hands them) and put in a
-    normal form, its sorted nonzero (column, value) pairs: over GF(p) with
-    leading entry 1, over Q as primitive integers with a positive leading
-    entry, handed on as ``Fraction``.  Zero rows and rows whose normal form was already seen,
-    that is nonzero multiples of an earlier row, are dropped.  Over
-    GF(p)(s, t) the rows are kept as they are, zero rows dropped."""
-    zero = F.zero
-    out = []
-    if F.kind == "ratfun2":
-        for row in rows:
-            if not all(F.is_zero(a) for a in row.values()):
-                dense = [zero] * ncols
-                for c, a in row.items():
-                    dense[c] = a
-                out.append(dense)
-        return out
-    p = F.p if F.kind == "prime" else 0
-    seen, met = set(), set()
-    for row in rows:
-        # a row met before as it stands has the same normal form: skip it
-        # before lifting, which most rows of a high-order system are
-        raw = frozenset(row.items())
-        if raw in met:
-            continue
-        met.add(raw)
-        ints, _ = _lift(F, list(row.values()))
-        pairs = sorted((c, a) for c, a in zip(row, ints) if a)
-        if not pairs:
-            continue
-        lead = pairs[0][1]
-        if p:
-            inv = pow(lead, p - 2, p)
-            key = tuple((c, a * inv % p) for c, a in pairs)
-        else:
-            g = gcd(*(a for _, a in pairs))
-            g = g if lead > 0 else -g
-            key = tuple((c, a // g) for c, a in pairs)
-        if key in seen:
-            continue
-        seen.add(key)
-        dense = [zero] * ncols
-        for c, a in key:
-            dense[c] = a if p else Fraction(a)
-        out.append(dense)
-    return out
-
-
 def subspace_product(A: Algebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of {x*y : x in basis(u), y in basis(v)}."""
     vecs = [A.mul(x, y) for x in u.rows for y in v.rows]
@@ -590,7 +541,7 @@ def restricted_algebra(A: Algebra, S: Subspace, names=None) -> Algebra:
             if not all(F.is_zero(a) for a in resid):
                 raise ValueError("subspace is not closed under multiplication")
             # RREF rows have unit pivots, so coordinates read off at pivots
-            table[(i, j)] = [(r, prod[_pivot_col(F, S.rows[r])]) for r in range(m)]
+            table[(i, j)] = [(r, prod[c]) for r, c in enumerate(S.pivots)]
     return Algebra(F, m, table, names)
 
 

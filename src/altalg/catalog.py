@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import Algebra, restricted_algebra
+from .algebra import Algebra, generated, restricted_algebra
 from .fields import Field, PrimeField, RationalField, RatFunField, make_field
 from .linalg import Matrix, Subspace
 from .operators import is_derivation
@@ -95,8 +95,6 @@ def _build_gagola_b(field=None, alpha=None, beta=None) -> Instance:
     if F.kind != "ratfun2" or F.char != 2:
         raise ValueError("the generated subfield lives over GF(2)(s, t)")
     q = zorn(F)
-    from .algebra import generated
-
     g1, g2 = gagola_generators(F, alpha, beta)
     b_space = generated(q.algebra, "subalgebra", [g1, g2])
     b_alg = restricted_algebra(q.algebra, b_space)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from . import __version__
-from .algebra import (MAX_ENUM_CAP, Algebra, TableFormatError, algebra_from_json,
-                      algebra_to_json)
+from .algebra import (IDENTITY_NAMES, MAX_ENUM_CAP, Algebra, TableFormatError,
+                      algebra_from_json, algebra_to_json, check_identity,
+                      power_chain)
 from .catalog import CATALOG_NAMES, UnknownInstanceError, build
 from .fields import FieldError
 from .linalg import Matrix
@@ -124,8 +126,6 @@ def _load_map(path: str, A: Algebra) -> Matrix:
 
 
 def _resolve_target(target: str) -> Algebra:
-    import os
-
     if os.path.exists(target):
         return parse_algebra_file(target)
     if target in CATALOG_NAMES:
@@ -137,8 +137,6 @@ def _resolve_target(target: str) -> Algebra:
 # ---- verb handlers (each returns a list of SuiteReport) ---------------------
 
 def _verb_identities(args) -> list:
-    from .algebra import IDENTITY_NAMES, check_identity
-
     A = _resolve_target(args.target)
     checks = []
     for name in IDENTITY_NAMES:
@@ -184,8 +182,6 @@ def _verb_quasiderivations(args) -> list:
 
 
 def _verb_powers(args) -> list:
-    from .algebra import power_chain
-
     A = _resolve_target(args.target)
     chain, s = power_chain(A)
     dims = [c.dim for c in chain]

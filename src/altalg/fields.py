@@ -272,10 +272,6 @@ class Poly2:
     def const(cls, p: int, c: int) -> "Poly2":
         return cls(p, {(0, 0): c})
 
-    @classmethod
-    def variable(cls, p: int, index: int) -> "Poly2":
-        return cls(p, {(1, 0) if index == 0 else (0, 1): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -15,9 +15,9 @@ unique, so the result equals textbook elimination over the field.
 - GF(p): rows are reduced to int residues once; the step is a*x - b*y mod p
   (a the pivot, b the row's entry in the pivot column); pivot rows are
   scaled by a^(p-2).
-- Q: rows are scaled to primitive integer vectors; the step is the
-  gcd-reduced cross-multiplication, divided by the row's content again;
-  pivot rows become Fractions.
+- Q: rows are lifted to integers (``fields._lift``, as products are) and
+  made primitive; the step is the gcd-reduced cross-multiplication,
+  divided by the row's content again; pivot rows become Fractions.
 - GF(p)(s, t): the fused step below keeps entries polynomial for as long
   as possible; pivot rows are scaled by their inverse.
 
@@ -49,8 +49,12 @@ It is certified: every dropped row must vanish on its basis, by exact
 sparse dot products.  If one does not, or no point is usable, all rows are
 eliminated, so the kernel is always exact and a bad point costs only time.
 
-Everything built on elimination lives here too.  ``_combine`` is the one
-sum c*v of vectors; it skips zero coefficients but, unlike
+Everything built on elimination lives here too.  ``_condition_rows`` puts
+the sparse rows of a condition system in the normal form that ``kernel``
+is fed, for the operator systems and the distinguished subspaces.  A
+``Subspace`` keeps the pivot columns its RREF basis came with, which
+``reduce_vector`` and ``algebra.restricted_algebra`` read.  ``_combine`` is
+the one sum c*v of vectors; it skips zero coefficients but, unlike
 ``Matrix.mulvec``, not zero entries, since that would change the unreduced
 GF(p)(s, t) sums.  ``Subspace._closure`` is the one fixpoint loop S ->
 S + grow(S), for generated subalgebras and ideals and the multiplication
@@ -60,12 +64,12 @@ Lie algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from random import Random
 
 from . import fields
 from .fields import (_GF_Q_MAX, Field, FieldError, RatFun, RatFunField,
-                     TermBudgetError, _add_terms, _gf_table, _mul_terms)
+                     TermBudgetError, _add_terms, _gf_table, _lift, _mul_terms)
 
 
 class Matrix:
@@ -211,10 +215,7 @@ def _rref_rationals(rows: list, ncols: int):
         a, b = prow[c] // g, row[c] // g
         return _primitive([a * x - b * y for x, y in zip(row, prow)])
 
-    irows = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        irows.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    irows = [_primitive(_lift(fields.QQ, row)[0]) for row in rows]
     irows, r, pivots = _gauss_jordan(irows, ncols, bool, step)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(irows, pivots)]
     out.extend([Fraction(0)] * ncols for _ in range(len(irows) - r))
@@ -324,13 +325,64 @@ def rref(m: Matrix):
     return Matrix(F, rows, m.ncols), rank, pivots
 
 
+def _condition_rows(F: Field, ncols: int, rows) -> list:
+    """The dense form of the sparse condition rows ``{column: value}``.
+
+    Over GF(p) and Q each row is lifted (``fields._lift``, which also takes
+    plain integers, as ``operators._law_rows`` hands them) and put in a
+    normal form, its sorted nonzero (column, value) pairs: over GF(p) with
+    leading entry 1, over Q as primitive integers with a positive leading
+    entry, handed on as ``Fraction``.  Zero rows and rows whose normal form
+    was already seen, that is nonzero multiples of an earlier row, are
+    dropped.  Over GF(p)(s, t) the rows are kept as they are, zero rows
+    dropped."""
+    zero = F.zero
+    out = []
+    if F.kind == "ratfun2":
+        for row in rows:
+            if not all(F.is_zero(a) for a in row.values()):
+                dense = [zero] * ncols
+                for c, a in row.items():
+                    dense[c] = a
+                out.append(dense)
+        return out
+    p = F.p if F.kind == "prime" else 0
+    seen, met = set(), set()
+    for row in rows:
+        # a row met before as it stands has the same normal form: skip it
+        # before lifting, which most rows of a high-order system are
+        raw = frozenset(row.items())
+        if raw in met:
+            continue
+        met.add(raw)
+        ints, _ = _lift(F, list(row.values()))
+        pairs = sorted((c, a) for c, a in zip(row, ints) if a)
+        if not pairs:
+            continue
+        lead = pairs[0][1]
+        if p:
+            inv = pow(lead, p - 2, p)
+            key = tuple((c, a * inv % p) for c, a in pairs)
+        else:
+            g = gcd(*(a for _, a in pairs))
+            g = g if lead > 0 else -g
+            key = tuple((c, a // g) for c, a in pairs)
+        if key in seen:
+            continue
+        seen.add(key)
+        dense = [zero] * ncols
+        for c, a in key:
+            dense[c] = a if p else Fraction(a)
+        out.append(dense)
+    return out
+
+
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of {x : m @ x = 0}; dim = ncols - rank.  Tall
     GF(p)(s, t) matrices are solved at a point first (module docstring)."""
     F, rows, nc = m.field, m.rows, m.ncols
-    if F.kind != "ratfun2" or len(rows) <= nc or F.p > _GF_Q_MAX:
-        return Subspace.from_vectors(F, nc, _kernel_vectors(m))
-    kept = _point_rows(F, rows, nc)
+    kept = (_point_rows(F, rows, nc) if F.kind == "ratfun2" and len(rows) > nc
+            and F.p <= _GF_Q_MAX else None)
     if kept is not None:
         vecs, keep = _kernel_vectors(Matrix(F, [rows[i] for i in kept], nc)), set(kept)
         nzs = ([(j, x) for j, x in enumerate(row) if x]
@@ -374,33 +426,40 @@ def solve(m: Matrix, b: list):
 
 
 class Subspace:
-    """Subspace of F^n stored as an RREF basis (canonical representation)."""
+    """Subspace of F^n stored as an RREF basis (canonical representation),
+    with the pivot column of each basis row."""
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "rows", "_pivots")
 
-    def __init__(self, field: Field, ambient: int, rref_rows: list):
+    def __init__(self, field: Field, ambient: int, rref_rows: list, pivots):
         self.field = field
         self.ambient = ambient
         self.rows = rref_rows
+        self._pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vecs: list) -> "Subspace":
         if not vecs:
-            return cls(field, ambient, [])
-        red, rank, _ = rref(Matrix(field, vecs, ambient))
-        return cls(field, ambient, red.rows[:rank])
+            return cls.zero(field, ambient)
+        red, rank, pivots = rref(Matrix(field, vecs, ambient))
+        return cls(field, ambient, red.rows[:rank], pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [])
+        return cls(field, ambient, [], ())
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
+        return cls(field, ambient, Matrix.identity(field, ambient).rows, range(ambient))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        """The pivot column of each basis row, in row order."""
+        return self._pivots
 
     def basis(self) -> list:
         return [list(r) for r in self.rows]
@@ -445,8 +504,7 @@ class Subspace:
             raise ValueError("vector length mismatch")
         F = self.field
         v = list(v)
-        for row in self.rows:
-            pc = _pivot_col(F, row)
+        for row, pc in zip(self.rows, self._pivots):
             a = v[pc]
             if not F.is_zero(a):
                 v = [F.sub(x, F.mul(a, y)) for x, y in zip(v, row)]
@@ -471,13 +529,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
-
-
-def _pivot_col(F: Field, row: list) -> int:
-    for j, a in enumerate(row):
-        if not F.is_zero(a):
-            return j
-    raise ValueError("zero row in subspace basis")
 
 
 def _combine(F: Field, coeffs, vecs, n: int) -> list:

@@ -8,7 +8,7 @@ Linear maps live in the d^2-dimensional coordinate space of matrices
 and solved through the exact kernel routine.  Derivations, Leibniz-derivations
 and quasiderivations share one system builder: it computes the left-normed
 products of basis tuples once per node of their prefix trie and streams its
-rows through ``algebra._condition_rows``, which over GF(p) and Q keeps the
+rows through ``linalg._condition_rows``, which over GF(p) and Q keeps the
 first row of each normal form, so zero rows and multiples of earlier rows
 never reach elimination (the RREF is unique, so the kernel is the same), and
 over GF(p)(s, t) drops zero rows only.  ``is_leibniz`` walks the same trie
@@ -26,10 +26,12 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from . import scan
-from .algebra import Algebra, _condition_rows, search
+from .algebra import Algebra, power_chain, search
 from .fields import _lift
-from .linalg import Matrix, Subspace, _combine, _multiple, kernel, rref, solve
-from .quadratic import InvolutiveAlgebra, QuadraticAlgebra, orthocomplement
+from .linalg import (Matrix, Subspace, _combine, _condition_rows, _multiple, kernel,
+                     rref, solve)
+from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_inverse,
+                        orthocomplement)
 
 
 def flatten_map(m: Matrix) -> list:
@@ -151,7 +153,7 @@ def leibniz_space(A: Algebra, n: int) -> OperatorSpace:
 def quasider_condition_rows(A: Algebra) -> list:
     """Rows of the linear system for pairs (f, Q), unknowns f then Q
     (2 d^2 columns): Q(e_i e_j) - f(e_i) e_j - e_i f(e_j) = 0.  Over GF(p)
-    and Q each row is in the normal form of ``algebra._condition_rows``, so
+    and Q each row is in the normal form of ``linalg._condition_rows``, so
     this is the same system up to row scaling, without rows that are
     multiples of earlier ones."""
     return _law_rows(A, 2, q_offset=A.dim ** 2)
@@ -303,8 +305,6 @@ def moens_construction(A: Algebra) -> MoensResult:
     order.  Characteristic degeneracies (p | n makes the map vanish on A^n,
     p | n-1 makes it the identity) are reported in ``notes``.
     """
-    from .algebra import power_chain
-
     chain, s = power_chain(A)
     if s is None:
         raise ValueError("algebra is not nilpotent; no such construction")
@@ -489,8 +489,6 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
                   f"{samples} seeded samples; anisotropy of the kernel "
                   "subalgebra is sampled evidence, not a certificate")
     elif cert.case == "II":
-        from .quadratic import cd_inverse
-
         unit = A.find_unit()
 
         def hit(z):

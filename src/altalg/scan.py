@@ -12,16 +12,17 @@ nearly associative*), summed over the orderings of each degree-k monomial and
 reduced mod p, once per sweep.  Each column of that (monomials) x (basis
 tuples * d) matrix is one output, and a vector's monomials are 0 against
 every column iff they are 0 against a basis mod p of the columns' span, so
-the sweep keeps only such a basis, ``column_basis``, (monomials) x (rank).
+the sweep keeps only such a basis, ``column_basis``, (monomials) x (rank):
+one matrix per law, eliminated once by ``linalg`` over GF(p).
 Each chunk of swept vectors then costs one GEMM of its monomials against
 that basis and one remainder mod p of its values, in int64 (or on Python
 integers): every vector is evaluated against a basis of the outputs' span.
 The GEMM runs in float32 or float64 when a bound on its sums keeps every
 integer exact, and on Python integers otherwise.
 
-Ranks, linear solves and two-sided inverses come from one Gauss-Jordan
-elimination over GF(p), ``batched_rref_mod_p``, run on a whole stack of
-small matrices at once.  Its entries are non-negative integers: uint8
+Stacks of small matrices, for ranks, linear solves and two-sided inverses,
+go through one Gauss-Jordan elimination over GF(p), ``batched_rref_mod_p``,
+run on the whole stack at once.  Its entries are non-negative integers: uint8
 while p(p-1) <= 255, and float64 above, exact while v + p < 2^53.  A step
 adds at most (p-1)^2 to an entry, so the stack is reduced, in place, only
 when the next step could pass its dtype's bound.  ``inverses`` solves
@@ -34,6 +35,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+
+from .fields import PrimeField
+from .linalg import Subspace
 
 
 class _Numpy:
@@ -65,15 +69,14 @@ def structure_tensor(A) -> np.ndarray:
     return C
 
 
-def vector_blocks(p: int, d: int, block: int | None = None):
+def vector_blocks(p: int, d: int):
     """Yield all p^d coefficient vectors in lexicographic order, in blocks
-    of `block` rows (default BLOCK, read at each call).
+    of BLOCK rows (read at each call).
 
     Row n holds the base-p digits of n, most significant digit first, which
     matches itertools.product(range(p), repeat=d).
     """
-    block = block or BLOCK
-    total = p ** d
+    block, total = BLOCK, p ** d
     weights = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
@@ -130,18 +133,11 @@ def gemm_dtype(p: int, monomials: int, degree: int):
 
 
 def column_basis(T: np.ndarray, p: int) -> np.ndarray:
-    """(M, rank) residues whose columns are a basis of the span mod p of the
-    columns of the (M, c) residue matrix T: the nonzero rows of the reduced
-    row-echelon form of T's transpose.  batched_rref_mod_p takes it while
-    its arithmetic is exact for p, linalg.rref over GF(p) above."""
-    if _exact(p, 1):
-        R, rank, _ = batched_rref_mod_p(T.T[None], p)
-        # int64, so that an object GEMM dtype gets Python ints, not floats
-        return R[0, :rank[0]].astype(np.int64).T
-    from .fields import PrimeField
-    from .linalg import Matrix, rref
-    R, rank, _ = rref(Matrix(PrimeField(p), T.T.tolist(), len(T)))
-    return np.array(R.rows[:rank], dtype=object).reshape(rank, len(T)).T
+    """(M, rank) residues, as Python ints, whose columns are a basis of the
+    span mod p of the columns of the (M, c) residue matrix T: the RREF
+    basis over GF(p) of the span of T's columns (``linalg.Subspace``)."""
+    B = Subspace.from_vectors(PrimeField(p), len(T), T.T.tolist()).rows
+    return np.array(B, dtype=object).reshape(len(B), len(T)).T
 
 
 def _gemm(X: np.ndarray, monomials: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .operators import (derivation_space, flatten_map, invertible_combination,
                         lemma22_derivation, moens_construction,
                         mult_lie_algebra, quasider_condition_rows,
                         quasider_space)
-from .quadratic import (cd_tower, find_isotropic, orthocomplement, zorn,
-                        zorn_isomorphism)
+from .quadratic import (cd_double, cd_tower, find_isotropic, orthocomplement,
+                        zorn, zorn_isomorphism)
 
 
 @dataclass
@@ -296,8 +296,6 @@ def suite_derivation_dimensions(cfg: Config) -> list:
 
 
 def suite_lemma22_case1(cfg: Config) -> list:
-    from .quadratic import cd_double
-
     checks = []
     quat = build("quaternions-Q").involutive
     C = cd_double(quat, quat.algebra.field.one)     # gamma = 1

@@ -1,4 +1,4 @@
-import functools
+import hashlib
 import itertools
 import json
 import os
@@ -417,6 +417,14 @@ def test_restricted_algebra_roundtrip():
     assert check_identity(B, "associative").holds
 
 
+def test_restricted_gagola_b_table_is_byte_identical():
+    # the unreduced GF(2)(s, t) constants are read off the subspace's pivot
+    # columns; this digest pins every term of them
+    doc = algebra_to_json(build("gagola-B").extras["b_algebra"])
+    digest = hashlib.md5(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "aa7c20472e26d116e240c3f691f96568"
+
+
 def test_restricted_algebra_rejects_unclosed():
     A = build("remark22").algebra
     S = Subspace.from_vectors(A.field, 7, [A.basis_vec(0)])   # e1^2 = u1 not in S
@@ -724,8 +732,7 @@ def test_search_rows_walk_matches_hit_walk(p, n, block, monkeypatch):
     # the block form of a predicate must find what the element-wise form
     # finds, with the same tag, whichever block the hit falls in
     if block is not None:
-        monkeypatch.setattr(scan, "vector_blocks",
-                            functools.partial(scan.vector_blocks, block=block))
+        monkeypatch.setattr(scan, "BLOCK", block)
     F, total = PrimeField(p), p ** n
     blocks = []
     rng = random.Random(p + n)

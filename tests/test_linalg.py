@@ -245,6 +245,61 @@ def test_subspace_equality_is_representation_equality(rng):
     assert u == shuffled
 
 
+def reference_reduce_vector(S, v):
+    """Subspace.reduce_vector as it was before a Subspace kept its pivots:
+    each basis row's pivot is found again as its first nonzero entry."""
+    F = S.field
+    v = list(v)
+    for row in S.rows:
+        pc = next(j for j, a in enumerate(row) if not F.is_zero(a))
+        a = v[pc]
+        if not F.is_zero(a):
+            v = [F.sub(x, F.mul(a, y)) for x, y in zip(v, row)]
+    return v
+
+
+def random_spans(F, rng, n):
+    """Seeded lists of vectors in F^n: sparse random ones with repeats and
+    zero vectors mixed in, then a full span (a shuffled triangular basis)."""
+    spans = []
+    for _ in range(10):
+        vecs = []
+        for _ in range(rng.randint(1, n + 1)):
+            kind = rng.random()
+            if vecs and kind < 0.2:
+                vecs.append(list(rng.choice(vecs)))
+            elif kind < 0.3:
+                vecs.append([F.zero] * n)
+            else:
+                vecs.append([sparse_element(F, rng) if rng.random() < 0.6 else F.zero
+                             for _ in range(n)])
+        spans.append(vecs)
+    full = [[F.zero] * i + [F.one] + [sparse_element(F, rng) for _ in range(n - 1 - i)]
+            for i in range(n)]
+    rng.shuffle(full)
+    return spans + [full]
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(7), RationalField(),
+                               RatFunField(2)], ids=["gf3", "gf7", "rationals", "ratfun2"])
+def test_subspace_pivots_are_the_rref_pivots(F, rng):
+    n = 5
+    assert [S.pivots for S in (Subspace.zero(F, n), Subspace.from_vectors(F, n, []),
+                               Subspace.from_vectors(F, n, [[F.zero] * n]))] == [()] * 3
+    assert Subspace.full(F, n).pivots == tuple(rref(Matrix.identity(F, n))[2])
+    dims = set()
+    for vecs in random_spans(F, rng, n):
+        S = Subspace.from_vectors(F, n, vecs)
+        assert S.pivots == tuple(rref(Matrix(F, vecs, n))[2])
+        dims.add(S.dim)
+        for v in vecs + [[sparse_element(F, rng) for _ in range(n)]]:
+            assert (encoded(F, [S.reduce_vector(v)])
+                    == encoded(F, [reference_reduce_vector(S, v)]))
+    assert n in dims and len(dims) > 2
+    with pytest.raises(AttributeError):
+        S.pivots = ()
+
+
 def test_empty_matrix_kernel_is_full():
     F = PrimeField(3)
     assert kernel(Matrix(F, [], 4)).dim == 4

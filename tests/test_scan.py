@@ -269,14 +269,47 @@ def test_column_basis_spans_planted_columns(p):
         scan.batched_rref_mod_p(np.zeros((1, 2, 2)), 2 ** 31 - 1)
 
 
+def reference_column_basis(T, p):
+    """scan.column_basis as it was before it went through linalg: the
+    batched elimination while its float64 arithmetic is exact for p, and
+    linalg.rref over GF(p) above."""
+    if scan._exact(p, 1):
+        R, rank, _ = scan.batched_rref_mod_p(T.T[None], p)
+        return R[0, :rank[0]].astype(np.int64).T
+    R, rank, _ = rref(Matrix(PrimeField(p), T.T.tolist(), len(T)))
+    return np.array(R.rows[:rank], dtype=object).reshape(rank, len(T)).T
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 2 ** 61 - 1])
+def test_column_basis_matches_the_batched_basis(p):
+    # random products of a thin factor pair make rank-deficient T; 2^61 - 1
+    # is past float64, so T is an object array, as coefficients returns it
+    rng = np.random.default_rng(p)
+    dtype = object if p > 2 ** 31 else np.int64
+    ranks = set()
+    for _ in range(24):
+        m, c = (int(v) for v in rng.integers(1, 9, size=2))
+        k = int(rng.integers(0, min(m, c) + 1))
+        L = rng.integers(0, min(p, 2 ** 31), size=(m, k)).astype(object)
+        R = rng.integers(0, min(p, 2 ** 31), size=(k, c)).astype(object)
+        T = np.array((L @ R) % p if k else np.zeros((m, c), dtype=int), dtype=dtype)
+        if rng.random() < 0.2:
+            T = T[:, :0]
+        got, want = scan.column_basis(T, p), reference_column_basis(T, p)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert got.dtype == object and all(type(v) is int for v in got.ravel())
+        ranks.add(got.shape[1])
+    assert 0 in ranks and max(ranks) > 1
+
+
 def _count_walk(monkeypatch):
     """(drawn, gemmed): the lengths of the blocks vector_blocks yields and
     of the chunks of rows that reach scan._gemm, appended as they go."""
     drawn, gemmed = [], []
     blocks, gemm = scan.vector_blocks, scan._gemm
 
-    def counted(p, d, block=None):
-        for start, X in blocks(p, d, block):
+    def counted(p, d):
+        for start, X in blocks(p, d):
             drawn.append(len(X))
             yield start, X
 
@@ -406,9 +439,10 @@ def test_nonzero_mod_matches_remainder():
         assert scan._nonzero_mod(R, p).tolist() == [v % p != 0 for v in big]
 
 
-def test_vector_blocks_match_itertools_product():
+def test_vector_blocks_match_itertools_product(monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK", 7)
     for p, d in ((2, 4), (3, 3), (5, 2)):
-        got = np.concatenate([blk for _, blk in scan.vector_blocks(p, d, block=7)])
+        got = np.concatenate([blk for _, blk in scan.vector_blocks(p, d)])
         want = list(itertools.product(range(p), repeat=d))
         assert got.shape == (p ** d, d)
         assert [tuple(int(v) for v in row) for row in got] == want
@@ -609,13 +643,14 @@ def test_invertible_values_exhaustive_matches_element_walk(monkeypatch):
             for A, M in cases} == {True, False}
 
 
-def reference_find_invertible_combo(basis_flat, p, d, block=scan.BLOCK):
+def reference_find_invertible_combo(basis_flat, p, d):
     """scan.find_invertible_combo before algebra.search took its walk: the
     first coefficient vector whose combination of the (m, d*d) maps has full
-    rank, scanning all p^m combinations in lexicographic order; None if none."""
+    rank, scanning all p^m combinations in lexicographic order, in blocks of
+    scan.BLOCK; None if none."""
     m = basis_flat.shape[0]
     B = basis_flat.astype(np.float64)
-    for start, V in scan.vector_blocks(p, m, block):
+    for start, V in scan.vector_blocks(p, m):
         W = np.matmul(V, B) % p
         ranks = scan.batched_rank_mod_p(W.reshape(-1, d, d), p)
         hits = np.nonzero(ranks == d)[0]
@@ -678,7 +713,7 @@ def _random_map_space(p, d, m, rng, singular):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_invertible_in_space_matches_reference(p):
+def test_invertible_in_space_matches_reference(p, monkeypatch):
     rng = random.Random(100 + p)
     seen = set()
     for trial in range(40):
@@ -688,7 +723,9 @@ def test_invertible_in_space_matches_reference(p):
         if S.dim == 0:
             continue
         flat = np.array(S.space.rows, dtype=np.int64).reshape(S.dim, d * d)
-        want = reference_find_invertible_combo(flat, p, d, block=5)
+        with monkeypatch.context() as m:
+            m.setattr(scan, "BLOCK", 5)
+            want = reference_find_invertible_combo(flat, p, d)
         v = invertible_in_space(S)
         if v.provenance == "certified":     # a common kernel vector
             assert want is None and v.reason == "common-kernel"

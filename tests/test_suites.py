@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from altalg import __version__
 from altalg.catalog import build
-from altalg.suites import SUITE_ORDER, Config, run_all, run_suite
+from altalg.suites import SUITE_ORDER, Config, run_suite
 
 FAST_SUITES = [n for n in SUITE_ORDER if n != "zorn-identities"]
 
@@ -331,13 +332,15 @@ def test_quadratic_relation_sweep_matches_reference(monkeypatch, fault):
             assert bad[0] == [p - 1] * 8
 
 
-def test_verify_all_builds_no_gf_table_and_takes_no_point(monkeypatch):
-    # its GF(p)(s, t) kernels have no more rows than columns, so verify all
-    # keeps its cost and its bytes
-    from altalg import fields, linalg
+def test_verify_all_builds_no_gf_table_and_takes_no_point(monkeypatch, capsys):
+    # the north-star output, byte for byte; its GF(p)(s, t) kernels have no
+    # more rows than columns, so verify all keeps its cost and its bytes
+    from altalg import cli, fields, linalg
     monkeypatch.setattr(fields, "_GF_TABLES", {})
     taken = []
     monkeypatch.setattr(linalg, "_point_rows", lambda *a: taken.append(a))
-    reports = run_all(Config())
-    assert [r.suite for r in reports] == list(SUITE_ORDER)
+    assert cli.main(["verify", "all", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "043499262f7f38d1b3f2e6fbd617060d"
+    assert [r["suite"] for r in json.loads(out)] == list(SUITE_ORDER)
     assert fields._GF_TABLES == {} and taken == []
