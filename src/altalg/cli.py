@@ -24,8 +24,8 @@ from .fields import FieldError
 from .linalg import Matrix
 from .operators import (derivation_space, invertible_values_check, is_inner,
                         leibniz_space, quasider_space)
-from .suites import (SUITE_ORDER, CheckResult, Config, SuiteReport, run_all,
-                     run_suite, _enc, _identity_witness, _values_witness)
+from .suites import (SUITE_ORDER, CheckResult, Config, SuiteReport, render,
+                     run_all, run_suite, _enc, _identity_witness, _values_witness)
 
 
 def create_parser() -> argparse.ArgumentParser:
@@ -249,26 +249,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(reports: list, args, wall: float) -> int:
-    payload = [r.to_json(__version__) for r in reports]
-    doc = payload[0] if len(payload) == 1 else payload
-    if args.json:
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = []
-        for rep in reports:
-            lines.append(f"suite: {rep.suite}")
-            for c in rep.checks:
-                mark = "PASS" if c.passed else "FAIL"
-                extra = f"  -- {c.detail}" if c.detail else ""
-                lines.append(f"  {mark} [{c.provenance:10s}] {c.name}{extra}")
-                if not c.passed and c.witness is not None:
-                    lines.append(f"       witness: {json.dumps(c.witness)}")
-            lines.append(f"  overall: {'pass' if rep.overall else 'fail'}")
-        total = sum(1 for r in reports for _ in r.checks)
-        failed = sum(1 for r in reports for c in r.checks if not c.passed)
-        lines.append(f"{total - failed}/{total} checks passed")
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+    _write(render(reports, __version__, args.json), args.out)
     if args.verb == "verify":
         print(f"elapsed: {wall:.2f}s", file=sys.stderr)
     return 0 if all(r.overall for r in reports) else 1

@@ -16,18 +16,21 @@ equal term dicts however they were computed.  Products pick their method
 from the operand sizes:
 
 * a zero operand gives the empty product;
-* a one-term operand shifts the other's exponents and scales its
+* a factor 1 gives the other term dict itself (none is written into);
+* another one-term operand shifts the other's exponents and scales its
   coefficients in one comprehension (one dict entry when both operands are
   one-term): the shift is injective and a product of nonzero residues is
   nonzero mod p, so no terms meet or cancel;
 * below ``_SORTED_KEY_PAIRS`` term pairs, the schoolbook dict loop;
 * from there on, the packed-exponent product of Monagan and Pearce
-  (CASC 2007): each exponent (i, j) becomes the int64 key i*W + j, with W
-  one more than the largest j of the product, so all term pairs are one
-  outer sum of key vectors and one outer product of coefficient vectors,
-  which are sorted and their equal keys summed mod p (for p = 2 a key
-  survives when it occurs an odd number of times).  For p >= 2**31, or
-  when a key could reach 2**62, the dict loop runs instead.
+  (CASC 2007): each exponent (i, j), less its operand's least exponents,
+  becomes the int64 key i*W + j, with W one more than the largest such j
+  of the product, so all term pairs are one outer sum of key vectors and
+  one outer product of coefficient vectors, which are sorted and their
+  equal keys summed mod p (for p = 2 a key survives when it occurs an odd
+  number of times, counted by ``np.bincount`` if there are at most as many
+  possible keys as term pairs).  For p >= 2**31, or when a key of the
+  unshifted exponents could reach 2**62, the dict loop runs instead.
 
 Every method yields the canonical term dict of the product, so the results
 are term-identical to the schoolbook product.  ``RatFun`` arithmetic is its
@@ -153,13 +156,15 @@ def _mul_terms(p: int, a: dict, b: dict) -> dict:
     term dicts {(i, j): c} with 0 < c < p; see the module docstring."""
     if not a or not b:
         return {}
-    if len(a) == 1:
+    if len(a) == 1 and len(b) > 1:
         a, b = b, a
     if len(b) == 1:
         ((i2, j2), c2), = b.items()
+        if (i2, j2, c2) == (0, 0, 1):
+            return a
         if len(a) == 1:
             ((i1, j1), c1), = a.items()
-            return {(i1 + i2, j1 + j2): c1 * c2 % p}
+            return b if (i1, j1, c1) == (0, 0, 1) else {(i1 + i2, j1 + j2): c1 * c2 % p}
         return {(i1 + i2, j1 + j2): c1 * c2 % p for (i1, j1), c1 in a.items()}
     if len(a) * len(b) >= _SORTED_KEY_PAIRS and p < 2 ** 31:
         out = _mul_sorted_keys(p, a, b)
@@ -199,14 +204,16 @@ def _mul_sorted_keys(p: int, a: dict, b: dict) -> dict | None:
         eb = np.fromiter(chain.from_iterable(b), np.int64, 2 * len(b)).reshape(-1, 2)
     except OverflowError:
         return None
-    if min(ea.min(), eb.min()) < 0:
+    (la, ma), (lb, mb) = ea.min(0).tolist(), eb.min(0).tolist()
+    if min(la, ma, lb, mb) < 0:
         return None
     (ia, ja), (ib, jb) = ea.max(0).tolist(), eb.max(0).tolist()
-    w = ja + jb + 1
-    if (ia + ib + 1) * w > 2 ** 62:
+    if (ia + ib + 1) * (ja + jb + 1) > 2 ** 62:
         return None
-    ka = ea[:, 0] * w + ea[:, 1]
-    kb = eb[:, 0] * w + eb[:, 1]
+    w = ja + jb - ma - mb + 1   # exponents less each operand's least: keys < span
+    span = (ia + ib - la - lb + 1) * w
+    ka = ea[:, 0] * w + ea[:, 1] - (la * w + ma)
+    kb = eb[:, 0] * w + eb[:, 1] - (lb * w + mb)
     ca = cb = None
     if p != 2:
         ca = np.fromiter(a.values(), np.int64, len(a))
@@ -216,26 +223,29 @@ def _mul_sorted_keys(p: int, a: dict, b: dict) -> dict | None:
     for lo in range(0, len(a), step):
         keys = (ka[lo:lo + step, None] + kb).ravel()
         coefs = None if p == 2 else (ca[lo:lo + step, None] * cb).ravel()
-        parts.append(_combine_keys(p, keys, coefs))
+        parts.append(_combine_keys(p, keys, coefs, span))
     if len(parts) == 1:
         keys, coefs = parts[0]
     else:
         keys, coefs = _combine_keys(
             p, np.concatenate([k for k, _ in parts]),
-            None if p == 2 else np.concatenate([c for _, c in parts]))
-    exps = zip(*(x.tolist() for x in np.divmod(keys, w)))
+            None if p == 2 else np.concatenate([c for _, c in parts]), span)
+    i, j = np.divmod(keys, w)
+    exps = zip((i + la + lb).tolist(), (j + ma + mb).tolist())
     if p == 2:
         return dict.fromkeys(exps, 1)
     return dict(zip(exps, coefs.tolist()))
 
 
-def _combine_keys(p: int, keys, coefs):
+def _combine_keys(p: int, keys, coefs, span: int):
     """Sum the coefficients of equal keys mod p and drop the zero sums; for
     p = 2 (coefs None, every coefficient 1) keep the keys seen an odd number
-    of times."""
+    of times, by ``np.bincount`` if there are ``span`` keys or more."""
     import numpy as np
 
     if p == 2:
+        if span <= len(keys):
+            return np.flatnonzero(np.bincount(keys, minlength=span) & 1), None
         keys, counts = np.unique(keys, return_counts=True)
         return keys[(counts & 1).astype(bool)], None
     if len(coefs) * (p - 1) ** 2 >= 2 ** 63:
@@ -650,6 +660,8 @@ class RatFunField(Field):
         return RatFun(a.den, a.num)
 
     def eq(self, a, b):
+        if a.den.terms == b.den.terms and a.num.p == b.num.p == a.den.p == b.den.p:
+            return a.num.terms == b.num.terms       # over one nonzero denominator
         return a.num.mul(b.den) == b.num.mul(a.den)
 
     def is_zero(self, a):

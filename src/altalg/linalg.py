@@ -19,7 +19,7 @@ unique, so the result equals textbook elimination over the field.
   made primitive; the step is the gcd-reduced cross-multiplication,
   divided by the row's content again; pivot rows become Fractions.
 - GF(p)(s, t): the fused step below keeps entries polynomial for as long
-  as possible; pivot rows are scaled by their inverse.
+  as possible, on sparse rows; pivot rows are scaled by their inverse.
 
 The GF(p)(s, t) row step is fused.  Row x is replaced by piv*x - f*y, where
 piv is the pivot, f the row's entry in the pivot column and y the pivot
@@ -36,6 +36,12 @@ fractions, and every encoded output, match that formula term for term.
 Each product is checked against ``fields.TERM_BUDGET``, and each stored
 entry goes through ``F._guard``.
 
+Rows are sparse: stored entries, and one z for the implicit rest, each 0/z
+(an input 0/1 is implicit; z starts as 1).  The step visits the columns
+stored in x or y; elsewhere the formula gives 0/(D*(z_x*z_y)), the new z,
+formed once if needed.  So a step forms each product of the dense step and
+no other, and the term budget stops the same step.
+
 ``kernel`` solves a GF(p)(s, t) matrix with more rows than columns, p up
 to 2^16, on few of its rows.  It evaluates the entries at the first of four
 fixed points (a, b) of GF(q) (``fields._gf_table``) where no denominator
@@ -45,9 +51,10 @@ pivot rows, so unless an entry vanishes at the point but not over
 GF(p)(s, t), the full run picks the same rows and makes the same fused
 steps: the bytes are the same.  Rows independent at the point are
 independent over GF(p)(s, t), so the kernel found contains the true one.
-It is certified: every dropped row must vanish on its basis, by exact
-sparse dot products.  If one does not, or no point is usable, all rows are
-eliminated, so the kernel is always exact and a bad point costs only time.
+It is certified: every distinct dropped row must vanish on its basis, by
+exact dot products over the nonzero entries the point read.  If one does
+not, or no point is usable, all rows are eliminated, so the kernel is
+always exact and a bad point costs only time.
 
 Everything built on elimination lives here too.  ``_condition_rows`` puts
 the sparse rows of a condition system in the normal form that ``kernel``
@@ -64,6 +71,7 @@ Lie algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from random import Random
 
@@ -227,10 +235,19 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
+class _SparseRow(dict):
+    """Stored entries {column: fraction}; other columns read ``zero``, uninserted."""
+
+    __slots__ = ("zero",)
+
+    def __missing__(self, c):
+        return self.zero
+
+
 def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
-    """GF(p)(s, t) with the fused row step of the module docstring; each
-    pivot row is scaled by its inverse at the end."""
-    p, budget, guard = F.p, fields.TERM_BUDGET, F._guard
+    """GF(p)(s, t) with the fused row step of the module docstring, on
+    sparse rows; each pivot row is scaled by its inverse at the end."""
+    p, budget, guard, one = F.p, fields.TERM_BUDGET, F._guard, {(0, 0): 1}
     _check_ratfun2(p, rows)
 
     def mul(a: dict, b: dict) -> dict:
@@ -244,26 +261,38 @@ def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
         pn, pd = prow[c].num.terms, prow[c].den.terms
         fn, fd = row[c].num.terms, row[c].den.terms
         p1, p2, d = mul(pn, fd), mul(fn, pd), mul(pd, fd)
-        out = []
-        for x, y in zip(row, prow):
+        out = _SparseRow()
+        for j in sorted(row.keys() | prow.keys()):
+            x, y = row[j], prow[j]
             xn, xd, yn, yd = x.num.terms, x.den.terms, y.num.terms, y.den.terms
             # a zero numerator only empties its products: skip them
             a = mul(p1, mul(xn, yd)) if xn else {}
             b = mul(p2, mul(yn, xd)) if yn else {}
-            out.append(guard(RatFun.of(p, _add_terms(p, a, b, -1) if b else a,
-                                       mul(d, mul(xd, yd)))))
+            out[j] = guard(RatFun.of(p, _add_terms(p, a, b, -1) if b else a,
+                                     mul(d, mul(xd, yd))))
+        zx, zy = row.zero, prow.zero    # the columns zero in both rows, if any
+        out.zero = (guard(RatFun.of(p, {}, mul(d, mul(zx.den.terms, zy.den.terms))))
+                    if len(out) < ncols else None)
         return out
 
-    rows, r, pivots = _gauss_jordan([list(row) for row in rows], ncols,
-                                    lambda x: x.num.terms, step)
-    for i, c in enumerate(pivots):
-        inv = F.inv(rows[i][c])
-        rows[i] = [F.mul(inv, x) for x in rows[i]]
+    zero = guard(RatFun.of(p, {}, one))
+    sparse = [_SparseRow((j, x) for j, x in enumerate(row)
+                         if x.num.terms or x.den.terms != one) for row in rows]
+    for row in sparse:
+        row.zero = zero if len(row) < ncols else None
+    rows, r, pivots = _gauss_jordan(sparse, ncols, lambda x: x.num.terms, step)
+    for i, row in enumerate(rows):
+        zero, stored = row.zero, row
+        if i < r:
+            inv = F.inv(row[pivots[i]])
+            zero = None if zero is None else F.mul(inv, zero)
+            stored = {j: F.mul(inv, x) for j, x in row.items()}
+        rows[i] = [stored.get(j, zero) for j in range(ncols)]
     return rows, r, pivots
 
 
 def _check_ratfun2(p: int, rows: list):
-    if not all(x.num.p == x.den.p == p for row in rows for x in row):
+    if not all(x.num.p == x.den.p == p for x in set(chain.from_iterable(rows))):
         raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
 
 
@@ -273,12 +302,12 @@ def _points(n: int) -> list:
     return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(4)]
 
 
-def _point_rows(F: RatFunField, rows: list, ncols: int):
+def _point_rows(F: RatFunField, rows: list, ncols: int, nonzero=None):
     """Indices of the pivot rows, in pivot order, of ``_gauss_jordan`` on
     rows at the first of ``_points`` where no denominator of a nonzero
     entry vanishes (GF(q) elements as in ``fields._gf_table``); None if
-    there is no such point."""
-    _check_ratfun2(F.p, rows)
+    there is no such point; it reads only ``nonzero`` (default: from rows)."""
+    nonzero = _nonzero_entries(F.p, rows) if nonzero is None else nonzero
     n, zech, logc = _gf_table(F.p)
 
     def value(terms, a, b):
@@ -289,9 +318,9 @@ def _point_rows(F: RatFunField, rows: list, ncols: int):
             acc = z and ((acc + z) % n or n)
         return acc
     for a, b in _points(n):
-        vals = [[(value(x.num.terms, a, b), value(x.den.terms, a, b)) if x else (0, 1)
-                 for x in row] for row in rows]
-        if all(d for row in vals for _, d in row):
+        vals = [[(j, value(x.num.terms, a, b), value(x.den.terms, a, b)) for j, x in nz]
+                for nz in nonzero]
+        if all(d for row in vals for _, _, d in row):
             break
     else:
         return None
@@ -308,9 +337,18 @@ def _point_rows(F: RatFunField, rows: list, ncols: int):
             out[j] = z and ((x + z) % n or n)
         return out
 
-    pt = [[u and ((u - d) % n or n) for u, d in row] + [i] for i, row in enumerate(vals)]
+    pt = [[0] * ncols + [i] for i in range(len(vals))]
+    for row, cells in zip(pt, vals):
+        for j, u, d in cells:
+            row[j] = u and ((u - d) % n or n)
     pt, r, _ = _gauss_jordan(pt, ncols, bool, step)
     return [row[ncols] for row in pt[:r]]
+
+
+def _nonzero_entries(p: int, rows: list) -> list:
+    """Each row's nonzero (column, entry) pairs, all entries checked."""
+    _check_ratfun2(p, rows)
+    return [[(j, x) for j, x in enumerate(row) if x.num.terms] for row in rows]
 
 
 def rref(m: Matrix):
@@ -381,15 +419,23 @@ def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of {x : m @ x = 0}; dim = ncols - rank.  Tall
     GF(p)(s, t) matrices are solved at a point first (module docstring)."""
     F, rows, nc = m.field, m.rows, m.ncols
-    kept = (_point_rows(F, rows, nc) if F.kind == "ratfun2" and len(rows) > nc
-            and F.p <= _GF_Q_MAX else None)
-    if kept is not None:
-        vecs, keep = _kernel_vectors(Matrix(F, [rows[i] for i in kept], nc)), set(kept)
-        nzs = ([(j, x) for j, x in enumerate(row) if x]
-               for i, row in enumerate(rows) if i not in keep)
-        if not any(sum(x * v[j] for j, x in nz if v[j]) for nz in nzs for v in vecs):
-            return Subspace.from_vectors(F, nc, vecs)
+    if F.kind == "ratfun2" and len(rows) > nc and F.p <= _GF_Q_MAX:
+        nonzero = _nonzero_entries(F.p, rows)
+        kept = _point_rows(F, rows, nc, nonzero)
+        if kept is not None:
+            vecs = _kernel_vectors(Matrix(F, [rows[i] for i in kept], nc))
+            done = {_terms_key(nonzero[i]) for i in kept}
+            rest = {k: nz for nz in nonzero if (k := _terms_key(nz)) not in done}
+            if not any(sum(x * v[j] for j, x in nz if v[j])
+                       for nz in rest.values() for v in vecs):
+                return Subspace.from_vectors(F, nc, vecs)
     return Subspace.from_vectors(F, nc, _kernel_vectors(m))
+
+
+def _terms_key(nz: list) -> tuple:
+    """Equal for two lists of (column, entry) iff their term dicts are."""
+    return tuple((j, frozenset(x.num.terms.items()), frozenset(x.den.terms.items()))
+                 for j, x in nz)
 
 
 def _kernel_vectors(m: Matrix) -> list:

@@ -9,6 +9,7 @@ witnesses.  Suites are deterministic given the configuration seed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from . import scan
@@ -70,6 +71,26 @@ class SuiteReport:
             "seed": self.seed,
             "version": version,
         }
+
+
+def render(reports: list, version: str, as_json: bool) -> str:
+    """The report: JSON (a list for several reports), or text lines."""
+    if as_json:
+        payload = [r.to_json(version) for r in reports]
+        return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
+    lines, checks = [], [c for rep in reports for c in rep.checks]
+    for rep in reports:
+        lines.append(f"suite: {rep.suite}")
+        for c in rep.checks:
+            mark = "PASS" if c.passed else "FAIL"
+            extra = f"  -- {c.detail}" if c.detail else ""
+            lines.append(f"  {mark} [{c.provenance:10s}] {c.name}{extra}")
+            if not c.passed and c.witness is not None:
+                lines.append(f"       witness: {json.dumps(c.witness)}")
+        lines.append(f"  overall: {'pass' if rep.overall else 'fail'}")
+    failed = sum(not c.passed for c in checks)
+    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
+    return "\n".join(lines) + "\n"
 
 
 def _enc(F, v):

@@ -345,6 +345,50 @@ def test_monomial_and_zero_operands():
             assert a.mul(b).terms == reference_poly_mul(a, b).terms
 
 
+def shifted(poly, di, dj):
+    return Poly2(poly.p, {(i + di, j + dj): c for (i, j), c in poly.terms.items()})
+
+
+def test_gf2_products_count_parities_of_shifted_keys(rng, monkeypatch, sorted_key_calls):
+    # operands far from the origin in a small box: their shifted keys span
+    # at most as many values as there are term pairs, so the parities are
+    # counted, in one block and (blocks of 64 pairs) in several, not sorted
+    import numpy as np
+    monkeypatch.setattr(fields, "_SORTED_KEY_PAIRS", 1)
+    calls = []
+    for name in ("bincount", "unique"):
+        monkeypatch.setattr(np, name, lambda *a, real=getattr(np, name), name=name, **k: (
+            calls.append(name), real(*a, **k))[1])
+    far = 10 ** 6
+    for block in (fields._SORTED_KEY_BLOCK, 64):
+        monkeypatch.setattr(fields, "_SORTED_KEY_BLOCK", block)
+        for _ in range(20):
+            a = shifted(random_poly(rng, 2, 7, box=(3, 3)), far, 3 * far)
+            b = shifted(random_poly(rng, 2, rng.choice([14, 16]), box=(4, 4)), 5, far)
+            assert a.mul(b).terms == reference_poly_mul(a, b).terms
+        if block > 64:
+            assert calls == ["bincount"] * 20
+    assert calls.count("bincount") >= 20 + 2 * 20
+    assert len(sorted_key_calls) == 40 and all(sorted_key_calls)
+    # spread-out operands span more keys than they have term pairs: sorted
+    a = Poly2(2, {(far, 0): 1, (far + 40, 3): 1, (far + 7, 30): 1})
+    b = Poly2(2, {(0, far): 1, (50, far + 2): 1, (3, far + 60): 1})
+    calls.clear()
+    assert a.mul(b).terms == reference_poly_mul(a, b).terms
+    assert calls == ["unique"]
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_a_product_by_one_is_the_other_operand(p, rng):
+    one = {(0, 0): 1}
+    for n in (1, 1, 2, 5, 40, 600):
+        a = random_poly(rng, p, n, box=(30, 30)).terms
+        assert fields._mul_terms(p, a, dict(one)) is a
+        assert fields._mul_terms(p, dict(one), a) is a
+    a = dict(one)
+    assert fields._mul_terms(p, a, dict(one)) is a
+
+
 @pytest.mark.parametrize("big", [2 ** 40, 2 ** 63 + 5])
 def test_key_overflow_falls_back_to_the_dict_loop(big, rng, monkeypatch,
                                                   sorted_key_calls):
@@ -378,6 +422,30 @@ def test_ratfun_arithmetic_matches_reference(p, rng, monkeypatch):
             assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
             assert F.encode(got) == F.encode(want)
         assert F.encode(F.neg(a)) == F.encode(reference_neg(a))
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_ratfun_eq_over_one_denominator_matches_cross_multiplication(p, rng):
+    F = RatFunField(p)
+    same_den = {True: 0, False: 0}
+    for _ in range(300):
+        a = random_ratfun(F, rng)
+        kind = rng.randrange(4)
+        if kind == 0:       # one denominator, another numerator
+            b = RatFun(random_poly(rng, p, rng.choice([0, 1, 2])), a.den)
+        elif kind == 1:     # the same term dicts, other objects
+            b = RatFun(Poly2(p, dict(a.num.terms)), Poly2(p, dict(a.den.terms)))
+        elif kind == 2:     # the same fraction over another denominator
+            k = random_poly(rng, p, rng.choice([1, 2]))
+            b = RatFun(reference_poly_mul(a.num, k), reference_poly_mul(a.den, k))
+        else:
+            b = random_ratfun(F, rng)
+        want = (reference_poly_mul(a.num, b.den).terms
+                == reference_poly_mul(b.num, a.den).terms)
+        assert F.eq(a, b) == want and F.eq(b, a) == want
+        if a.den.terms == b.den.terms:
+            same_den[want] += 1
+    assert same_den[True] and same_den[False]
 
 
 def test_every_product_path_rejects_mixed_characteristic(monkeypatch):

@@ -10,7 +10,7 @@ from altalg.fields import (FieldError, Poly2, PrimeField, RatFun, RatFunField,
                            RationalField, TermBudgetError)
 from altalg.linalg import Matrix, Subspace, kernel, rref, solve, subspace_op
 from conftest import sparse_element
-from ratfun_reference import reference_rref_ratfun2
+from ratfun_reference import dense_rref_ratfun2, reference_rref_ratfun2
 
 
 def frac_matrix(rows):
@@ -414,6 +414,128 @@ def test_rref_ratfun2_rejects_mixed_characteristic():
         rref(Matrix(F, [[F.s(), F.t()], [F.one, other]], 2))
 
 
+def sparse_ratfun_matrices(F, rng):
+    """Tall, wide and square matrices of mostly zero entries, some of them
+    zeros over a denominator other than 1; with fully dense rows, rows that
+    repeat or combine earlier ones (their entries cancel) and zero rows."""
+    p = F.p
+
+    def den():
+        return Poly2(p, {(rng.randrange(3), rng.randrange(2)): rng.randrange(1, p)
+                         for _ in range(rng.choice([1, 1, 2]))})
+
+    def entry(zero_share):
+        if rng.random() >= zero_share:
+            return ratfun_entry(F, rng)
+        return F.zero if rng.random() < 0.7 else RatFun(Poly2(p, {}), den())
+
+    out = []
+    for nr, nc in [(7, 4), (9, 5), (3, 7), (4, 8), (5, 5), (6, 6)]:
+        for _ in range(2):
+            rows = []
+            for _ in range(nr):
+                kind = rng.randrange(6)
+                if kind == 0 or len(rows) < 2:
+                    rows.append([entry(0.8 if kind else 0.0) for _ in range(nc)])
+                elif kind == 1:
+                    rows.append([entry(0.0) for _ in range(nc)])
+                elif kind == 2:
+                    x, y = rng.sample(rows, 2)
+                    rows.append([F.add(F.mul(F.s(), a), b) for a, b in zip(x, y)])
+                elif kind == 3:
+                    rows.append(list(rng.choice(rows)))
+                elif kind == 4:
+                    rows.append([entry(1.0) for _ in range(nc)])
+                else:
+                    rows.append([entry(0.8) for _ in range(nc)])
+            out.append(rows)
+    return out
+
+
+def zeros_over(F, rows):
+    """The zero entries whose denominator is not 1."""
+    return sum(not x and x.den.terms != {(0, 0): 1} for r in rows for x in r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_sparse_rref_ratfun2_is_byte_identical_to_the_dense_step(p, rng):
+    F = RatFunField(p)
+    dense_rows = zero_dens = cancelled = deficient = 0
+    for rows in sparse_ratfun_matrices(F, rng):
+        nc = len(rows[0])
+        red, rank, pivots = rref(Matrix(F, rows, nc))
+        want, rank_d, piv_d = dense_rref_ratfun2(F, rows, nc)
+        assert (rank, pivots) == (rank_d, piv_d)
+        assert encoded(F, red.rows) == encoded(F, want)
+        ref, rank_r, piv_r = reference_rref_ratfun2(F, rows, nc)
+        assert (rank, pivots, encoded(F, red.rows)) == (rank_r, piv_r, encoded(F, ref))
+        dense_rows += sum(all(r) for r in rows)
+        zero_dens += zeros_over(F, rows)
+        cancelled += zeros_over(F, red.rows)
+        deficient += rank < min(len(rows), nc)
+    assert dense_rows and zero_dens and cancelled and deficient
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sparse_rref_ratfun2_stops_where_the_dense_step_stops(p, rng, monkeypatch):
+    F = RatFunField(p)
+    matrices = sparse_ratfun_matrices(F, rng)
+    outcomes = set()
+    for budget in (3, 6, 12, 30):
+        monkeypatch.setattr(fields, "TERM_BUDGET", budget)
+        for rows in matrices:
+            nc = len(rows[0])
+            results = []
+            for run in (dense_rref_ratfun2, lambda F, rows, nc: rref(Matrix(F, rows, nc))):
+                try:
+                    run(F, rows, nc)
+                    results.append(False)
+                except TermBudgetError:
+                    results.append(True)
+            assert results[0] == results[1], budget
+            outcomes.add(results[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dense_rows_form_exactly_the_products_of_the_dense_step(p, rng, monkeypatch):
+    # fully dense rows keep no implicit zero, so no 0/z is ever formed
+    import ratfun_reference
+    from altalg import linalg
+    F, real = RatFunField(p), fields._mul_terms
+
+    def nonzero_entry():
+        while not (x := ratfun_entry(F, rng)):
+            pass
+        return x
+    for nr, nc in [(3, 4), (4, 3), (2, 6), (1, 3)]:
+        rows = [[nonzero_entry() for _ in range(nc)] for _ in range(nr)]
+        products = []
+        for run in (dense_rref_ratfun2, lambda F, rows, nc: rref(Matrix(F, rows, nc))):
+            formed = []
+
+            def spy(p, a, b):
+                ab = real(p, a, b)
+                formed.append(frozenset(ab.items()))
+                return ab
+            for module in (fields, linalg, ratfun_reference):
+                monkeypatch.setattr(module, "_mul_terms", spy)
+            run(F, rows, nc)
+            products.append(formed)
+        assert products[0] == products[1]
+
+
+def test_rref_ratfun2_leaves_its_input_and_repeats_its_bytes(rng):
+    F = RatFunField(3)
+    for rows in sparse_ratfun_matrices(F, rng):
+        m = Matrix(F, rows, len(rows[0]))
+        entries, before = [list(r) for r in m.rows], encoded(F, m.rows)
+        first = encoded(F, rref(m)[0].rows)
+        assert all(a is b for r, e in zip(m.rows, entries) for a, b in zip(r, e))
+        assert encoded(F, m.rows) == before
+        assert encoded(F, rref(m)[0].rows) == first
+
+
 def full_kernel(m):
     """The kernel from the RREF of every row of m, one vector per free
     column: the elimination the point in ``kernel`` replaces."""
@@ -557,6 +679,26 @@ def test_a_row_vanishing_at_the_point_falls_back_to_full_elimination(p, rng, mon
         assert encoded(F, got.rows) == encoded(F, want.rows)
         return
     pytest.fail("no independent base rows drawn")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_failing_certification_falls_back_to_full_elimination(p, rng, monkeypatch):
+    # the point picks one pivot row too few: the kernel of the rest is too
+    # large, a dropped row does not vanish on it, and every row is eliminated
+    from altalg import linalg
+    F = RatFunField(p)
+    real_rows, real_vectors = linalg._point_rows, linalg._kernel_vectors
+    monkeypatch.setattr(linalg, "_point_rows", lambda *a: real_rows(*a)[:-1])
+    checked = 0
+    for m in tall_systems(F, rng):
+        rank = rref(m)[1]
+        solves = []
+        monkeypatch.setattr(linalg, "_kernel_vectors", lambda m: (
+            solves.append(m.nrows), real_vectors(m))[1])
+        assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
+        assert solves == [rank - 1, m.nrows]
+        checked += 1
+    assert checked
 
 
 def test_a_vanishing_denominator_moves_to_the_next_point(rng, monkeypatch):

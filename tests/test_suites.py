@@ -5,7 +5,8 @@ import pytest
 
 from altalg import __version__
 from altalg.catalog import build
-from altalg.suites import SUITE_ORDER, Config, run_suite
+from altalg.suites import (SUITE_ORDER, CheckResult, Config, SuiteReport, render,
+                           run_suite)
 
 FAST_SUITES = [n for n in SUITE_ORDER if n != "zorn-identities"]
 
@@ -41,6 +42,25 @@ def test_report_json_schema():
         assert c["verdict"] in ("pass", "fail")
         assert c["provenance"] in ("certified", "exhaustive", "sampled")
     json.dumps(doc)     # witnesses must be JSON-serializable
+
+
+def test_render_writes_the_report_text_and_json():
+    ok = SuiteReport("one", [CheckResult("a", True, "certified", detail="dim = 2")], 7)
+    bad = SuiteReport("two", [CheckResult("b", False, "sampled", witness={"x": [1]}),
+                              CheckResult("c", True, "exhaustive")], 7)
+    assert render([ok, bad], "9.9", False) == (
+        "suite: one\n"
+        "  PASS [certified ] a  -- dim = 2\n"
+        "  overall: pass\n"
+        "suite: two\n"
+        "  FAIL [sampled   ] b\n"
+        '       witness: {"x": [1]}\n'
+        "  PASS [exhaustive] c\n"
+        "  overall: fail\n"
+        "2/3 checks passed\n")
+    assert render([ok], "9.9", True) == json.dumps(ok.to_json("9.9"), indent=2) + "\n"
+    assert render([ok, bad], "9.9", True) == json.dumps(
+        [ok.to_json("9.9"), bad.to_json("9.9")], indent=2) + "\n"
 
 
 def test_reports_are_deterministic():
