@@ -6,16 +6,15 @@ __version__ = "0.1.0"
 
 from .fields import (FieldError, PrimeField, RationalField, RatFunField,
                      TermBudgetError, make_field)
-from .linalg import Matrix, Subspace, kernel, rref, solve, subspace_op
+from .linalg import Matrix, Subspace, kernel, rref, solve
 from .algebra import (Algebra, IdentityReport, TableFormatError,
                       algebra_from_json, algebra_to_json, check_identity,
                       derived_algebra, evaluate_identity, generated,
-                      make_algebra, permuted, power_chain, special_product,
-                      special_subspace, subspace_product)
-from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, bilinear_f,
-                        cd_double, cd_inverse, cd_tower, find_isotropic,
-                        ground_field, orthocomplement, quadratic_data, zorn,
-                        zorn_frame, zorn_isomorphism)
+                      permuted, power_chain, special_subspace,
+                      subspace_product)
+from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_double,
+                        cd_inverse, cd_tower, find_isotropic, ground_field,
+                        orthocomplement, zorn, zorn_frame, zorn_isomorphism)
 from .operators import (InvertibilityVerdict, InvertibleValuesVerdict,
                         Lemma22Certificate, MoensResult, OperatorSpace,
                         derivation_space, invertible_in_space,

@@ -271,26 +271,6 @@ class _Lifted:
         return not any(a % self._p for a in x) if self._p else not any(x)
 
 
-def make_algebra(field, dim, table, names=None) -> Algebra:
-    return Algebra(field, dim, table, names)
-
-
-def special_product(A: Algebra, kind: str, *args) -> list:
-    if kind == "commutator":
-        if len(args) != 2:
-            raise ValueError("commutator takes 2 arguments")
-        return A.commutator(*args)
-    if kind == "associator":
-        if len(args) != 3:
-            raise ValueError("associator takes 3 arguments")
-        return A.associator(*args)
-    if kind == "jordan":
-        if len(args) != 2:
-            raise ValueError("jordan product takes 2 arguments")
-        return A.jordan_product(*args)
-    raise ValueError(f"unknown special product {kind!r}")
-
-
 # ---- evidence search ----------------------------------------------------------
 
 # scan.vector_blocks numbers the vectors of an exhaustive walk in int64

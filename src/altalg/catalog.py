@@ -29,12 +29,6 @@ class Instance:
     note: str = ""
 
 
-CATALOG_NAMES = (
-    "zorn", "quaternions-Q", "split-octonions-Q", "gagola-B",
-    "lemma23-Dx", "remark22", "trivial-nilpotent", "upper3",
-)
-
-
 class UnknownInstanceError(ValueError):
     pass
 
@@ -190,6 +184,8 @@ _BUILDERS = {
     "trivial-nilpotent": _build_trivial_nilpotent,
     "upper3": _build_upper3,
 }
+
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 # ---- plain helpers used by suites and tests ---------------------------------

@@ -1,5 +1,6 @@
-"""Command-line front end: load algebra files, run computations and
-verification suites, emit human-readable or JSON reports.
+"""Command-line front end: parse the arguments, load algebra and map
+files, and write the report that ``suites`` builds for the verb, as text
+or JSON.
 
 Exit codes: 0 all checks passed, 1 a check failed or an input file was
 rejected, 2 usage errors (unknown verb, suite, or catalog name).
@@ -16,16 +17,14 @@ import sys
 import time
 
 from . import __version__
-from .algebra import (IDENTITY_NAMES, MAX_ENUM_CAP, Algebra, TableFormatError,
-                      algebra_from_json, algebra_to_json, check_identity,
-                      power_chain)
+from .algebra import (MAX_ENUM_CAP, Algebra, TableFormatError,
+                      algebra_from_json, algebra_to_json)
 from .catalog import CATALOG_NAMES, UnknownInstanceError, build
 from .fields import FieldError
 from .linalg import Matrix
-from .operators import (derivation_space, invertible_values_check, is_inner,
-                        leibniz_space, quasider_space)
-from .suites import (SUITE_ORDER, CheckResult, Config, SuiteReport, render,
-                     run_all, run_suite, _enc, _identity_witness, _values_witness)
+from .suites import (SUITE_ORDER, Config, derivations, identities, inner,
+                     invertible_values, leibniz, powers, quasiderivations,
+                     render, run_all, run_suite)
 
 
 def create_parser() -> argparse.ArgumentParser:
@@ -134,104 +133,40 @@ def _resolve_target(target: str) -> Algebra:
                         f"(catalog: {', '.join(CATALOG_NAMES)})")
 
 
-# ---- verb handlers (each returns a list of SuiteReport) ---------------------
+# ---- reports ----------------------------------------------------------------
 
-def _verb_identities(args) -> list:
-    A = _resolve_target(args.target)
-    checks = []
-    for name in IDENTITY_NAMES:
-        r = check_identity(A, name, seed=args.seed, samples=args.samples,
-                           enum_cap=args.enum_cap)
-        checks.append(CheckResult(
-            name, r.holds, r.provenance,
-            witness=_identity_witness(A.field, r.witness)))
-    return [SuiteReport(f"identities({args.target})", checks, args.seed)]
+# verb -> the suites function computing its report from (algebra, target, cfg)
+_TARGET_VERBS = {"identities": identities, "derivations": derivations,
+                 "quasiderivations": quasiderivations, "powers": powers}
 
 
-def _operator_report(args, label, space, extra=None) -> list:
-    A = space.algebra
-    witness = {"dim": space.dim,
-               "basis_maps": [_enc(A.field, m) for m in space.basis_maps()]}
-    if extra:
-        witness.update(extra)
-    checks = [CheckResult(label, True, "certified",
-                          detail=f"dim = {space.dim}", witness=witness)]
-    return [SuiteReport(f"{label}({args.target})", checks, args.seed)]
-
-
-def _verb_derivations(args) -> list:
-    A = _resolve_target(args.target)
-    return _operator_report(args, "derivations", derivation_space(A))
-
-
-def _verb_leibniz(args) -> list:
-    if args.order < 2:
+def _reports(args) -> list:
+    """The reports of a verb other than ``build``."""
+    cfg = Config(seed=args.seed, samples=args.samples, enum_cap=args.enum_cap)
+    if args.verb == "verify":
+        if args.suite == "all":
+            return run_all(cfg)
+        if args.suite not in SUITE_ORDER:
+            raise CliUsageError(f"unknown suite {args.suite!r}; suites: "
+                                + ", ".join(SUITE_ORDER) + ", all")
+        return [run_suite(args.suite, cfg)]
+    if args.verb == "leibniz" and args.order < 2:
         raise CliUsageError("--order must be at least 2")
     A = _resolve_target(args.target)
-    space = leibniz_space(A, args.order)
-    ident = Matrix.identity(A.field, A.dim)
-    return _operator_report(args, f"leibniz-order-{args.order}", space,
-                            extra={"contains_identity": space.contains(ident)})
-
-
-def _verb_quasiderivations(args) -> list:
-    A = _resolve_target(args.target)
-    space = quasider_space(A)
-    return _operator_report(args, "quasiderivations", space,
-                            extra={"equals_end": space.dim == A.dim ** 2})
-
-
-def _verb_powers(args) -> list:
-    A = _resolve_target(args.target)
-    chain, s = power_chain(A)
-    dims = [c.dim for c in chain]
-    detail = (f"dims = {tuple(dims)}, nilpotency index = {s}" if s is not None
-              else f"dims = {tuple(dims)}, not nilpotent (chain stabilizes)")
-    checks = [CheckResult("power-chain", True, "certified", detail=detail,
-                          witness={"dims": dims, "nilpotency_index": s})]
-    return [SuiteReport(f"powers({args.target})", checks, args.seed)]
-
-
-def _verb_inner(args) -> list:
-    A = _resolve_target(args.target)
+    if args.verb == "leibniz":
+        return [leibniz(A, args.order, args.target, cfg)]
+    if args.verb in _TARGET_VERBS:
+        return [_TARGET_VERBS[args.verb](A, args.target, cfg)]
     m = _load_map(args.map, A)
     try:
-        inner = is_inner(A, m)
+        if args.verb == "inner":
+            return [inner(A, m, args.target, cfg)]
+        return [invertible_values(A, m, args.mode, args.target, cfg)]
     except ValueError as e:
-        raise CliInputError(f"{args.map}: {e}") from None
-    checks = [CheckResult("inner", inner, "certified",
-                          detail="map lies in the multiplication Lie algebra"
-                          if inner else "map is outer")]
-    return [SuiteReport(f"inner({args.target})", checks, args.seed)]
-
-
-def _verb_invertible_values(args) -> list:
-    A = _resolve_target(args.target)
-    m = _load_map(args.map, A)
-    try:
-        v = invertible_values_check(A, m, args.mode, seed=args.seed,
-                                    samples=args.samples,
-                                    enum_cap=args.enum_cap)
-    except ValueError as e:
-        # without a unit the algebra is at fault; otherwise the map is
-        path = args.target if A.find_unit() is None else args.map
-        raise CliInputError(f"{path}: {e}") from None
-    checks = [CheckResult(f"invertible-values[{args.mode}]",
-                          v.kind.startswith("pass"), v.provenance,
-                          detail=f"{v.kind}: {v.detail}",
-                          witness=_values_witness(A.field, v.witness))]
-    return [SuiteReport(f"invertible-values({args.target})", checks,
-                        args.seed)]
-
-
-def _verb_verify(args) -> list:
-    cfg = Config(seed=args.seed, samples=args.samples, enum_cap=args.enum_cap)
-    if args.suite == "all":
-        return run_all(cfg)
-    if args.suite not in SUITE_ORDER:
-        raise CliUsageError(f"unknown suite {args.suite!r}; suites: "
-                            + ", ".join(SUITE_ORDER) + ", all")
-    return [run_suite(args.suite, cfg)]
+        # a map that is not a derivation is at fault, or, for invertible
+        # values, an algebra without a unit
+        no_unit = args.verb == "invertible-values" and A.find_unit() is None
+        raise CliInputError(f"{args.target if no_unit else args.map}: {e}") from None
 
 
 # ---- output -----------------------------------------------------------------
@@ -276,18 +211,8 @@ def main(argv=None) -> int:
             _write(json.dumps(algebra_to_json(inst.algebra), indent=2) + "\n",
                    args.out)
             return 0
-        handler = {
-            "identities": _verb_identities,
-            "derivations": _verb_derivations,
-            "leibniz": _verb_leibniz,
-            "quasiderivations": _verb_quasiderivations,
-            "powers": _verb_powers,
-            "inner": _verb_inner,
-            "invertible-values": _verb_invertible_values,
-            "verify": _verb_verify,
-        }[args.verb]
         t0 = time.perf_counter()
-        reports = handler(args)
+        reports = _reports(args)
         wall = time.perf_counter() - t0
         return _emit(reports, args, wall)
     except CliUsageError as e:

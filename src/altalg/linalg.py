@@ -302,12 +302,11 @@ def _points(n: int) -> list:
     return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(4)]
 
 
-def _point_rows(F: RatFunField, rows: list, ncols: int, nonzero=None):
+def _point_rows(F: RatFunField, nonzero: list, ncols: int):
     """Indices of the pivot rows, in pivot order, of ``_gauss_jordan`` on
-    rows at the first of ``_points`` where no denominator of a nonzero
-    entry vanishes (GF(q) elements as in ``fields._gf_table``); None if
-    there is no such point; it reads only ``nonzero`` (default: from rows)."""
-    nonzero = _nonzero_entries(F.p, rows) if nonzero is None else nonzero
+    the rows with nonzero entries ``nonzero`` (``_nonzero_entries``) at the
+    first of ``_points`` where none of their denominators vanishes (GF(q)
+    elements as in ``fields._gf_table``); None if there is no such point."""
     n, zech, logc = _gf_table(F.p)
 
     def value(terms, a, b):
@@ -421,7 +420,7 @@ def kernel(m: Matrix) -> "Subspace":
     F, rows, nc = m.field, m.rows, m.ncols
     if F.kind == "ratfun2" and len(rows) > nc and F.p <= _GF_Q_MAX:
         nonzero = _nonzero_entries(F.p, rows)
-        kept = _point_rows(F, rows, nc, nonzero)
+        kept = _point_rows(F, nonzero, nc)
         if kept is not None:
             vecs = _kernel_vectors(Matrix(F, [rows[i] for i in kept], nc))
             done = {_terms_key(nonzero[i]) for i in kept}
@@ -595,18 +594,3 @@ def _multiple(F: Field, w: list, v: list):
             lam = F.div(x, y)
             return lam if all(F.eq(a, F.mul(lam, b)) for a, b in zip(w, v)) else None
     return None
-
-
-def subspace_op(kind: str, u: Subspace, v):
-    """Dispatch façade: sum / intersect / contains / equal."""
-    if kind == "sum":
-        return u.add(v)
-    if kind == "intersect":
-        return u.intersect(v)
-    if kind == "contains":
-        if isinstance(v, Subspace):
-            return u.contains(v)
-        return u.contains_vector(v)
-    if kind == "equal":
-        return u == v
-    raise ValueError(f"unknown subspace operation {kind!r}")

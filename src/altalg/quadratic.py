@@ -312,15 +312,6 @@ def cd_tower(field, gammas) -> InvolutiveAlgebra:
 
 # ---- derived operations ------------------------------------------------------
 
-def quadratic_data(C: QuadraticAlgebra, x):
-    """(t(x), n(x), conjugate) with conjugate = t(x) 1 - x."""
-    return C.trace(x), C.norm(x), C.conjugate(x)
-
-
-def bilinear_f(C: QuadraticAlgebra, x, y):
-    return C.bilinear(x, y)
-
-
 def orthocomplement(C: QuadraticAlgebra, M: Subspace) -> Subspace:
     """{x : f(x, m) = 0 for all m in M}."""
     if M.ambient != C.dim:

@@ -12,10 +12,9 @@ from altalg import scan
 from altalg.algebra import (IDENTITY_NAMES, _LAWS, Algebra, IdentityReport,
                             IdentityWitness, TableFormatError, algebra_from_json,
                             algebra_to_json, check_identity, derived_algebra,
-                            evaluate_identity, generated, make_algebra,
-                            permuted, power_chain, restricted_algebra,
-                            search, special_product, special_subspace,
-                            subspace_product)
+                            evaluate_identity, generated, permuted,
+                            power_chain, restricted_algebra, search,
+                            special_subspace, subspace_product)
 from altalg.catalog import build, mat2, zero_algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Subspace, rref
@@ -99,37 +98,30 @@ def test_zorn_associator_example(z3):
     lhs = oracle_zorn_mul(F, ab, v2)
     rhs = oracle_zorn_mul(F, u1, oracle_zorn_mul(F, u2, v2))
     expected = z3.vsub(lhs, rhs)
-    got = special_product(z3, "associator", u1, u2, v2)
+    got = z3.associator(u1, u2, v2)
     assert z3.veq(got, expected)
     assert not z3.is_zero_vec(got)
     assert got == z3.basis_vec(2)
 
 
 def test_zorn_jordan_example(z3):
-    got = special_product(z3, "jordan", z3.basis_vec(2), z3.basis_vec(5))
+    got = z3.jordan_product(z3.basis_vec(2), z3.basis_vec(5))
     assert got == z3.find_unit()
 
 
 def test_commutator_of_element_with_itself_vanishes(z3, rng):
     x = z3.random_element(rng)
-    assert z3.is_zero_vec(special_product(z3, "commutator", x, x))
-
-
-def test_special_product_arity_errors(z3):
-    with pytest.raises(ValueError):
-        special_product(z3, "commutator", z3.basis_vec(0))
-    with pytest.raises(ValueError):
-        special_product(z3, "associator", z3.basis_vec(0), z3.basis_vec(1))
+    assert z3.is_zero_vec(z3.commutator(x, x))
 
 
 def test_make_algebra_validation():
     F = PrimeField(3)
     with pytest.raises(TableFormatError):
-        make_algebra(F, 8, {(0, 0): [(9, 1)]})
+        Algebra(F, 8, {(0, 0): [(9, 1)]})
     with pytest.raises(TableFormatError):
-        make_algebra(F, 2, {(0, 3): [(0, 1)]})
+        Algebra(F, 2, {(0, 3): [(0, 1)]})
     with pytest.raises(TableFormatError):
-        make_algebra(F, 2, {(0, 0): [(1, 1), (1, 2)]})   # duplicate k
+        Algebra(F, 2, {(0, 0): [(1, 1), (1, 2)]})   # duplicate k
 
 
 def test_zero_table_multiplies_to_zero():

@@ -7,9 +7,9 @@ from altalg.algebra import check_identity
 from altalg.catalog import build
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Subspace
-from altalg.quadratic import (QuadraticAlgebra, bilinear_f, cd_double, cd_tower,
-                              cd_inverse, find_isotropic, ground_field,
-                              orthocomplement, quadratic_data, zorn)
+from altalg.quadratic import (QuadraticAlgebra, cd_double, cd_tower, cd_inverse,
+                              find_isotropic, ground_field, orthocomplement,
+                              zorn)
 
 
 @pytest.fixture(scope="module")
@@ -53,27 +53,26 @@ def test_quadratic_relation_exhaustive_gf2():
 
 
 def test_quadratic_data_unit(zq):
-    t, n, conj = quadratic_data(zq, zq.unit)
-    assert t == Fraction(2) and n == Fraction(1) and conj == zq.unit
+    u = zq.unit
+    assert zq.trace(u) == Fraction(2) and zq.norm(u) == Fraction(1)
+    assert zq.conjugate(u) == u
 
 
 def test_conjugate_of_diagonal(zq):
     F = zq.field
     x = [Fraction(5), Fraction(7)] + [F.zero] * 6
-    _, _, conj = quadratic_data(zq, x)
-    assert conj == [Fraction(7), Fraction(5)] + [F.zero] * 6
+    assert zq.conjugate(x) == [Fraction(7), Fraction(5)] + [F.zero] * 6
 
 
 def test_x_times_conjugate_is_norm(zq, rng):
     A = zq.algebra
     for _ in range(32):
         x = A.random_element(rng)
-        t, n, conj = quadratic_data(zq, x)
-        assert A.veq(A.mul(x, conj), A.smul(n, zq.unit))
+        assert A.veq(A.mul(x, zq.conjugate(x)), A.smul(zq.norm(x), zq.unit))
 
 
 def test_bilinear_f_unit(zq):
-    assert bilinear_f(zq, zq.unit, zq.unit) == Fraction(2)
+    assert zq.bilinear(zq.unit, zq.unit) == Fraction(2)
 
 
 def test_bilinear_f_unit_char2():
@@ -83,7 +82,7 @@ def test_bilinear_f_unit_char2():
 
 def test_bilinear_u1_v1(zq):
     u1, v1 = zq.algebra.basis_vec(2), zq.algebra.basis_vec(5)
-    assert bilinear_f(zq, u1, v1) == Fraction(-1)
+    assert zq.bilinear(u1, v1) == Fraction(-1)
 
 
 def test_bilinear_matches_polarization(zq, rng):
@@ -92,8 +91,8 @@ def test_bilinear_matches_polarization(zq, rng):
     for _ in range(64):
         x, y = A.random_element(rng), A.random_element(rng)
         pol = F.sub(F.sub(zq.norm(A.vadd(x, y)), zq.norm(x)), zq.norm(y))
-        assert F.eq(bilinear_f(zq, x, y), pol)
-        assert F.eq(bilinear_f(zq, x, y), bilinear_f(zq, y, x))
+        assert F.eq(zq.bilinear(x, y), pol)
+        assert F.eq(zq.bilinear(x, y), zq.bilinear(y, x))
 
 
 def test_orthocomplement_of_unit_line(zq):

@@ -30,6 +30,28 @@ def test_unknown_suite_rejected():
         run_suite("no-such-suite")
 
 
+def test_moens_leibniz_order_2_check_fails_on_a_non_derivation(monkeypatch):
+    # the solved space is checked by the derivation law, not against a
+    # second solve of the same system: a space of the right dimension that
+    # holds the identity map (id(xy) != 2xy over Q) fails the check
+    from altalg import operators
+    from altalg.linalg import Matrix, Subspace
+
+    real = operators._law_space
+
+    def law_space(A, n, label):
+        space = real(A, n, label).space
+        ident = operators.flatten_map(Matrix.identity(A.field, A.dim))
+        rows = [ident] + space.rows[1:]
+        return operators.OperatorSpace(
+            A, label, Subspace.from_vectors(A.field, A.dim ** 2, rows))
+
+    monkeypatch.setattr(operators, "_law_space", law_space)
+    checks = {c.name: c for c in run_suite("moens").checks}
+    check = checks["zorn-Q/leibniz-order-2-equals-derivations"]
+    assert not check.passed and check.detail == "dim = 14"
+
+
 def test_report_json_schema():
     rep = run_suite("lemma23-outer")
     doc = rep.to_json(__version__)
