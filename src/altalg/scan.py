@@ -3,8 +3,10 @@
 Pure-Python evaluation is exact but too slow to test |F|^d elements one by
 one when |F|^d runs into the hundreds of thousands, so ``algebra.search``
 walks the blocks of ``vector_blocks`` and a block predicate tests a whole
-block on numpy arrays.  ``sweep`` tests a scanned law: a polynomial map of
-degree k in one swept argument and linear in the others; the linear
+block on numpy arrays.  A block is a copy of one table of p^k <= BLOCK
+low-digit suffixes, so it costs one memcpy, and every array a predicate
+builds on it stays a few MB.  ``sweep`` tests a scanned law: a polynomial
+map of degree k in one swept argument and linear in the others; the linear
 arguments range over basis vectors only, which by linearity loses nothing.
 The law's coefficients are exact integer contractions of the structure tensor
 (the linearization of Zhevlakov-Slinko-Shestakov-Shirshov, *Rings that are
@@ -53,7 +55,7 @@ class _Numpy:
 
 np = _Numpy()
 
-BLOCK = 32768
+BLOCK = 4096
 
 
 def structure_tensor(A) -> np.ndarray:
@@ -70,17 +72,23 @@ def structure_tensor(A) -> np.ndarray:
 
 
 def vector_blocks(p: int, d: int):
-    """Yield all p^d coefficient vectors in lexicographic order, in blocks
-    of BLOCK rows (read at each call).
+    """Yield all p^d coefficient vectors in lexicographic order, as
+    (start, block): block is the float64 (p^k, d) array of rows start to
+    start + p^k - 1, with k <= d the largest such that p^k <= BLOCK (read at
+    each call).
 
     Row n holds the base-p digits of n, most significant digit first, which
-    matches itertools.product(range(p), repeat=d).
+    matches itertools.product(range(p), repeat=d).  The rows of a block share
+    their d - k high digits, so each block is a copy of one table of the p^k
+    low-digit suffixes with those digits written in front.
     """
-    block, total = BLOCK, p ** d
-    weights = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield start, ((idx[:, None] // weights[None, :]) % p).astype(np.float64)
+    k = max(k for k in range(d + 1) if p ** k <= BLOCK)
+    table = np.zeros((p ** k, d))
+    table[:, d - k:] = np.indices((p,) * k).reshape(k, p ** k).T
+    for h, high in enumerate(itertools.product(range(p), repeat=d - k)):
+        X = table.copy()
+        X[:, :d - k] = high
+        yield h * p ** k, X
 
 
 # cap on the larger GEMM operand of one chunk; with the chunk's gathered
@@ -217,14 +225,21 @@ def mulrows(A, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def norms(q, X: np.ndarray) -> np.ndarray:
     """n(x) mod p at each row x of X, for a quadratic algebra q over GF(p)
     (n(x) sums q_ij x_i x_j over i <= j, as QuadraticAlgebra.norm does);
-    the float64 sums are exact while d^2 (p-1)^3 < 2^53."""
+    the float64 sums are exact while d^2 (p-1)^3 < 2^53, and past that
+    bound it raises ValueError."""
     p = q.field.p
+    if q.dim ** 2 * (p - 1) ** 3 >= 2 ** 53:
+        raise ValueError(f"norms over GF({p}) are not exact in float64")
     Q = np.triu(np.array(q.qform, dtype=np.int64) % p).astype(np.float64)
     return ((X @ Q) * X).sum(axis=1).astype(np.int64) % p
 
 
 def traces(q, X: np.ndarray) -> np.ndarray:
-    """t(x) mod p at each row x of X, for a quadratic algebra q over GF(p)."""
+    """t(x) mod p at each row x of X, for a quadratic algebra q over GF(p);
+    the float64 sums are exact while d (p-1)^2 < 2^53, and past that bound
+    it raises ValueError."""
+    if q.dim * (q.field.p - 1) ** 2 >= 2 ** 53:
+        raise ValueError(f"traces over GF({q.field.p}) are not exact in float64")
     t = np.array(q.trace_vec, dtype=np.int64) % q.field.p
     return (X @ t.astype(np.float64)).astype(np.int64) % q.field.p
 

@@ -747,7 +747,9 @@ def test_search_rows_walk_matches_hit_walk(p, n, block, monkeypatch):
         assert got[1] == "exhaustive" and (got[0] is None) == (k == 0)
         if got[0] is not None:
             assert all(type(c) is int for c in got[0][0])
-    assert max(blocks) == min(block or scan.BLOCK, total)
+    # blocks of p^k rows, the largest such that p^k <= BLOCK (and k <= n)
+    assert max(blocks) == max(p ** k for k in range(n + 1)
+                              if p ** k <= (block or scan.BLOCK))
     # below the cap the walk samples with hit, and rows is never called
     blocks.clear()
     assert search(F, n, lambda x: False, enum_cap=total - 1, samples=3,

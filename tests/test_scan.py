@@ -201,7 +201,8 @@ def _full_matrix_failures(X, monomials, T, p):
 
 
 def test_column_basis_sweep_matches_full_matrix(monkeypatch):
-    # blocks of 97 rows, and GEMM chunks of a few rows to a whole block
+    # blocks of at most 97 rows (64, 81, 25 or 49), and GEMM chunks of a few
+    # rows to a whole block
     monkeypatch.setattr(scan, "BLOCK", 97)
     rng = random.Random(1909)
     algebras = [random_sparse_algebra((2, 3, 5, 7)[t % 4], 2 + t // 4 % 4, rng)
@@ -440,12 +441,54 @@ def test_nonzero_mod_matches_remainder():
 
 
 def test_vector_blocks_match_itertools_product(monkeypatch):
-    monkeypatch.setattr(scan, "BLOCK", 7)
-    for p, d in ((2, 4), (3, 3), (5, 2)):
-        got = np.concatenate([blk for _, blk in scan.vector_blocks(p, d)])
-        want = list(itertools.product(range(p), repeat=d))
-        assert got.shape == (p ** d, d)
-        assert [tuple(int(v) for v in row) for row in got] == want
+    # blocks of p^k rows, k <= d the largest with p^k <= BLOCK, in
+    # itertools.product order at their start offsets: every block up to
+    # 20 000 vectors, the first three blocks above (13^8 is 8 * 10^8)
+    default = scan.BLOCK
+    for p in (2, 3, 5, 7, 13):
+        for d in range(9):
+            full = p ** d <= 20000
+            if full:
+                want = np.array(list(itertools.product(range(p), repeat=d)),
+                                dtype=np.float64).reshape(p ** d, d)
+            for block in {1, 7, p - 1, p, p + 1, p * p - 1, p * p, p * p + 1,
+                          default}:
+                monkeypatch.setattr(scan, "BLOCK", block)
+                size = max(p ** k for k in range(d + 1) if p ** k <= block)
+                blocks = scan.vector_blocks(p, d)
+                got = list(blocks if full else itertools.islice(blocks, 3))
+                case = (p, d, block)
+                assert [start for start, _ in got] == list(
+                    range(0, size * len(got), size)), case
+                assert {(X.shape, X.dtype) for _, X in got} == {
+                    ((size, d), np.dtype(np.float64))}, case
+                X = np.concatenate([X for _, X in got])
+                if full:
+                    assert np.array_equal(X, want), case
+                else:
+                    assert X.tolist() == [list(v) for v in itertools.islice(
+                        itertools.product(range(p), repeat=d), len(X))], case
+
+
+def test_norms_and_traces_decline_inexact_float64_sums():
+    # n(x) sums d^2 products of three residues, t(x) d products of two; past
+    # 2^53 float64 would round them, so both raise, as full_rank_rows
+    # declines inexact products.  For d = 8, 52009 and 33554393 are the
+    # largest primes within each bound, 52021 and 33554467 the next ones
+    rng = np.random.default_rng(8)
+    cases = ((52009, True, True), (52021, False, True), (33554393, False, True),
+             (33554467, False, False), (2 ** 31 - 1, False, False))
+    for p, norms_exact, traces_exact in cases:
+        q = zorn(PrimeField(p))
+        rows = [[p - 1] * 8] + rng.integers(0, p, (20, 8)).tolist()
+        X = np.array(rows, dtype=np.float64)
+        for f, exact, ref in ((scan.norms, norms_exact, q.norm),
+                              (scan.traces, traces_exact, q.trace)):
+            if exact:
+                assert f(q, X).tolist() == [ref(x) for x in rows], (p, f)
+            else:
+                with pytest.raises(ValueError, match="not exact in float64"):
+                    f(q, X)
 
 
 def test_mulrows_matches_algebra_mul():
@@ -531,8 +574,9 @@ def test_batched_rref_matches_linalg(p):
 
 
 def test_batched_rref_peak_memory_is_a_few_stacks():
-    # a full_rank_rows block of remark22-singular: whole-stack reductions
-    # run in place, so no intp copy of the uint8 stack (8x its bytes) is made
+    # 32 768 GF(3) 7x7 matrices, as full_rank_rows stacks them for
+    # remark22-singular: whole-stack reductions run in place, so no intp
+    # copy of the uint8 stack (8x its bytes) is made
     stack = np.random.default_rng(0).integers(0, 3, (32768, 7, 7), dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -627,9 +671,10 @@ def test_invertible_values_exhaustive_matches_element_walk(monkeypatch):
     Z3 = zorn(PrimeField(3)).algebra
     cases = [(inst.algebra, inst.derivation)]
     cases += [(Z3, M) for M in derivation_space(Z3).basis_maps()[:3]]
+    default = scan.BLOCK
     for A, dmap in cases:
         args, provenance = _reference_invertible_values(A, dmap)
-        for block in (7, scan.BLOCK):
+        for block in (7, default):
             monkeypatch.setattr(scan, "BLOCK", block)
             v = invertible_values_check(A, dmap, "exhaustive")
             assert v.provenance == provenance == "exhaustive"

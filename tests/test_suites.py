@@ -374,6 +374,28 @@ def test_quadratic_relation_sweep_matches_reference(monkeypatch, fault):
             assert bad[0] == [p - 1] * 8
 
 
+def test_exhaustive_walks_keep_their_arrays_small():
+    # each walk's arrays are built on one block of at most scan.BLOCK
+    # vectors; on 32 768-row blocks these suites' traced peaks (numpy arrays
+    # and Python objects above what was held before) read 6-27 MB
+    import tracemalloc
+
+    import numpy  # noqa: F401  (imported before tracing: not a walk's cost)
+
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name in ("remark22-singular", "norm-multiplicativity",
+                     "invertibility-norm", "zorn-identities"):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert run_suite(name).overall
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - held) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 8, peaks
+
+
 def test_verify_all_builds_no_gf_table_and_takes_no_point(monkeypatch, capsys):
     # the north-star output, byte for byte; its GF(p)(s, t) kernels have no
     # more rows than columns, so verify all keeps its cost and its bytes
