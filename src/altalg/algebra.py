@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import scan
 from .fields import Field, _lift, _lower, is_json_int, make_field
-from .linalg import Matrix, Subspace, _condition_rows, kernel, solve
+from .linalg import Matrix, Subspace, _condition_rows, _kernel, solve
 
 
 class TableFormatError(ValueError):
@@ -452,8 +452,7 @@ def special_subspace(A: Algebra, kind: str) -> Subspace:
             rows += A.mult_operator("right", x).rows + A.mult_operator("left", x).rows
     else:
         raise ValueError(f"unknown special subspace {kind!r}")
-    rows = _condition_rows(F, d, (dict(enumerate(r)) for r in rows))
-    return kernel(Matrix(F, rows, d))
+    return _kernel(F, _condition_rows(F, (dict(enumerate(r)) for r in rows)), d)
 
 
 def subspace_product(A: Algebra, u: Subspace, v: Subspace) -> Subspace:

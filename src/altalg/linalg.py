@@ -1,71 +1,58 @@
-"""Exact dense linear algebra over any Field: RREF, kernels, solving,
-and subspace calculus.
+"""Exact linear algebra over any Field: RREF, kernels, solving, subspaces.
 
-Matrices are row-major lists of field elements.  Subspaces are always stored
-as reduced row-echelon bases, so two subspaces are equal iff their stored
-rows are equal (entrywise, by field equality).
+``Matrix`` is the dense public type, row-major lists of field elements.
+Subspaces are stored as reduced row-echelon bases, so two subspaces are
+equal iff their stored rows are equal (entrywise, by field equality).
 
-Every RREF runs through one Gauss-Jordan loop, ``_gauss_jordan``: the
-leftmost column with a nonzero entry at or below the current rank is the
-pivot column, the first such row is the pivot row, and every other row with
-a nonzero entry in that column is replaced by the field's row step, which
-never divides by the pivot.  Each field supplies only how it prepares the rows, its
-row step, and how it scales each pivot row once at the end.  The RREF is
-unique, so the result equals textbook elimination over the field.
-- GF(p): rows are reduced to int residues once; the step is a*x - b*y mod p
-  (a the pivot, b the row's entry in the pivot column); pivot rows are
-  scaled by a^(p-2).
-- Q: rows are lifted to integers (``fields._lift``, as products are) and
-  made primitive; the step is the gcd-reduced cross-multiplication,
-  divided by the row's content again; pivot rows become Fractions.
-- GF(p)(s, t): the fused step below keeps entries polynomial for as long
-  as possible, on sparse rows; pivot rows are scaled by their inverse.
+Elimination runs on sparse rows {column: value}: int residues over GF(p),
+integers over Q (``fields._lift``), and over GF(p)(s, t) every entry but
+0/1.  ``rref`` and ``kernel`` convert a dense ``Matrix`` once
+(``_sparse``); ``_condition_rows`` hands a condition system on in that
+form, for the operator systems and the distinguished subspaces.
 
-The GF(p)(s, t) row step is fused.  Row x is replaced by piv*x - f*y, where
-piv is the pivot, f the row's entry in the pivot column and y the pivot
-row.  Once per row it forms P1 = piv.num*f.den, P2 = f.num*piv.den and
-D = piv.den*f.den.  Then each entry gets
+GF(p) and Q share one echelon routine, ``_echelon``: each row is reduced at
+its leading column by that column's pivot row while there is one, and kept
+as a pivot row if it is then nonzero; back-substitution clears the later
+pivot columns of each pivot row, last first.  Over GF(p) pivot rows are
+scaled to leading entry 1 when kept, so the step is x - b*y mod p (b the
+row's entry in the pivot column); over Q it is the gcd-reduced a*x - b*y (a
+the pivot) over its content, and pivot rows become Fractions at the end.
+The RREF is unique, so this equals textbook elimination.
 
-    num = P1*(x.num*y.den) - P2*(y.num*x.den),    den = D*(x.den*y.den),
+GF(p)(s, t) fractions are not reduced, so their bytes depend on the path.
+They keep one Gauss-Jordan loop, ``_gauss_jordan`` (the leftmost column
+with a nonzero entry at or below the rank, its first such row as pivot
+row), with a fused step; each pivot row is scaled by its inverse at the
+end.  Row x becomes piv*x - f*y (piv the pivot, f the row's entry in the
+pivot column, y the pivot row).  Once per row the step forms
+P1 = piv.num*f.den, P2 = f.num*piv.den and D = piv.den*f.den; then each
+entry gets
 
-on the term dicts, with no intermediate fractions.  These are the same
-polynomials as the numerator and denominator of
-``F.sub(F.mul(piv, x), F.mul(f, y))``, because GF(p)[s, t] is commutative
-and associative and a polynomial has one term dict.  So the unreduced
-fractions, and every encoded output, match that formula term for term.
-Each product is checked against ``fields.TERM_BUDGET``, and each stored
-entry goes through ``F._guard``.
+    num = P1*(x.num*y.den) - P2*(y.num*x.den),    den = D*(x.den*y.den)
 
-Rows are sparse: stored entries, and one z for the implicit rest, each 0/z
-(an input 0/1 is implicit; z starts as 1).  The step visits the columns
-stored in x or y; elsewhere the formula gives 0/(D*(z_x*z_y)), the new z,
-formed once if needed.  So a step forms each product of the dense step and
-no other, and the term budget stops the same step.
+on the term dicts: the polynomials of ``F.sub(F.mul(piv, x), F.mul(f, y))``
+term for term, as GF(p)[s, t] is commutative and associative.  Each
+product is checked against ``fields.TERM_BUDGET`` and each stored entry
+goes through ``F._guard``.  A row is its stored entries and one z for the
+rest, each 0/z (z starts as 1): the step visits the columns stored in x or
+y and forms the new z = D*(z_x*z_y) once if needed, so it forms each
+product of the dense step and no other.
 
-``kernel`` solves a GF(p)(s, t) matrix with more rows than columns, p up
-to 2^16, on few of its rows.  It evaluates the entries at the first of four
-fixed points (a, b) of GF(q) (``fields._gf_table``) where no denominator
-vanishes, runs ``_gauss_jordan`` there, and eliminates exactly only the
-pivot rows of that run, in pivot order.  Pivot rows change only through
-pivot rows, so unless an entry vanishes at the point but not over
-GF(p)(s, t), the full run picks the same rows and makes the same fused
-steps: the bytes are the same.  Rows independent at the point are
-independent over GF(p)(s, t), so the kernel found contains the true one.
-It is certified: every distinct dropped row must vanish on its basis, by
-exact dot products over the nonzero entries the point read.  If one does
-not, or no point is usable, all rows are eliminated, so the kernel is
-always exact and a bad point costs only time.
+``kernel`` solves a GF(p)(s, t) system with more rows than columns, p up to
+2^16, on few of its rows: it evaluates the nonzero entries at the first of
+four fixed points of GF(q) (``fields._gf_table``) where no denominator
+vanishes, runs ``_gauss_jordan`` there, and eliminates exactly only that
+run's pivot rows, in pivot order.  Pivot rows change only through pivot
+rows, so unless an entry vanishes at the point but not over GF(p)(s, t),
+the bytes are those of the full run.  The kernel of the rows kept contains
+the true one; every distinct dropped row must vanish on it, by exact dot
+products, or, as when no point is usable, all rows are eliminated.
 
-Everything built on elimination lives here too.  ``_condition_rows`` puts
-the sparse rows of a condition system in the normal form that ``kernel``
-is fed, for the operator systems and the distinguished subspaces.  A
-``Subspace`` keeps the pivot columns its RREF basis came with, which
+A ``Subspace`` keeps the pivot columns of its RREF basis, which
 ``reduce_vector`` and ``algebra.restricted_algebra`` read.  ``_combine`` is
-the one sum c*v of vectors; it skips zero coefficients but, unlike
-``Matrix.mulvec``, not zero entries, since that would change the unreduced
-GF(p)(s, t) sums.  ``Subspace._closure`` is the one fixpoint loop S ->
-S + grow(S), for generated subalgebras and ideals and the multiplication
-Lie algebra.
+the one sum c*v; unlike ``Matrix.mulvec`` it does not skip zero entries,
+which would change unreduced GF(p)(s, t) sums.  ``Subspace._closure`` is
+the one fixpoint loop S -> S + grow(S).
 """
 
 from __future__ import annotations
@@ -77,7 +64,8 @@ from random import Random
 
 from . import fields
 from .fields import (_GF_Q_MAX, Field, FieldError, RatFun, RatFunField,
-                     TermBudgetError, _add_terms, _gf_table, _lift, _mul_terms)
+                     TermBudgetError, _add_terms, _gf_table, _lift, _lower,
+                     _mul_terms)
 
 
 class Matrix:
@@ -175,12 +163,79 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
+def _sparse(F: Field, rows: list) -> list:
+    """Dense field rows as sparse rows (module docstring)."""
+    if F.kind == "prime":
+        return [{j: r for j, a in enumerate(row) if (r := a % F.p)} for row in rows]
+    if F.kind == "rationals":
+        return [{j: a for j, a in enumerate(_lift(F, row)[0]) if a} for row in rows]
+    return _ratfun_rows(F.p, [dict(enumerate(row)) for row in rows])
+
+
+def _ratfun_rows(p: int, rows: list) -> list:
+    """GF(p)(s, t) rows {column: fraction} without their 0/1 entries; every
+    entry must be over GF(p)."""
+    if not all(x.num.p == x.den.p == p
+               for x in set(chain.from_iterable(row.values() for row in rows))):
+        raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
+    one = {(0, 0): 1}
+    return [{j: x for j, x in row.items() if x.num.terms or x.den.terms != one}
+            for row in rows]
+
+
+def _dense(F: Field, rows: list, ncols: int) -> list:
+    """Sparse rows as dense field rows, each value lowered by ``_lower``."""
+    return [[_lower(F, row[j], 1) if j in row else F.zero for j in range(ncols)]
+            for row in rows]
+
+
+def _echelon(p: int, rows) -> tuple:
+    """(pivot rows, pivots) of the RREF of sparse rows over GF(p), or Q for
+    p = 0: sparse rows of residues over GF(p), of Fractions over Q."""
+    def step(x, y, c):
+        a, b = y[c], x[c]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        out = dict(x) if a == 1 else {j: a * v for j, v in x.items()}
+        for j, v in y.items():
+            w = out.get(j, 0) - b * v
+            if p:
+                w %= p
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+        if not p and out and (g := gcd(*out.values())) > 1:
+            out = {j: v // g for j, v in out.items()}
+        return out
+
+    piv = {}
+    for x in rows:
+        while x:
+            c = min(x)
+            if c not in piv:
+                if p:
+                    inv = pow(x[c], p - 2, p)
+                    x = {j: v * inv % p for j, v in x.items()}
+                piv[c] = x
+                break
+            x = step(x, piv[c], c)
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        x = piv[c]
+        for j in [j for j in x if j != c and j in piv]:
+            x = step(x, piv[j], j)
+        piv[c] = x
+    if p:
+        return [piv[c] for c in pivots], pivots
+    return [{j: Fraction(v, piv[c][c]) for j, v in piv[c].items()} for c in pivots], pivots
+
+
 def _gauss_jordan(rows: list, ncols: int, nonzero, step):
-    """The one elimination loop, in place on `rows`: the leftmost column
-    with a nonzero entry at or below the current rank, and the first such
-    row as pivot row, swapped up; every other row with a nonzero entry in
-    that column becomes step(prow, c, row).  Pivot rows are left unscaled.
-    Returns (rows, rank, pivots)."""
+    """The GF(p)(s, t) elimination loop (module docstring), in place on
+    `rows`: every row but the pivot row with a nonzero entry in pivot column
+    c becomes step(prow, c, row); pivot rows are left unscaled.  Returns
+    (rows, rank, pivots)."""
     nrows = len(rows)
     pivots = []
     r = 0
@@ -202,39 +257,6 @@ def _gauss_jordan(rows: list, ncols: int, nonzero, step):
     return rows, r, pivots
 
 
-def _rref_prime(p: int, rows: list, ncols: int):
-    # int residues; ~5x faster than going through Field calls
-    def step(prow, c, row):
-        a, b = prow[c], row[c]
-        return [(a * x - b * y) % p for x, y in zip(row, prow)]
-
-    rows, r, pivots = _gauss_jordan([[x % p for x in row] for row in rows],
-                                    ncols, bool, step)
-    for i, c in enumerate(pivots):
-        inv = pow(rows[i][c], p - 2, p)
-        rows[i] = [(x * inv) % p for x in rows[i]]
-    return rows, r, pivots
-
-
-def _rref_rationals(rows: list, ncols: int):
-    # fraction-free on primitive integer rows, in the spirit of Bareiss
-    def step(prow, c, row):
-        g = gcd(prow[c], row[c])
-        a, b = prow[c] // g, row[c] // g
-        return _primitive([a * x - b * y for x, y in zip(row, prow)])
-
-    irows = [_primitive(_lift(fields.QQ, row)[0]) for row in rows]
-    irows, r, pivots = _gauss_jordan(irows, ncols, bool, step)
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(irows, pivots)]
-    out.extend([Fraction(0)] * ncols for _ in range(len(irows) - r))
-    return out, r, pivots
-
-
-def _primitive(row: list) -> list:
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 class _SparseRow(dict):
     """Stored entries {column: fraction}; other columns read ``zero``, uninserted."""
 
@@ -245,10 +267,9 @@ class _SparseRow(dict):
 
 
 def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
-    """GF(p)(s, t) with the fused row step of the module docstring, on
-    sparse rows; each pivot row is scaled by its inverse at the end."""
+    """The GF(p)(s, t) RREF of sparse rows by the fused step (module
+    docstring): (dense rows, rank, pivots)."""
     p, budget, guard, one = F.p, fields.TERM_BUDGET, F._guard, {(0, 0): 1}
-    _check_ratfun2(p, rows)
 
     def mul(a: dict, b: dict) -> dict:
         ab = _mul_terms(p, a, b)
@@ -276,8 +297,7 @@ def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
         return out
 
     zero = guard(RatFun.of(p, {}, one))
-    sparse = [_SparseRow((j, x) for j, x in enumerate(row)
-                         if x.num.terms or x.den.terms != one) for row in rows]
+    sparse = [_SparseRow(row) for row in rows]
     for row in sparse:
         row.zero = zero if len(row) < ncols else None
     rows, r, pivots = _gauss_jordan(sparse, ncols, lambda x: x.num.terms, step)
@@ -291,11 +311,6 @@ def _rref_ratfun2(F: RatFunField, rows: list, ncols: int):
     return rows, r, pivots
 
 
-def _check_ratfun2(p: int, rows: list):
-    if not all(x.num.p == x.den.p == p for x in set(chain.from_iterable(rows))):
-        raise FieldError("mixed-field entries in a GF(p)(s, t) matrix")
-
-
 def _points(n: int) -> list:
     """The fixed points (g^a, g^b) that ``kernel`` tries, in order."""
     rng = Random(n)
@@ -304,9 +319,9 @@ def _points(n: int) -> list:
 
 def _point_rows(F: RatFunField, nonzero: list, ncols: int):
     """Indices of the pivot rows, in pivot order, of ``_gauss_jordan`` on
-    the rows with nonzero entries ``nonzero`` (``_nonzero_entries``) at the
-    first of ``_points`` where none of their denominators vanishes (GF(q)
-    elements as in ``fields._gf_table``); None if there is no such point."""
+    rows with nonzero (column, entry) lists ``nonzero``, at the first of
+    ``_points`` where none of their denominators vanishes (GF(q) elements
+    as in ``fields._gf_table``); None if there is no such point."""
     n, zech, logc = _gf_table(F.p)
 
     def value(terms, a, b):
@@ -344,45 +359,30 @@ def _point_rows(F: RatFunField, nonzero: list, ncols: int):
     return [row[ncols] for row in pt[:r]]
 
 
-def _nonzero_entries(p: int, rows: list) -> list:
-    """Each row's nonzero (column, entry) pairs, all entries checked."""
-    _check_ratfun2(p, rows)
-    return [[(j, x) for j, x in enumerate(row) if x.num.terms] for row in rows]
-
-
 def rref(m: Matrix):
     """Reduced row-echelon form: returns (Matrix, rank, pivot columns)."""
-    F = m.field
-    if F.kind == "prime":
-        rows, rank, pivots = _rref_prime(F.p, m.rows, m.ncols)
-    elif F.kind == "rationals":
-        rows, rank, pivots = _rref_rationals(m.rows, m.ncols)
-    else:
-        rows, rank, pivots = _rref_ratfun2(F, m.rows, m.ncols)
-    return Matrix(F, rows, m.ncols), rank, pivots
-
-
-def _condition_rows(F: Field, ncols: int, rows) -> list:
-    """The dense form of the sparse condition rows ``{column: value}``.
-
-    Over GF(p) and Q each row is lifted (``fields._lift``, which also takes
-    plain integers, as ``operators._law_rows`` hands them) and put in a
-    normal form, its sorted nonzero (column, value) pairs: over GF(p) with
-    leading entry 1, over Q as primitive integers with a positive leading
-    entry, handed on as ``Fraction``.  Zero rows and rows whose normal form
-    was already seen, that is nonzero multiples of an earlier row, are
-    dropped.  Over GF(p)(s, t) the rows are kept as they are, zero rows
-    dropped."""
-    zero = F.zero
-    out = []
+    F, nc = m.field, m.ncols
+    rows = _sparse(F, m.rows)
     if F.kind == "ratfun2":
-        for row in rows:
-            if not all(F.is_zero(a) for a in row.values()):
-                dense = [zero] * ncols
-                for c, a in row.items():
-                    dense[c] = a
-                out.append(dense)
-        return out
+        red, rank, pivots = _rref_ratfun2(F, rows, nc)
+    else:
+        red, pivots = _echelon(F.p if F.kind == "prime" else 0, rows)
+        rank = len(pivots)
+        red = _dense(F, red, nc) + [[F.zero] * nc for _ in range(m.nrows - rank)]
+    return Matrix(F, red, nc), rank, pivots
+
+
+def _condition_rows(F: Field, rows) -> list:
+    """The condition rows {column: value} in sparse form (module docstring).
+    Over GF(p) and Q each row is lifted (``fields._lift``, which also takes
+    the plain integers of ``operators._law_rows``) to a normal form, leading
+    entry 1 over GF(p) and primitive integers with a positive leading entry
+    over Q, and dropped if it is zero or its normal form was seen before (a
+    multiple of an earlier row).  Over GF(p)(s, t) zero rows are dropped."""
+    if F.kind == "ratfun2":
+        return _ratfun_rows(F.p, [row for row in rows
+                                  if any(a.num.terms for a in row.values())])
+    out = []
     p = F.p if F.kind == "prime" else 0
     seen, met = set(), set()
     for row in rows:
@@ -407,28 +407,28 @@ def _condition_rows(F: Field, ncols: int, rows) -> list:
         if key in seen:
             continue
         seen.add(key)
-        dense = [zero] * ncols
-        for c, a in key:
-            dense[c] = a if p else Fraction(a)
-        out.append(dense)
+        out.append(dict(key))
     return out
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Canonical basis of {x : m @ x = 0}; dim = ncols - rank.  Tall
-    GF(p)(s, t) matrices are solved at a point first (module docstring)."""
-    F, rows, nc = m.field, m.rows, m.ncols
+    """Canonical basis of {x : m @ x = 0}; dim = ncols - rank."""
+    return _kernel(m.field, _sparse(m.field, m.rows), m.ncols)
+
+
+def _kernel(F: Field, rows: list, nc: int) -> "Subspace":
+    """``kernel`` of the sparse rows ``rows`` with ``nc`` columns."""
     if F.kind == "ratfun2" and len(rows) > nc and F.p <= _GF_Q_MAX:
-        nonzero = _nonzero_entries(F.p, rows)
+        nonzero = [[(j, x) for j, x in sorted(row.items()) if x.num.terms] for row in rows]
         kept = _point_rows(F, nonzero, nc)
         if kept is not None:
-            vecs = _kernel_vectors(Matrix(F, [rows[i] for i in kept], nc))
+            vecs = _kernel_vectors(F, [rows[i] for i in kept], nc)
             done = {_terms_key(nonzero[i]) for i in kept}
             rest = {k: nz for nz in nonzero if (k := _terms_key(nz)) not in done}
             if not any(sum(x * v[j] for j, x in nz if v[j])
                        for nz in rest.values() for v in vecs):
                 return Subspace.from_vectors(F, nc, vecs)
-    return Subspace.from_vectors(F, nc, _kernel_vectors(m))
+    return Subspace.from_vectors(F, nc, _kernel_vectors(F, rows, nc))
 
 
 def _terms_key(nz: list) -> tuple:
@@ -437,22 +437,23 @@ def _terms_key(nz: list) -> tuple:
                  for j, x in nz)
 
 
-def _kernel_vectors(m: Matrix) -> list:
-    """One kernel vector per free column c of rref(m): 1 at c, minus the
-    column's RREF entries at the pivot columns."""
-    F = m.field
-    red, rank, pivots = rref(m)
+def _kernel_vectors(F: Field, rows: list, nc: int) -> list:
+    """One kernel vector per free column c of the RREF of the sparse rows:
+    1 at c, minus the column's RREF entries at the pivot columns."""
+    if F.kind == "ratfun2":
+        red, rank, pivots = _rref_ratfun2(F, rows, nc)
+        red = [{j: a for j, a in enumerate(row) if not F.is_zero(a)} for row in red[:rank]]
+    else:
+        red, pivots = _echelon(F.p if F.kind == "prime" else 0, rows)
     pivot_set = set(pivots)
-    vecs = []
-    for fc in (c for c in range(m.ncols) if c not in pivot_set):
-        v = [F.zero] * m.ncols
-        v[fc] = F.one
-        for r, pc in enumerate(pivots):
-            a = red.rows[r][fc]
-            if not F.is_zero(a):
-                v[pc] = F.neg(a)
-        vecs.append(v)
-    return vecs
+    vecs = {c: [F.zero] * nc for c in range(nc) if c not in pivot_set}
+    for c, v in vecs.items():
+        v[c] = F.one
+    for row, pc in zip(red, pivots):
+        for c, a in row.items():
+            if c != pc:
+                vecs[c][pc] = F.neg(a)
+    return list(vecs.values())
 
 
 def solve(m: Matrix, b: list):
@@ -468,7 +469,6 @@ def solve(m: Matrix, b: list):
     for r, pc in enumerate(pivots):
         x[pc] = red.rows[r][m.ncols]
     return x
-
 
 class Subspace:
     """Subspace of F^n stored as an RREF basis (canonical representation),

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 from . import scan
 from .algebra import Algebra, power_chain, search
 from .fields import _lift
-from .linalg import (Matrix, Subspace, _combine, _condition_rows, _multiple, kernel,
-                     rref, solve)
+from .linalg import (Matrix, Subspace, _combine, _condition_rows, _dense, _kernel,
+                     _multiple, kernel, rref, solve)
 from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_inverse,
                         orthocomplement)
 
@@ -84,8 +84,8 @@ def _rsum(p: int, *pairs) -> list:
 
 
 def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
-    """Rows of phi([x1..xn]) - sum_t [x1.. phi(x_t) ..xn] = 0 over basis
-    n-tuples in ``itertools.product`` order, through ``_condition_rows``
+    """Sparse rows of phi([x1..xn]) - sum_t [x1.. phi(x_t) ..xn] = 0 over
+    basis n-tuples in ``itertools.product`` order, through ``_condition_rows``
     (over GF(p) and Q each row in its normal form, the first of each kept);
     the phi([x1..xn]) block starts at column ``q_offset`` (d^2 for the Q
     unknowns of quasiderivations).  A slot vector [x1.. e_r ..xn] is the
@@ -128,12 +128,11 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
                         row[c] = row[c] - a if c in row else -a
             yield from sparse
 
-    return _condition_rows(F, q_offset + d * d, sparse_rows())
+    return _condition_rows(F, sparse_rows())
 
 
 def _law_space(A: Algebra, n: int, label: str) -> OperatorSpace:
-    rows = _law_rows(A, n)
-    return OperatorSpace(A, label, kernel(Matrix(A.field, rows, A.dim ** 2)))
+    return OperatorSpace(A, label, _kernel(A.field, _law_rows(A, n), A.dim ** 2))
 
 
 def derivation_space(A: Algebra) -> OperatorSpace:
@@ -156,7 +155,8 @@ def quasider_condition_rows(A: Algebra) -> list:
     and Q each row is in the normal form of ``linalg._condition_rows``, so
     this is the same system up to row scaling, without rows that are
     multiples of earlier ones."""
-    return _law_rows(A, 2, q_offset=A.dim ** 2)
+    nf = A.dim ** 2
+    return _dense(A.field, _law_rows(A, 2, q_offset=nf), 2 * nf)
 
 
 def quasider_space(A: Algebra) -> OperatorSpace:
@@ -167,8 +167,7 @@ def quasider_space(A: Algebra) -> OperatorSpace:
     """
     F = A.field
     nf = A.dim * A.dim
-    rows = quasider_condition_rows(A)
-    pairs = kernel(Matrix(F, rows, 2 * nf))
+    pairs = _kernel(F, _law_rows(A, 2, q_offset=nf), 2 * nf)
     fparts = [row[:nf] for row in pairs.rows]
     proj = Subspace.from_vectors(F, nf, fparts)
     return OperatorSpace(A, "quasiderivations", proj, meta={"pair_space": pairs})

@@ -16,6 +16,11 @@ RIGHT_ALTERNATIVE = algebra._LAWS["right-alternative"]._replace(
     contraction=((1, "jau,ubm->abjm"), (-1, "abu,jum->abjm")))
 
 
+def dense_rows(F, rows, ncols):
+    """Sparse rows {column: value} as dense rows, F.zero elsewhere."""
+    return [[row.get(j, F.zero) for j in range(ncols)] for row in rows]
+
+
 def reference_dedupe_rows(F, rows):
     """Dense condition rows without zero rows and, over GF(p) and Q, without
     repeats (keyed on the dense tuple), keeping the first of each."""

@@ -9,7 +9,7 @@ from altalg import fields
 from altalg.fields import (FieldError, Poly2, PrimeField, RatFun, RatFunField,
                            RationalField, TermBudgetError)
 from altalg.linalg import Matrix, Subspace, kernel, rref, solve
-from conftest import sparse_element
+from conftest import dense_rows, sparse_element
 from ratfun_reference import dense_rref_ratfun2, reference_rref_ratfun2
 
 
@@ -148,6 +148,52 @@ def test_rref_prime_path_matches_generic(rng):
         assert fast.rows == [[v % 5 for v in r] for r in rows_g]
 
 
+def echelon_systems(F, rng):
+    """Sparse and dense systems over F, tall, wide and square, each with a
+    zero row, a repeated row and a combination of two rows, shuffled in."""
+    def entry(density):
+        if rng.random() >= density:
+            return F.zero
+        if F.kind == "prime":
+            return rng.randrange(1, F.p)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+    out = []
+    for nr, nc in [(1, 6), (4, 11), (7, 7), (12, 5), (30, 9)]:
+        for density in (0.15, 0.4, 1.0):
+            rows = [[entry(density) for _ in range(nc)] for _ in range(nr)]
+            x, y = rng.choice(rows), rng.choice(rows)
+            rows += [[F.zero] * nc, list(x),
+                     [F.add(F.mul(F.from_int(2), a), b) for a, b in zip(x, y)]]
+            rng.shuffle(rows)
+            out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(7),
+                               PrimeField(2 ** 31 - 1), RationalField()],
+                         ids=["gf2", "gf3", "gf7", "gf2^31-1", "rationals"])
+def test_echelon_matches_reference_rref(F, rng):
+    # the incremental sparse echelon form, and rref through it, against
+    # textbook Gauss-Jordan: the RREF is unique, whatever the path
+    from altalg.linalg import _echelon, _sparse
+
+    p = F.p if F.kind == "prime" else 0
+    deficient = 0
+    for rows in echelon_systems(F, rng):
+        nc = len(rows[0])
+        want, rank, pivots = reference_rref(F, rows, nc)
+        if p:
+            want = [[v % p for v in r] for r in want]
+        red, got_pivots = _echelon(p, _sparse(F, rows))
+        assert got_pivots == pivots
+        assert dense_rows(F, red, nc) == want[:rank]
+        got, got_rank, got_pivots = rref(Matrix(F, rows, nc))
+        assert (got.rows, got_rank, got_pivots) == (want, rank, pivots)
+        deficient += rank < min(len(rows) - 3, nc)
+    assert deficient
+
+
 def test_rref_prime_returns_residues_in_every_row(rng):
     # negative entries and entries >= p; the third row is never a pivot row
     red, rank, pivots = rref(Matrix(PrimeField(3), [[-2, 4], [1, -1], [6, 3]]))
@@ -161,7 +207,7 @@ def test_rref_prime_returns_residues_in_every_row(rng):
 
 def test_rref_rationals_matches_fraction_elimination(rng):
     # integer elimination must give the Fraction Gauss-Jordan RREF entrywise
-    from altalg.linalg import _rref_rationals
+    from altalg.linalg import _echelon, _sparse
 
     F = RationalField()
     big = 10 ** 30 + 7
@@ -177,7 +223,9 @@ def test_rref_rationals_matches_fraction_elimination(rng):
         cases.append(m + [list(m[0]), [Fraction(0)] * nc])
     for rows in cases:
         nc = len(rows[0]) if rows else 5
-        got, rank_i, piv_i = _rref_rationals(rows, nc)
+        red, piv_i = _echelon(0, _sparse(F, rows))
+        rank_i = len(piv_i)
+        got = dense_rows(F, red, nc) + [[Fraction(0)] * nc] * (len(rows) - rank_i)
         want, rank_g, piv_g = reference_rref(F, rows, nc)
         assert rank_i == rank_g and piv_i == piv_g
         assert got == want
@@ -595,14 +643,20 @@ def test_tall_ratfun2_kernel_replays_the_pivot_order_not_the_row_order(p, rng):
         a, b, c = ([monomial_den_entry(F, rng) for _ in range(3)] for _ in range(3))
         A, B, C = [F.zero, F.s(), *a[1:]], [F.zero, F.t(), *b[1:]], [F.one, *c]
         m = Matrix(F, [[F.zero] * 4, A, B, C, [F.add(x, y) for x, y in zip(A, B)]], 4)
-        nonzero = linalg._nonzero_entries(p, m.rows)
-        assert linalg._point_rows(F, nonzero, 4) == [3, 1, 2]
+        assert linalg._point_rows(F, nonzero_entries(m.rows), 4) == [3, 1, 2]
         assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
-        sorted_rows = Subspace.from_vectors(F, 4, linalg._kernel_vectors(Matrix(F, [A, B, C], 4)))
+        vecs = linalg._kernel_vectors(F, linalg._sparse(F, [A, B, C]), 4)
+        sorted_rows = Subspace.from_vectors(F, 4, vecs)
         assert sorted_rows == kernel(m)
         if encoded(F, sorted_rows.rows) != encoded(F, kernel(m).rows):
             return
     pytest.fail("row order and pivot order gave the same bytes")
+
+
+def nonzero_entries(rows):
+    """Each dense GF(p)(s, t) row's nonzero (column, entry) pairs, the lists
+    ``kernel`` hands ``_point_rows``."""
+    return [[(j, x) for j, x in enumerate(row) if x.num.terms] for row in rows]
 
 
 def gagola_systems():
@@ -610,9 +664,10 @@ def gagola_systems():
     from altalg.operators import _law_rows, quasider_condition_rows
     A = build("gagola-B").algebra
     d2 = A.dim ** 2
-    return A, {"derivations": Matrix(A.field, _law_rows(A, 2), d2),
-               "quasiderivations": Matrix(A.field, quasider_condition_rows(A), 2 * d2),
-               "leibniz-3": Matrix(A.field, _law_rows(A, 3), d2)}
+    F = A.field
+    return A, {"derivations": Matrix(F, dense_rows(F, _law_rows(A, 2), d2), d2),
+               "quasiderivations": Matrix(F, quasider_condition_rows(A), 2 * d2),
+               "leibniz-3": Matrix(F, dense_rows(F, _law_rows(A, 3), d2), d2)}
 
 
 def test_gagola_operator_kernels_are_byte_identical_to_full_elimination():
@@ -633,8 +688,8 @@ def test_gagola_leibniz_3_eliminates_only_the_rows_picked_at_the_point(monkeypat
     real_rref, real_vectors = linalg._rref_ratfun2, linalg._kernel_vectors
     monkeypatch.setattr(linalg, "_rref_ratfun2", lambda F, rows, nc: (
         sizes.append(len(rows)), real_rref(F, rows, nc))[1])
-    monkeypatch.setattr(linalg, "_kernel_vectors", lambda m: (
-        solves.append(m.nrows), real_vectors(m))[1])
+    monkeypatch.setattr(linalg, "_kernel_vectors", lambda F, rows, nc: (
+        solves.append(len(rows)), real_vectors(F, rows, nc))[1])
     S = leibniz_space(A, 3)
     rank = A.dim ** 2 - S.space.dim
     assert rank == 49 and solves == [rank]
@@ -670,8 +725,8 @@ def test_a_row_vanishing_at_the_point_falls_back_to_full_elimination(p, rng, mon
             continue
         solves = []
         real_vectors = linalg._kernel_vectors
-        monkeypatch.setattr(linalg, "_kernel_vectors", lambda m: (
-            solves.append(m.nrows), real_vectors(m))[1])
+        monkeypatch.setattr(linalg, "_kernel_vectors", lambda F, rows, nc: (
+            solves.append(len(rows)), real_vectors(F, rows, nc))[1])
         monkeypatch.setattr(linalg, "_points", lambda n: [(minus_one_exponent(p), 5)])
         got = kernel(m)
         assert solves == [2, m.nrows] and got.dim == 1
@@ -692,8 +747,8 @@ def test_a_failing_certification_falls_back_to_full_elimination(p, rng, monkeypa
     for m in tall_systems(F, rng):
         rank = rref(m)[1]
         solves = []
-        monkeypatch.setattr(linalg, "_kernel_vectors", lambda m: (
-            solves.append(m.nrows), real_vectors(m))[1])
+        monkeypatch.setattr(linalg, "_kernel_vectors", lambda F, rows, nc: (
+            solves.append(len(rows)), real_vectors(F, rows, nc))[1])
         assert encoded(F, kernel(m).rows) == encoded(F, full_kernel(m).rows)
         assert solves == [rank - 1, m.nrows]
         checked += 1
@@ -727,9 +782,8 @@ def test_a_denominator_vanishing_at_every_point_takes_the_full_path():
     F = RatFunField(2)
     c = RatFun(Poly2(2, {(1, 0): 1}), Poly2(2, {(65535, 0): 1, (0, 0): 1}))
     A = Algebra(F, 2, {(0, 0): [(1, c)], (1, 1): [(0, F.one)], (0, 1): [(1, F.t())]})
-    m = Matrix(F, _law_rows(A, 2), 4)
-    nonzero = linalg._nonzero_entries(2, m.rows)
-    assert m.nrows > m.ncols and linalg._point_rows(F, nonzero, 4) is None
+    m = Matrix(F, dense_rows(F, _law_rows(A, 2), 4), 4)
+    assert m.nrows > m.ncols and linalg._point_rows(F, nonzero_entries(m.rows), 4) is None
     want = encoded(F, full_kernel(m).rows)
     assert encoded(F, kernel(m).rows) == want
     assert encoded(F, derivation_space(A).space.rows) == want

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (reference_dedupe_rows, reference_is_leibniz,
+from conftest import (dense_rows, reference_dedupe_rows, reference_is_leibniz,
                       reference_normal_rows)
 
 from altalg import operators
-from altalg.algebra import Algebra, algebra_from_json
+from altalg.algebra import Algebra, algebra_from_json, algebra_to_json
 from altalg.catalog import build, field_algebra, mat2, zero_algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
@@ -22,7 +22,7 @@ from altalg.operators import (InvertibilityVerdict, InvertibleValuesVerdict,
                               qder_equals_end, quasider_condition_rows,
                               quasider_space, quasider_witness_q,
                               unflatten_map)
-from altalg.quadratic import cd_double, zorn
+from altalg.quadratic import cd_double, cd_tower, zorn
 
 
 def test_derivation_space_zero_algebra_is_all_maps():
@@ -49,6 +49,40 @@ def test_derivation_basis_maps_satisfy_law():
 def test_derivation_space_dim_14_in_every_catalog_characteristic():
     for p in (2, 3, 5):
         assert derivation_space(zorn(PrimeField(p)).algebra).dim == 14
+
+
+HXO_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "hxo_gf3.json")
+
+
+def tensor_product(A, B):
+    """A⊗B on the basis e_i⊗f_k, index i * B.dim + k:
+    (e_i⊗f_k)(e_j⊗f_l) = e_i e_j ⊗ f_k f_l."""
+    F, dB = A.field, B.dim
+    return Algebra(F, A.dim * dB, {
+        (i * dB + k, j * dB + l): [(m * dB + n, F.mul(a, b)) for m, a in ta for n, b in tb]
+        for (i, j), ta in A.table.items() for (k, l), tb in B.table.items()})
+
+
+def gf3_quaternions_and_octonions():
+    return (cd_tower(PrimeField(3), [2, 2]).algebra,
+            cd_tower(PrimeField(3), [2, 2, 2]).algebra)
+
+
+def test_hxo_fixture_is_the_tensor_product_of_the_gf3_towers():
+    with open(HXO_PATH) as fh:
+        doc = json.load(fh)
+    assert algebra_to_json(tensor_product(*gf3_quaternions_and_octonions())) == doc
+
+
+def test_hxo_derivations_are_der_h_plus_der_o():
+    # the d = 32 system: 12 332 condition rows in 1024 unknowns
+    with open(HXO_PATH) as fh:
+        A = algebra_from_json(json.load(fh))
+    H, O = gf3_quaternions_and_octonions()
+    D = derivation_space(A)
+    assert A.dim == 32
+    assert D.dim == derivation_space(H).dim + derivation_space(O).dim == 3 + 14
+    assert all(is_derivation(A, m) for m in D.basis_maps())
 
 
 def test_derivation_space_stable_under_unknown_reordering():
@@ -151,7 +185,7 @@ def test_trie_builder_matches_tuple_by_tuple_reference(F):
         A = random_sparse_algebra(F, d, rng)
         denominators.add(A._lifted[1])
         ref = reference_leibniz_rows(A, n)
-        assert encoded(F, _law_rows(A, n)) == encoded(F, ref)
+        assert encoded(F, dense_rows(F, _law_rows(A, n), d * d)) == encoded(F, ref)
         want = encoded(F, kernel(Matrix(F, ref, d * d)).rows)
         assert encoded(F, leibniz_space(A, n).space.rows) == want
         if n == 2:
