@@ -19,6 +19,7 @@ from .operators import (InvertibilityVerdict, InvertibleValuesVerdict,
                         Lemma22Certificate, MoensResult, OperatorSpace,
                         derivation_space, invertible_in_space,
                         invertible_values_check, is_derivation, is_inner,
-                        is_leibniz, leibniz_space, lemma22_derivation,
-                        moens_construction, mult_lie_algebra,
-                        qder_equals_end, quasider_space, quasider_witness_q)
+                        is_leibniz, leibniz_space, lemma22_case1,
+                        lemma22_case2, moens_construction, mult_lie_algebra,
+                        norm_certificate_check, quasider_space,
+                        quasider_witness_q)

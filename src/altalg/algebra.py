@@ -18,8 +18,7 @@ coordinate keeps the unreduced term form of those field operations.
 (``_Lifted``) and recomputes only a witness's value by field operations.
 
 Elimination is ``linalg``'s: a distinguished subspace is the kernel of its
-basis conditions, put in normal form by ``linalg._condition_rows``, and a
-restricted algebra reads coordinates off ``Subspace.pivots``.
+basis conditions, put in normal form by ``linalg._condition_rows``.
 """
 
 from __future__ import annotations
@@ -108,9 +107,6 @@ class Algebra:
 
     def vsub(self, x, y) -> list:
         return [self.field.sub(a, b) for a, b in zip(x, y)]
-
-    def vneg(self, x) -> list:
-        return [self.field.neg(a) for a in x]
 
     def smul(self, c, x) -> list:
         return [self.field.mul(c, a) for a in x]
@@ -505,23 +501,6 @@ def derived_algebra(A: Algebra, sign: str) -> Algebra:
             v = A.vadd(a, b) if sign == "plus" else A.vsub(a, b)
             table[(i, j)] = list(enumerate(v))
     return Algebra(A.field, A.dim, table, A.names)
-
-
-def restricted_algebra(A: Algebra, S: Subspace, names=None) -> Algebra:
-    """The multiplication of A restricted to a multiplicatively closed
-    subspace, as a structure-constant algebra on the RREF basis of S."""
-    F = A.field
-    m = S.dim
-    table = {}
-    for i in range(m):
-        for j in range(m):
-            prod = A.mul(list(S.rows[i]), list(S.rows[j]))
-            resid = S.reduce_vector(prod)
-            if not all(F.is_zero(a) for a in resid):
-                raise ValueError("subspace is not closed under multiplication")
-            # RREF rows have unit pivots, so coordinates read off at pivots
-            table[(i, j)] = [(r, prod[c]) for r, c in enumerate(S.pivots)]
-    return Algebra(F, m, table, names)
 
 
 def permuted(A: Algebra, perm) -> Algebra:

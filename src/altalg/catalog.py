@@ -2,15 +2,17 @@
 
 Every builder returns an Instance bundling the algebra with whatever extra
 structure belongs to it (quadratic data, a distinguished derivation, the
-generated subfield, ...).  Defaults reproduce the desk computations; field
-choices can be overridden where that makes sense.
+generated subfield, ...).  Defaults reproduce the desk computations; a
+builder's keyword parameters (a field, a map parameter) override them.
+``build`` hands its keywords to the builder, so one that the builder does
+not take raises TypeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
-from .algebra import Algebra, generated, restricted_algebra
+from .algebra import Algebra, generated
 from .fields import Field, PrimeField, RationalField, RatFunField, make_field
 from .linalg import Matrix, Subspace
 from .operators import is_derivation
@@ -20,13 +22,12 @@ from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_tower,
 
 @dataclass
 class Instance:
-    name: str
     algebra: Algebra
     quadratic: QuadraticAlgebra | None = None
     involutive: InvolutiveAlgebra | None = None
     derivation: Matrix | None = None
-    extras: dict = dataclass_field(default_factory=dict)
-    note: str = ""
+    b_space: Subspace | None = None         # gagola-B: the generated subfield
+    kernel_space: Subspace | None = None    # lemma23-Dx: ker d = D
 
 
 class UnknownInstanceError(ValueError):
@@ -48,59 +49,50 @@ def _resolve_field(field, default: Field) -> Field:
 
 
 def _build_zorn(field=None) -> Instance:
+    """The split octonions as Zorn vector matrices."""
     F = _resolve_field(field, PrimeField(3))
     q = zorn(F)
-    return Instance("zorn", q.algebra, quadratic=q,
-                    involutive=q.as_involutive(),
-                    note="split octonions as Zorn vector matrices")
+    return Instance(q.algebra, quadratic=q, involutive=q.as_involutive())
 
 
-def _build_quaternions_q(**_ignored) -> Instance:
+def _build_quaternions_q() -> Instance:
+    """The rational quaternions, doubling parameters (-1, -1)."""
     inv = cd_tower(RationalField(), (-1, -1))
-    return Instance("quaternions-Q", inv.algebra, quadratic=inv.quadratic,
-                    involutive=inv,
-                    note="rational quaternions, doubling parameters (-1, -1)")
+    return Instance(inv.algebra, quadratic=inv.quadratic, involutive=inv)
 
 
-def _build_split_octonions_q(**_ignored) -> Instance:
+def _build_split_octonions_q() -> Instance:
+    """The doubling tower (-1, -1, 1) over the rationals."""
     inv = cd_tower(RationalField(), (-1, -1, 1))
-    return Instance("split-octonions-Q", inv.algebra, quadratic=inv.quadratic,
-                    involutive=inv,
-                    note="doubling tower (-1, -1, 1) over the rationals")
+    return Instance(inv.algebra, quadratic=inv.quadratic, involutive=inv)
 
 
-def gagola_generators(F: RatFunField, alpha=None, beta=None):
-    """The two trace-zero generators [0 (a,0,0); (1,0,0) 0], [0 (0,b,0); (0,1,0) 0]."""
-    if alpha is None:
-        alpha = F.s()
-    if beta is None:
-        beta = F.t()
+def gagola_generators(F: RatFunField):
+    """The two trace-zero generators [0 (s,0,0); (1,0,0) 0], [0 (0,t,0); (0,1,0) 0]."""
     g1 = [F.zero] * 8
-    g1[2] = alpha   # u1
+    g1[2] = F.s()   # u1
     g1[5] = F.one   # v1
     g2 = [F.zero] * 8
-    g2[3] = beta    # u2
+    g2[3] = F.t()   # u2
     g2[6] = F.one   # v2
     return g1, g2
 
 
-def _build_gagola_b(field=None, alpha=None, beta=None) -> Instance:
-    F = _resolve_field(field, RatFunField(2))
-    if F.kind != "ratfun2" or F.char != 2:
-        raise ValueError("the generated subfield lives over GF(2)(s, t)")
+def _build_gagola_b() -> Instance:
+    """The split octonions over the imperfect field GF(2)(s, t) of
+    characteristic 2, with the 4-dim subfield B that ``gagola_generators``
+    generate."""
+    F = RatFunField(2)
     q = zorn(F)
-    g1, g2 = gagola_generators(F, alpha, beta)
+    g1, g2 = gagola_generators(F)
     b_space = generated(q.algebra, "subalgebra", [g1, g2])
-    b_alg = restricted_algebra(q.algebra, b_space)
-    return Instance("gagola-B", q.algebra, quadratic=q,
-                    extras={"b_space": b_space, "generators": [g1, g2],
-                            "b_algebra": b_alg},
-                    note="4-dim subfield of the split octonions over an "
-                         "imperfect field of characteristic 2")
+    return Instance(q.algebra, quadratic=q, b_space=b_space)
 
 
 def _build_lemma23_dx(a=(0, 0)) -> Instance:
-    """D[x]/(x^2) for D the 4-element field, with d(D)=0, d(x)=1+ax.
+    """D[x]/(x^2) for D the 4-element field, with d(D)=0, d(x)=1+ax: an
+    outer derivation with invertible values on a quadratic extension of
+    GF(2) with a square-zero x.
 
     Basis (1, w, x, wx) over GF(2) with w^2 = 1 + w; the parameter a is a
     pair of GF(2) coordinates of a = a0 + a1 w.
@@ -130,14 +122,12 @@ def _build_lemma23_dx(a=(0, 0)) -> Instance:
     if not is_derivation(A, d):
         raise ValueError("lemma23 map is not a derivation (bad parameter?)")
     dspace = Subspace.from_vectors(F, 4, [A.basis_vec(one), A.basis_vec(w)])
-    return Instance("lemma23-Dx", A, derivation=d,
-                    extras={"kernel_space": dspace, "a": (a0, a1)},
-                    note="outer derivation with invertible values on a "
-                         "quadratic extension of GF(2) with a square-zero x")
+    return Instance(A, derivation=d, kernel_space=dspace)
 
 
 def _build_remark22(field=None) -> Instance:
-    """The 7-dimensional nilpotent algebra with only singular derivations.
+    """The 7-dimensional nilpotent algebra (over GF(3) by default) whose
+    derivations are all singular.
 
     Table (all unlisted products zero): e1^2=u1, e2^2=u2, e2e3=e3e2=-v,
     e3e1=u2, e1e3=u2, e1u1=u1e1=v, e2u2=u2e2=w, e1v=ve1=w, u1^2=w.
@@ -157,21 +147,21 @@ def _build_remark22(field=None) -> Instance:
         (u1, u1): [(w, F.one)],
     }
     A = Algebra(F, 7, table, ["e1", "e2", "e3", "u1", "u2", "v", "w"])
-    return Instance("remark22", A,
-                    note="7-dim nilpotent algebra over GF(3) whose derivations "
-                         "are all singular")
+    return Instance(A)
 
 
 def _build_trivial_nilpotent(field=None) -> Instance:
+    """e^2 = f, everything else 0."""
     F = _resolve_field(field, RationalField())
     A = Algebra(F, 2, {(0, 0): [(1, F.one)]}, ["e", "f"])
-    return Instance("trivial-nilpotent", A, note="e^2 = f, everything else 0")
+    return Instance(A)
 
 
 def _build_upper3(field=None) -> Instance:
+    """The strictly upper-triangular 3x3 matrices."""
     F = _resolve_field(field, RationalField())
     A = Algebra(F, 3, {(0, 2): [(1, F.one)]}, ["E12", "E13", "E23"])
-    return Instance("upper3", A, note="strictly upper-triangular 3x3 matrices")
+    return Instance(A)
 
 
 _BUILDERS = {
@@ -197,15 +187,3 @@ def field_algebra(field) -> Algebra:
 
 def zero_algebra(field, dim: int) -> Algebra:
     return Algebra(make_field(field), dim, {})
-
-
-def mat2(field) -> Algebra:
-    """Full 2x2 matrix algebra, basis (E11, E12, E21, E22)."""
-    F = make_field(field)
-    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    table = {}
-    for (a, b), i in idx.items():
-        for (c, dd), j in idx.items():
-            if b == c:
-                table[(i, j)] = [(idx[(a, dd)], F.one)]
-    return Algebra(F, 4, table, ["E11", "E12", "E21", "E22"])

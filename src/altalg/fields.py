@@ -436,12 +436,6 @@ class Field:
     def random_element(self, rng):
         raise NotImplementedError
 
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random_element(rng)
-            if not self.is_zero(a):
-                return a
-
     def parse(self, obj):
         """Decode the JSON/text element encoding into an element."""
         raise NotImplementedError

@@ -49,7 +49,7 @@ the true one; every distinct dropped row must vanish on it, by exact dot
 products, or, as when no point is usable, all rows are eliminated.
 
 A ``Subspace`` keeps the pivot columns of its RREF basis, which
-``reduce_vector`` and ``algebra.restricted_algebra`` read.  ``_combine`` is
+``reduce_vector`` reads.  ``_combine`` is
 the one sum c*v; unlike ``Matrix.mulvec`` it does not skip zero entries,
 which would change unreduced GF(p)(s, t) sums.  ``Subspace._closure`` is
 the one fixpoint loop S -> S + grow(S).

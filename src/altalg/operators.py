@@ -23,12 +23,12 @@ and a map given by the images of a basis is read off one RREF of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from . import scan
 from .algebra import Algebra, power_chain, search
 from .fields import _lift
-from .linalg import (Matrix, Subspace, _combine, _condition_rows, _dense, _kernel,
+from .linalg import (Matrix, Subspace, _combine, _condition_rows, _kernel,
                      _multiple, kernel, rref, solve)
 from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_inverse,
                         orthocomplement)
@@ -45,9 +45,8 @@ def unflatten_map(F, d: int, vec) -> Matrix:
 @dataclass
 class OperatorSpace:
     algebra: Algebra
-    label: str
     space: Subspace                    # subspace of the d^2 map coordinates
-    meta: dict = dataclass_field(default_factory=dict)
+    pair_space: Subspace | None = None  # quasiderivations: the pairs (f, Q)
 
     @property
     def dim(self) -> int:
@@ -131,14 +130,14 @@ def _law_rows(A: Algebra, n: int, q_offset: int = 0) -> list:
     return _condition_rows(F, sparse_rows())
 
 
-def _law_space(A: Algebra, n: int, label: str) -> OperatorSpace:
-    return OperatorSpace(A, label, _kernel(A.field, _law_rows(A, n), A.dim ** 2))
+def _law_space(A: Algebra, n: int) -> OperatorSpace:
+    return OperatorSpace(A, _kernel(A.field, _law_rows(A, n), A.dim ** 2))
 
 
 def derivation_space(A: Algebra) -> OperatorSpace:
     """Kernel of D(e_i e_j) - D(e_i) e_j - e_i D(e_j) = 0 over basis pairs:
     the Leibniz law of order 2."""
-    return _law_space(A, 2, "derivations")
+    return _law_space(A, 2)
 
 
 def leibniz_space(A: Algebra, n: int) -> OperatorSpace:
@@ -146,21 +145,13 @@ def leibniz_space(A: Algebra, n: int) -> OperatorSpace:
     left-normed basis n-tuples."""
     if n < 2:
         raise ValueError("Leibniz order must be at least 2")
-    return _law_space(A, n, f"leibniz({n})")
-
-
-def quasider_condition_rows(A: Algebra) -> list:
-    """Rows of the linear system for pairs (f, Q), unknowns f then Q
-    (2 d^2 columns): Q(e_i e_j) - f(e_i) e_j - e_i f(e_j) = 0.  Over GF(p)
-    and Q each row is in the normal form of ``linalg._condition_rows``, so
-    this is the same system up to row scaling, without rows that are
-    multiples of earlier ones."""
-    nf = A.dim ** 2
-    return _dense(A.field, _law_rows(A, 2, q_offset=nf), 2 * nf)
+    return _law_space(A, n)
 
 
 def quasider_space(A: Algebra) -> OperatorSpace:
-    """Projection onto f of the pairs (f, Q) with Q(xy) = f(x)y + x f(y).
+    """Projection onto f of the pairs (f, Q) with Q(xy) = f(x)y + x f(y):
+    the kernel of the rows Q(e_i e_j) - f(e_i) e_j - e_i f(e_j) = 0 in the
+    2 d^2 unknowns f then Q.
 
     The witnessing Q for any f in the space is recoverable through
     ``quasider_witness_q``.
@@ -170,12 +161,12 @@ def quasider_space(A: Algebra) -> OperatorSpace:
     pairs = _kernel(F, _law_rows(A, 2, q_offset=nf), 2 * nf)
     fparts = [row[:nf] for row in pairs.rows]
     proj = Subspace.from_vectors(F, nf, fparts)
-    return OperatorSpace(A, "quasiderivations", proj, meta={"pair_space": pairs})
+    return OperatorSpace(A, proj, pair_space=pairs)
 
 
 def quasider_witness_q(S: OperatorSpace, fmap: Matrix):
     """A Q with Q(xy) = f(x)y + x f(y) for an f in the space, else None."""
-    pairs: Subspace = S.meta["pair_space"]
+    pairs = S.pair_space
     F = S.algebra.field
     nf = S.algebra.dim ** 2
     if pairs.dim == 0:
@@ -186,10 +177,6 @@ def quasider_witness_q(S: OperatorSpace, fmap: Matrix):
         return None
     q = _combine(F, sol, [row[nf:] for row in pairs.rows], nf)
     return unflatten_map(F, S.algebra.dim, q)
-
-
-def qder_equals_end(A: Algebra) -> bool:
-    return quasider_space(A).dim == A.dim ** 2
 
 
 def mult_lie_algebra(A: Algebra) -> OperatorSpace:
@@ -207,7 +194,7 @@ def mult_lie_algebra(A: Algebra) -> OperatorSpace:
             for a, b in itertools.combinations(mats, 2)])
 
     space = Subspace.from_vectors(F, d * d, seeds)._closure(commutators)
-    return OperatorSpace(A, "mult-lie-algebra", space)
+    return OperatorSpace(A, space)
 
 
 def is_derivation(A: Algebra, m: Matrix) -> bool:
@@ -400,38 +387,37 @@ class InvertibleValuesVerdict:
 
 @dataclass
 class Lemma22Certificate:
-    case: str
+    case: str                       # I | II
     quadratic: QuadraticAlgebra
     b_space: Subspace
     image_space: Subspace
-    gamma: object = None
-    u: list | None = None
-    x: list | None = None
+    gamma: object = None            # case I: v^2 = gamma 1
+    u: list | None = None           # case I: d(a + vb) = v(bu)
+    x: list | None = None           # case II: d(a + xb) = b
 
 
-def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
-                            seed: int = 42, samples: int = 128,
-                            enum_cap: int = 2 ** 20,
-                            certificate: "Lemma22Certificate | None" = None
-                            ) -> InvertibleValuesVerdict:
-    """Does the derivation take only invertible-or-zero values?
-
-    Modes: 'exhaustive' sweeps every element of a small finite algebra;
-    'norm-certificate' verifies the norm factorization supplied by a
-    lemma22 constructor on seeded samples; 'sample' is sampling only.
-    """
+def _values_preconditions(A: Algebra, dmap: Matrix) -> None:
+    """What both invertible-values checks require, tested in this order: a
+    unital algebra, a nonzero map, and the derivation law."""
     if A.find_unit() is None:
         raise ValueError("invertible-values analysis requires a unital algebra")
     if all(A.field.is_zero(a) for row in dmap.rows for a in row):
         raise ValueError("the zero derivation is excluded")
     if not is_derivation(A, dmap):
         raise ValueError("map is not a derivation")
-    F = A.field
 
-    if mode == "norm-certificate":
-        if certificate is None:
-            raise ValueError("norm-certificate mode needs a lemma22 certificate")
-        return _norm_certificate_check(A, dmap, certificate, seed, samples)
+
+def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
+                            seed: int = 42, samples: int = 128,
+                            enum_cap: int = 2 ** 20) -> InvertibleValuesVerdict:
+    """Does the derivation take only invertible-or-zero values?
+
+    Modes: 'exhaustive' sweeps every element of a small finite algebra;
+    'sample' is sampling only.  A map built by ``lemma22_case1`` or
+    ``lemma22_case2`` is checked by ``norm_certificate_check``.
+    """
+    _values_preconditions(A, dmap)
+    F = A.field
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     count = A.element_count()
@@ -459,7 +445,13 @@ def invertible_values_check(A: Algebra, dmap: Matrix, mode: str, *,
         else f"{samples} seeded samples, no witness")
 
 
-def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVerdict:
+def norm_certificate_check(A: Algebra, dmap: Matrix, cert: Lemma22Certificate, *,
+                           seed: int = 42, samples: int = 128
+                           ) -> InvertibleValuesVerdict:
+    """Verify the certificate of a lemma 2.2 map: its image lies in the
+    certified subspace (exact), and on seeded samples case I's norm
+    factorization holds and case II's norm-based inverses are inverses."""
+    _values_preconditions(A, dmap)
     F = A.field
     C = cert.quadratic
     d = A.dim
@@ -511,18 +503,9 @@ def _norm_certificate_check(A, dmap, cert, seed, samples) -> InvertibleValuesVer
 
 # ---- the explicit split-algebra derivations ----------------------------------
 
-def lemma22_derivation(target, case: str, **params):
-    """Build the case I map d(a + vb) = v(bu) on a doubled algebra, or the
-    case II map d(a + xb) = b on a characteristic-2 split algebra with a
-    totally isotropic 4-dimensional subfield."""
-    if case == "I":
-        return _lemma22_case1(target, params["u"])
-    if case == "II":
-        return _lemma22_case2(target, params["b_space"], params.get("x"))
-    raise ValueError(f"case must be 'I' or 'II', got {case!r}")
-
-
-def _lemma22_case1(double: InvolutiveAlgebra, u):
+def lemma22_case1(double: InvolutiveAlgebra, u):
+    """The case I map d(a + vb) = v(bu) on a doubled algebra B + vB, for u
+    a nonzero trace-zero element of B: (map, certificate)."""
     C = double.quadratic
     if C is None:
         raise ValueError("case I needs the doubled algebra's quadratic data")
@@ -550,13 +533,14 @@ def _lemma22_case1(double: InvolutiveAlgebra, u):
         raise ValueError("constructed case I map fails the derivation law")
     bspace = Subspace.from_vectors(F, d, [A.basis_vec(i) for i in range(m)])
     vspace = Subspace.from_vectors(F, d, [A.basis_vec(m + i) for i in range(m)])
-    cert = Lemma22Certificate("I", C, bspace, vspace)
-    cert.gamma = gamma
-    cert.u = list(u)
-    return dmap, cert
+    return dmap, Lemma22Certificate("I", C, bspace, vspace, gamma=gamma, u=list(u))
 
 
-def _lemma22_case2(C: QuadraticAlgebra, b_space: Subspace, x=None):
+def lemma22_case2(C: QuadraticAlgebra, b_space: Subspace):
+    """The case II map d(a + xb) = b on a characteristic-2 split algebra
+    C = B + xB, for B a totally isotropic subfield of half the dimension
+    and x the first trace-zero standard basis vector outside B:
+    (map, certificate)."""
     A = C.algebra
     F = A.field
     d = A.dim
@@ -566,13 +550,10 @@ def _lemma22_case2(C: QuadraticAlgebra, b_space: Subspace, x=None):
         raise ValueError("B must have half the ambient dimension")
     if orthocomplement(C, b_space) != b_space:
         raise ValueError("case II requires B to equal its orthogonal complement")
+    x = next((e for e in map(A.basis_vec, range(d))
+              if F.is_zero(C.trace(e)) and not b_space.contains_vector(e)), None)
     if x is None:
-        x = _select_case2_x(C, b_space)
-    else:
-        if not F.is_zero(C.trace(x)):
-            raise ValueError("x must have trace zero")
-        if b_space.contains_vector(x):
-            raise ValueError("x must be independent of B")
+        raise ValueError("no trace-zero standard basis vector outside B")
     bs = [list(b) for b in b_space.rows]
     dmap = _map_from_images(A, bs + [A.mul(x, b) for b in bs],
                             [A.zero() for _ in bs] + bs)
@@ -580,17 +561,4 @@ def _lemma22_case2(C: QuadraticAlgebra, b_space: Subspace, x=None):
         raise ValueError("B + xB does not span the algebra (no direct sum)")
     if not is_derivation(A, dmap):
         raise ValueError("constructed case II map fails the derivation law")
-    cert = Lemma22Certificate("II", C, b_space, b_space)
-    cert.x = list(x)
-    return dmap, cert
-
-
-def _select_case2_x(C: QuadraticAlgebra, b_space: Subspace):
-    """First standard basis vector with trace 0 that is independent of B."""
-    A = C.algebra
-    F = A.field
-    for i in range(A.dim):
-        e = A.basis_vec(i)
-        if F.is_zero(C.trace(e)) and not b_space.contains_vector(e):
-            return e
-    raise ValueError("no trace-zero standard basis vector outside B")
+    return dmap, Lemma22Certificate("II", C, b_space, b_space, x=list(x))

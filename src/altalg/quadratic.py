@@ -279,7 +279,10 @@ def cd_double(B: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
 
     names = None
     if A.names:
-        names = list(A.names) + [f"v{n}" for n in A.names]
+        # the k-th doubling adds the generator v<k> (B holds v1 .. v<k-1>),
+        # and the vector v<k> e of each basis vector e of B is named e v<k>
+        k = 1 + sum(n[:1] == "v" and n[1:].isdigit() for n in A.names)
+        names = list(A.names) + [f"v{k}" if n == "1" else f"{n}v{k}" for n in A.names]
     D = Algebra(F, d, table, names)
 
     sigma = Matrix.zeros(F, d, d)

@@ -18,13 +18,13 @@ from .algebra import (IDENTITY_NAMES, _LAWS, _first_failure, _Law,
                       search)
 from .catalog import build, field_algebra, zero_algebra
 from .fields import PrimeField, RationalField
-from .linalg import Matrix, Subspace, kernel
-from .operators import (derivation_space, flatten_map, invertible_combination,
-                        invertible_in_space, invertible_values_check,
-                        is_derivation, is_inner, is_leibniz, leibniz_space,
-                        lemma22_derivation, moens_construction,
-                        mult_lie_algebra, quasider_condition_rows,
-                        quasider_space)
+from .linalg import Matrix, Subspace, _kernel, kernel
+from .operators import (_law_rows, derivation_space, flatten_map,
+                        invertible_combination, invertible_in_space,
+                        invertible_values_check, is_derivation, is_inner,
+                        is_leibniz, leibniz_space, lemma22_case1,
+                        lemma22_case2, moens_construction, mult_lie_algebra,
+                        norm_certificate_check, quasider_space)
 from .quadratic import (cd_double, cd_tower, find_isotropic, orthocomplement,
                         zorn, zorn_isomorphism)
 
@@ -330,13 +330,12 @@ def suite_lemma22_case1(cfg: Config) -> list:
     q = C.quadratic
     u = A.basis_vec(1)                              # quaternion i, trace 0
     try:
-        dmap, cert = lemma22_derivation(C, "I", u=u)
+        dmap, cert = lemma22_case1(C, u)
     except ValueError as e:
         checks.append(CheckResult("construction", False, "certified", detail=str(e)))
         return checks
     checks.append(_derivation_law_check(A, dmap))
-    v = invertible_values_check(A, dmap, "norm-certificate", seed=cfg.seed,
-                                samples=cfg.samples, certificate=cert)
+    v = norm_certificate_check(A, dmap, cert, seed=cfg.seed, samples=cfg.samples)
     checks.append(CheckResult("norm-certificate-n(d(a+vb))=-gamma-n(b)n(u)",
                               v.kind == "pass-certified", v.provenance,
                               detail=v.detail))
@@ -354,7 +353,7 @@ def suite_lemma22_case1(cfg: Config) -> list:
     for bad_u, label in ((A.find_unit(), "t(u)-nonzero-rejected"),
                          (A.zero(), "u=0-rejected")):
         try:
-            lemma22_derivation(C, "I", u=bad_u)
+            lemma22_case1(C, bad_u)
             checks.append(CheckResult(label, False, "certified"))
         except ValueError as exc:
             checks.append(CheckResult(label, True, "certified", detail=str(exc)))
@@ -375,7 +374,7 @@ def suite_lemma22_case2(cfg: Config) -> list:
     q = inst.quadratic
     Z = inst.algebra
     F = Z.field
-    B = inst.extras["b_space"]
+    B = inst.b_space
     checks.append(CheckResult("dim-B=4", B.dim == 4, "certified",
                               detail=f"dim = {B.dim}"))
     checks.append(CheckResult("B-equals-B-orthocomplement",
@@ -385,7 +384,7 @@ def suite_lemma22_case2(cfg: Config) -> list:
         checks.append(CheckResult(f"B-{name}-on-basis-{label}", bad is None,
                                   "certified"))
     try:
-        dmap, cert = lemma22_derivation(q, "II", b_space=B)
+        dmap, cert = lemma22_case2(q, B)
     except ValueError as e:
         checks.append(CheckResult("construction", False, "certified", detail=str(e)))
         return checks
@@ -416,12 +415,13 @@ def suite_lemma22_case2(cfg: Config) -> list:
     return checks
 
 
-def _imperfectness_check(degree_cap: int = 4) -> CheckResult:
-    """No polynomials a,b,c,d over GF(2) of degree <= cap (per variable) give
+def _imperfectness_check() -> CheckResult:
+    """No polynomials a,b,c,d over GF(2) of degree <= 4 (per variable) give
     a^2 + b^2 s + c^2 t + d^2 s t = 0 nontrivially: squaring is GF(2)-linear
     on coefficients, so this is an exact kernel computation at bounded degree
     (evidence for {1, s, t, st} independent over squares, not a full proof)."""
     F2 = PrimeField(2)
+    degree_cap = 4
     monos = [(i, j) for i in range(degree_cap + 1) for j in range(degree_cap + 1)]
     ncols = 4 * len(monos)
     target_index = {}
@@ -452,7 +452,7 @@ def suite_lemma23_outer(cfg: Config) -> list:
     checks.append(CheckResult("d-is-outer", not is_inner(A, d), "certified"))
     ker = kernel(d)
     checks.append(CheckResult("kernel-of-d-equals-D",
-                              ker == inst.extras["kernel_space"], "certified"))
+                              ker == inst.kernel_space, "certified"))
     # kernel elements are the combinations of its basis: columns of span
     span = Matrix(F, ker.rows, A.dim).transpose()
     bad, provenance = search(F, ker.dim, None, enum_cap=F.order ** ker.dim,
@@ -585,9 +585,10 @@ def suite_qder_classification(cfg: Config) -> list:
     checks.append(CheckResult("zorn-GF5/dim-QDer=15-strictly-below-End",
                               S.dim == 15 and S.dim < Z5.dim ** 2,
                               "certified", detail=f"dim = {S.dim} < 64"))
-    # oracle: re-solve with the 2 d^2 unknowns in reversed order
-    rows = quasider_condition_rows(Z5)
-    ker_p = kernel(Matrix(Z5.field, [row[::-1] for row in rows], 2 * 64))
+    # oracle: re-solve with the 2 d^2 unknowns f then Q in reversed order
+    rows = [{127 - c: a for c, a in row.items()}
+            for row in _law_rows(Z5, 2, q_offset=64)]
+    ker_p = _kernel(Z5.field, rows, 2 * 64)
     fparts = [row[::-1][:64] for row in ker_p.rows]
     oracle = Subspace.from_vectors(Z5.field, 64, fparts)
     checks.append(CheckResult("zorn-GF5/permuted-unknown-oracle-agrees",

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from altalg import algebra
-from altalg.fields import PrimeField, RatFunField, RationalField
+from altalg.algebra import Algebra
+from altalg.fields import PrimeField, RatFunField, RationalField, make_field
+from altalg.linalg import Subspace
 
 # Laws the program decides by basis conditions, given a contraction here so
 # that they are swept, as an oracle for the certified route:
@@ -14,6 +16,48 @@ LEFT_ALTERNATIVE = algebra._LAWS["left-alternative"]._replace(
     contraction=((1, "abu,ujm->abjm"), (-1, "bju,aum->abjm")))
 RIGHT_ALTERNATIVE = algebra._LAWS["right-alternative"]._replace(
     contraction=((1, "jau,ubm->abjm"), (-1, "abu,jum->abjm")))
+
+
+def vneg(A, x):
+    """-x in the algebra A."""
+    return [A.field.neg(a) for a in x]
+
+
+def random_nonzero(F, rng):
+    """A seeded random element of F other than zero."""
+    while True:
+        a = F.random_element(rng)
+        if not F.is_zero(a):
+            return a
+
+
+def mat2(field):
+    """Full 2x2 matrix algebra, basis (E11, E12, E21, E22)."""
+    F = make_field(field)
+    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+    table = {}
+    for (a, b), i in idx.items():
+        for (c, dd), j in idx.items():
+            if b == c:
+                table[(i, j)] = [(idx[(a, dd)], F.one)]
+    return Algebra(F, 4, table, ["E11", "E12", "E21", "E22"])
+
+
+def restricted_algebra(A: Algebra, S: Subspace) -> Algebra:
+    """The multiplication of A restricted to a multiplicatively closed
+    subspace, as a structure-constant algebra on the RREF basis of S."""
+    F = A.field
+    m = S.dim
+    table = {}
+    for i in range(m):
+        for j in range(m):
+            prod = A.mul(list(S.rows[i]), list(S.rows[j]))
+            resid = S.reduce_vector(prod)
+            if not all(F.is_zero(a) for a in resid):
+                raise ValueError("subspace is not closed under multiplication")
+            # RREF rows have unit pivots, so coordinates read off at pivots
+            table[(i, j)] = [(r, prod[c]) for r, c in enumerate(S.pivots)]
+    return Algebra(F, m, table)
 
 
 def dense_rows(F, rows, ncols):

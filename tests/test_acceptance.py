@@ -12,18 +12,17 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import reference_is_leibniz
+from conftest import dense_rows, reference_is_leibniz
 
 from altalg.algebra import Algebra, check_identity, evaluate_identity, permuted, power_chain
 from altalg.catalog import build, field_algebra, zero_algebra
 from altalg.fields import PrimeField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
-from altalg.operators import (derivation_space, flatten_map,
+from altalg.operators import (_law_rows, derivation_space, flatten_map,
                               invertible_combination, invertible_in_space,
                               invertible_values_check, is_inner, is_leibniz,
-                              leibniz_space, lemma22_derivation,
-                              moens_construction, qder_equals_end,
-                              quasider_condition_rows, quasider_space)
+                              leibniz_space, lemma22_case1, lemma22_case2,
+                              moens_construction, quasider_space)
 from altalg.quadratic import cd_double, cd_inverse, orthocomplement, zorn
 
 SEED = 42
@@ -164,7 +163,7 @@ def test_criterion_06_lemma22_case1():
     q = C.quadratic
     F = A.field
     u = A.basis_vec(1)      # the quaternion i; t(u) = 0
-    dmap, cert = lemma22_derivation(C, "I", u=u)
+    dmap, cert = lemma22_case1(C, u)
     e = A.basis()
     ok = all(
         A.veq(dmap.mulvec(A.mul(e[i], e[j])),
@@ -182,7 +181,7 @@ def test_criterion_06_lemma22_case1():
             break
     ok = ok and kernel(dmap) == cert.b_space
     try:
-        lemma22_derivation(C, "I", u=A.find_unit())
+        lemma22_case1(C, A.find_unit())
         ok = False
     except ValueError:
         pass
@@ -196,14 +195,14 @@ def test_criterion_07_lemma22_case2():
     q = inst.quadratic
     Z = inst.algebra
     F = Z.field
-    B = inst.extras["b_space"]
+    B = inst.b_space
     ok = B.dim == 4
     ok = ok and orthocomplement(q, B) == B
     ok = ok and all(Z.is_zero_vec(Z.commutator(list(a), list(b)))
                     for a in B.rows for b in B.rows)
     ok = ok and all(Z.is_zero_vec(Z.associator(list(a), list(b), list(c)))
                     for a in B.rows for b in B.rows for c in B.rows)
-    dmap, cert = lemma22_derivation(q, "II", b_space=B)
+    dmap, cert = lemma22_case2(q, B)
     e = Z.basis()
     ok = ok and all(
         Z.veq(dmap.mulvec(Z.mul(e[i], e[j])),
@@ -237,7 +236,7 @@ def test_criterion_08_lemma23_instance():
     ok = v.kind == "pass-exhaustive"
     ok = ok and not is_inner(A, d)
     ker = kernel(d)
-    ok = ok and ker == inst.extras["kernel_space"]
+    ok = ok and ker == inst.kernel_space
     for coeffs in itertools.product((0, 1), repeat=ker.dim):
         x = A.zero()
         for c, row in zip(coeffs, ker.rows):
@@ -327,13 +326,16 @@ def test_criterion_11_moens_construction_on_null_filiform_order_5():
 
 
 def test_criterion_12_qder_classification_desk_checks():
+    def qder_equals_end(A):
+        return quasider_space(A).dim == A.dim ** 2
+
     F5 = PrimeField(5)
     ok = qder_equals_end(field_algebra(F5))
     ok = ok and qder_equals_end(zero_algebra(F5, 2))
     Z5 = zorn(F5).algebra
     S = quasider_space(Z5)
     ok = ok and S.dim == 15 and not qder_equals_end(Z5)
-    rows = quasider_condition_rows(Z5)
+    rows = dense_rows(F5, _law_rows(Z5, 2, q_offset=64), 128)
     ker_p = kernel(Matrix(F5, [row[::-1] for row in rows], 128))
     oracle = Subspace.from_vectors(F5, 64, [row[::-1][:64] for row in ker_p.rows])
     ok = ok and oracle == S.space

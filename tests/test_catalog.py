@@ -1,11 +1,13 @@
 import pytest
+from conftest import mat2, restricted_algebra, vneg
 
 from altalg.algebra import check_identity, power_chain
 from altalg.catalog import (CATALOG_NAMES, Instance, UnknownInstanceError,
-                            build, field_algebra, mat2, zero_algebra)
+                            build, field_algebra, gagola_generators,
+                            zero_algebra)
 from altalg.fields import PrimeField
 from altalg.operators import is_derivation
-from altalg.quadratic import orthocomplement
+from altalg.quadratic import cd_tower, orthocomplement
 
 
 def test_all_catalog_names_build():
@@ -13,6 +15,24 @@ def test_all_catalog_names_build():
         inst = build(name)
         assert isinstance(inst, Instance)
         assert inst.algebra.dim >= 1
+
+
+def test_every_builder_rejects_a_parameter_it_does_not_take():
+    for name in CATALOG_NAMES:
+        with pytest.raises(TypeError):
+            build(name, no_such_parameter=1)
+    with pytest.raises(TypeError):
+        build("quaternions-Q", field=PrimeField(3))
+
+
+def test_basis_names_are_unique():
+    for name in CATALOG_NAMES:
+        names = build(name).algebra.names
+        assert len(set(names)) == len(names), name
+    # the k-th doubling adds the generator v<k>
+    assert build("quaternions-Q").algebra.names == ["1", "v1", "v2", "v1v2"]
+    names = cd_tower(PrimeField(3), [2, 2, 2]).algebra.names
+    assert names == ["1", "v1", "v2", "v1v2", "v3", "v1v3", "v2v3", "v1v2v3"]
 
 
 def test_unknown_name_rejected():
@@ -46,22 +66,24 @@ def test_split_octonions_dim8():
 
 def test_gagola_b_structure():
     inst = build("gagola-B")
-    B = inst.extras["b_space"]
+    B = inst.b_space
     assert B.dim == 4
     assert orthocomplement(inst.quadratic, B) == B
-    balg = inst.extras["b_algebra"]
+    balg = restricted_algebra(inst.algebra, B)
     assert check_identity(balg, "commutative").holds
     assert check_identity(balg, "associative").holds
-    # the generators are trace-zero with norms s and t
-    g1, g2 = inst.extras["generators"]
+    # the generators are trace-zero with norms s and t, and lie in B
     F = inst.algebra.field
+    g1, g2 = gagola_generators(F)
+    assert B.contains_vector(g1) and B.contains_vector(g2)
     assert F.is_zero(inst.quadratic.trace(g1))
     assert F.eq(inst.quadratic.norm(g1), F.neg(F.s()))
     assert F.eq(inst.quadratic.norm(g2), F.neg(F.t()))
 
 
 def test_gagola_b_requires_ratfun2():
-    with pytest.raises(ValueError):
+    # gagola-B lives over GF(2)(s, t) and takes no field
+    with pytest.raises(TypeError):
         build("gagola-B", field={"kind": "prime", "p": 2})
 
 
@@ -90,7 +112,7 @@ def test_remark22_table_facts():
     e1, e2, e3, u1, u2, v, w = (A.basis_vec(i) for i in range(7))
     assert A.mul(e1, e1) == u1
     assert A.mul(e2, e2) == u2
-    assert A.mul(e2, e3) == A.vneg(v) and A.mul(e3, e2) == A.vneg(v)
+    assert A.mul(e2, e3) == vneg(A, v) and A.mul(e3, e2) == vneg(A, v)
     assert A.mul(e3, e1) == u2 and A.mul(e1, e3) == u2
     assert A.mul(e1, u1) == v and A.mul(u1, e1) == v
     assert A.mul(e2, u2) == w and A.mul(u2, e2) == w

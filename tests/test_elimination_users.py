@@ -11,7 +11,7 @@ combination that ``_combine`` forms, must be byte-identical under
 import random
 
 import pytest
-from conftest import reference_dedupe_rows
+from conftest import random_nonzero, reference_dedupe_rows
 
 from altalg.algebra import Algebra, generated, special_subspace, subspace_product
 from altalg.fields import PrimeField, RatFunField, RationalField
@@ -165,7 +165,7 @@ def reference_intersect(U, V):
 
 
 def reference_quasider_witness_q(S, fmap):
-    pairs = S.meta["pair_space"]
+    pairs = S.pair_space
     F = S.algebra.field
     nf = S.algebra.dim ** 2
     if pairs.dim == 0:
@@ -196,7 +196,7 @@ def random_algebra(F, d, rng, unital=False):
         for j in range(lo, m):
             if rng.random() < 0.5:
                 ks = rng.sample(range(m), rng.randint(1, 2))
-                table[(i, j)] = [(k, F.random_nonzero(rng)) for k in ks]
+                table[(i, j)] = [(k, random_nonzero(F, rng)) for k in ks]
     if unital:
         for i in range(m):
             table[(0, i)] = table[(i, 0)] = [(i, F.one)]

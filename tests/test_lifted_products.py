@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_nonzero
 
 from altalg.algebra import Algebra, algebra_from_json, check_identity, evaluate_identity
 from altalg.fields import Poly2, PrimeField, RatFun, RatFunField, RationalField
@@ -240,7 +241,7 @@ def ratfun_scalar(F, rng, nonzero=False):
     if kind == 7:
         return RatFun(Poly2(p, {}), Poly2(p, {(0, 0): 1, (rng.randint(0, 2), 1): 1}))
     if kind < 2:
-        return F.random_nonzero(rng)
+        return random_nonzero(F, rng)
 
     def poly(nterms, box):
         return Poly2(p, {(rng.randint(0, box), rng.randint(0, box)):

@@ -661,12 +661,13 @@ def nonzero_entries(rows):
 
 def gagola_systems():
     from altalg.catalog import build
-    from altalg.operators import _law_rows, quasider_condition_rows
+    from altalg.operators import _law_rows
     A = build("gagola-B").algebra
     d2 = A.dim ** 2
     F = A.field
+    qrows = dense_rows(F, _law_rows(A, 2, q_offset=d2), 2 * d2)
     return A, {"derivations": Matrix(F, dense_rows(F, _law_rows(A, 2), d2), d2),
-               "quasiderivations": Matrix(F, quasider_condition_rows(A), 2 * d2),
+               "quasiderivations": Matrix(F, qrows, 2 * d2),
                "leibniz-3": Matrix(F, dense_rows(F, _law_rows(A, 3), d2), d2)}
 
 

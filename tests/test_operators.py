@@ -5,23 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (dense_rows, reference_dedupe_rows, reference_is_leibniz,
-                      reference_normal_rows)
+from conftest import (dense_rows, mat2, random_nonzero, reference_dedupe_rows,
+                      reference_is_leibniz, reference_normal_rows)
 
 from altalg import operators
 from altalg.algebra import Algebra, algebra_from_json, algebra_to_json
-from altalg.catalog import build, field_algebra, mat2, zero_algebra
+from altalg.catalog import build, field_algebra, zero_algebra
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel
 from altalg.operators import (InvertibilityVerdict, InvertibleValuesVerdict,
                               OperatorSpace, derivation_space, flatten_map,
                               invertible_in_space, invertible_values_check,
                               is_derivation, is_inner, is_leibniz,
-                              leibniz_space, lemma22_derivation,
+                              leibniz_space, lemma22_case1, lemma22_case2,
                               moens_construction, mult_lie_algebra,
-                              qder_equals_end, quasider_condition_rows,
-                              quasider_space, quasider_witness_q,
-                              unflatten_map)
+                              norm_certificate_check, quasider_space,
+                              quasider_witness_q, unflatten_map)
 from altalg.quadratic import cd_double, cd_tower, zorn
 
 
@@ -158,7 +157,7 @@ def random_sparse_algebra(F, d, rng):
         for j in range(d):
             if rng.random() < 0.4:
                 ks = rng.sample(range(d), rng.randint(1, 2))
-                table[(i, j)] = [(k, F.random_nonzero(rng)) for k in ks]
+                table[(i, j)] = [(k, random_nonzero(F, rng)) for k in ks]
     return Algebra(F, d, table)
 
 
@@ -190,7 +189,8 @@ def test_trie_builder_matches_tuple_by_tuple_reference(F):
         assert encoded(F, leibniz_space(A, n).space.rows) == want
         if n == 2:
             assert encoded(F, derivation_space(A).space.rows) == want
-            assert (encoded(F, quasider_condition_rows(A))
+            qrows = _law_rows(A, 2, q_offset=d * d)
+            assert (encoded(F, dense_rows(F, qrows, 2 * d * d))
                     == encoded(F, reference_leibniz_rows(A, 2, q_offset=d * d)))
     if F.kind == "rationals":     # non-integral constants: Dc > 1
         assert max(denominators) > 1
@@ -288,6 +288,9 @@ def test_quasider_space_dims():
 
 
 def test_qder_equals_end():
+    def qder_equals_end(A):
+        return quasider_space(A).dim == A.dim ** 2
+
     assert qder_equals_end(field_algebra(PrimeField(5)))
     assert qder_equals_end(zero_algebra(PrimeField(5), 2))
     assert not qder_equals_end(zorn(PrimeField(5)).algebra)
@@ -450,20 +453,12 @@ def test_lemma22_case1_construction():
     C = cd_double(quat, Fraction(1))
     A = C.algebra
     u = A.basis_vec(1)
-    dmap, cert = lemma22_derivation(C, "I", u=u)
+    dmap, cert = lemma22_case1(C, u)
     assert is_derivation(A, dmap)
     assert kernel(dmap) == cert.b_space
     assert cert.gamma == Fraction(1)
-    v = invertible_values_check(A, dmap, "norm-certificate", certificate=cert)
+    v = norm_certificate_check(A, dmap, cert)
     assert v.kind == "pass-certified"
-
-
-def test_norm_certificate_mode_needs_a_certificate():
-    # without lemma22 data there is nothing to check: a usage error, not a
-    # verdict carrying a tag for evidence nobody gathered
-    inst = build("lemma23-Dx")
-    with pytest.raises(ValueError, match="needs a lemma22 certificate"):
-        invertible_values_check(inst.algebra, inst.derivation, "norm-certificate")
 
 
 def test_lemma22_case1_rejects_bad_u():
@@ -471,17 +466,17 @@ def test_lemma22_case1_rejects_bad_u():
     C = cd_double(quat, Fraction(1))
     A = C.algebra
     with pytest.raises(ValueError):
-        lemma22_derivation(C, "I", u=A.find_unit())      # t(u) = 2
+        lemma22_case1(C, A.find_unit())      # t(u) = 2
     with pytest.raises(ValueError):
-        lemma22_derivation(C, "I", u=A.zero())           # u = 0
+        lemma22_case1(C, A.zero())           # u = 0
     with pytest.raises(ValueError):
-        lemma22_derivation(C, "I", u=A.basis_vec(5))     # u outside B
+        lemma22_case1(C, A.basis_vec(5))     # u outside B
 
 
 def test_lemma22_case2_construction():
     inst = build("gagola-B")
-    B = inst.extras["b_space"]
-    dmap, cert = lemma22_derivation(inst.quadratic, "II", b_space=B)
+    B = inst.b_space
+    dmap, cert = lemma22_case2(inst.quadratic, B)
     A = inst.algebra
     assert is_derivation(A, dmap)
     assert kernel(dmap) == B
@@ -489,7 +484,7 @@ def test_lemma22_case2_construction():
     for b in B.rows:
         xb = A.mul(cert.x, list(b))
         assert A.veq(dmap.mulvec(xb), list(b))
-    v = invertible_values_check(A, dmap, "norm-certificate", certificate=cert)
+    v = norm_certificate_check(A, dmap, cert)
     assert v.kind == "pass-certified"
 
 
@@ -497,7 +492,7 @@ def test_lemma22_case2_rejects_wrong_characteristic():
     q = zorn(PrimeField(3))
     B = Subspace.from_vectors(q.field, 8, [q.algebra.basis_vec(i) for i in range(4)])
     with pytest.raises(ValueError):
-        lemma22_derivation(q, "II", b_space=B)
+        lemma22_case2(q, B)
 
 
 def test_lemma22_case2_rejects_non_selfdual_b():
@@ -506,12 +501,7 @@ def test_lemma22_case2_rejects_non_selfdual_b():
     B = Subspace.from_vectors(q.field, 8, [q.algebra.basis_vec(i)
                                            for i in (0, 1, 2, 5)])
     with pytest.raises(ValueError):
-        lemma22_derivation(q, "II", b_space=B)
-
-
-def test_lemma22_unknown_case():
-    with pytest.raises(ValueError):
-        lemma22_derivation(None, "III")
+        lemma22_case2(q, B)
 
 
 def test_operator_space_contains():
@@ -600,9 +590,8 @@ def test_invertible_values_provenance_follows_what_was_done():
     # the norm factorisation is checked on seeded samples only
     quat = build("quaternions-Q").involutive
     C = cd_double(quat, Fraction(1))
-    dmap, cert = lemma22_derivation(C, "I", u=C.algebra.basis_vec(1))
-    v = invertible_values_check(C.algebra, dmap, "norm-certificate",
-                                certificate=cert)
+    dmap, cert = lemma22_case1(C, C.algebra.basis_vec(1))
+    v = norm_certificate_check(C.algebra, dmap, cert)
     assert (v.kind, v.provenance) == ("pass-certified", "sampled")
     A = zorn(PrimeField(3)).algebra
     M = derivation_space(A).basis_maps()[0]
@@ -672,7 +661,7 @@ def _derivation_case(label):
         return inst.algebra, inst.derivation
     if label == "lemma22-I-q":
         C = cd_double(build("quaternions-Q").involutive, Fraction(1))
-        return C.algebra, lemma22_derivation(C, "I", u=C.algebra.basis_vec(1))[0]
+        return C.algebra, lemma22_case1(C, C.algebra.basis_vec(1))[0]
     # ad_a = L_a - R_a on 2x2 matrices over GF(2)(s,t), a = E11: the value at
     # x is [[0, x12], [-x21, 0]], invertible iff x12 and x21 are nonzero
     A = mat2(RatFunField(2))
@@ -708,8 +697,7 @@ def _operator_space(F, d, maps):
         vecs = [[F.random_element(rng) for _ in range(d * d)] for _ in range(2)]
     else:
         vecs = [[F.from_int(a) for a in m] for m in maps]
-    return OperatorSpace(zero_algebra(F, d), "test",
-                         Subspace.from_vectors(F, d * d, vecs))
+    return OperatorSpace(zero_algebra(F, d), Subspace.from_vectors(F, d * d, vecs))
 
 
 # flattened d x d maps whose span has no common kernel vector:

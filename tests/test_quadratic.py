@@ -109,7 +109,7 @@ def test_orthocomplement_of_full_space_is_zero(zq):
 
 def test_orthocomplement_gagola_b_self_dual():
     inst = build("gagola-B")
-    B = inst.extras["b_space"]
+    B = inst.b_space
     assert orthocomplement(inst.quadratic, B) == B
 
 

@@ -754,7 +754,7 @@ def _random_map_space(p, d, m, rng, singular):
             M[0] = [0] * d
         maps.append([a for row in M for a in row])
     space = Subspace.from_vectors(F, d * d, maps)
-    return OperatorSpace(Algebra(F, d, {}), "random", space)
+    return OperatorSpace(Algebra(F, d, {}), space)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

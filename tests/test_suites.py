@@ -39,12 +39,12 @@ def test_moens_leibniz_order_2_check_fails_on_a_non_derivation(monkeypatch):
 
     real = operators._law_space
 
-    def law_space(A, n, label):
-        space = real(A, n, label).space
+    def law_space(A, n):
+        space = real(A, n).space
         ident = operators.flatten_map(Matrix.identity(A.field, A.dim))
         rows = [ident] + space.rows[1:]
         return operators.OperatorSpace(
-            A, label, Subspace.from_vectors(A.field, A.dim ** 2, rows))
+            A, Subspace.from_vectors(A.field, A.dim ** 2, rows))
 
     monkeypatch.setattr(operators, "_law_space", law_space)
     checks = {c.name: c for c in run_suite("moens").checks}
@@ -115,16 +115,16 @@ def test_lemma22_case1_law_check_reports_first_failing_pair(monkeypatch):
     from altalg import suites
     from altalg.operators import InvertibleValuesVerdict
 
-    real = suites.lemma22_derivation
+    real = suites.lemma22_case1
 
-    def broken(target, case, **params):
-        dmap, cert = real(target, case, **params)
-        F = target.algebra.field
+    def broken(double, u):
+        dmap, cert = real(double, u)
+        F = double.algebra.field
         dmap.rows[0][1] = F.add(dmap.rows[0][1], F.one)
         return dmap, cert
 
-    monkeypatch.setattr(suites, "lemma22_derivation", broken)
-    monkeypatch.setattr(suites, "invertible_values_check", lambda *a, **k:
+    monkeypatch.setattr(suites, "lemma22_case1", broken)
+    monkeypatch.setattr(suites, "norm_certificate_check", lambda *a, **k:
                         InvertibleValuesVerdict("not-applicable", "sampled"))
     doc = run_suite("lemma22-case1").to_json(__version__)
     law = {c["name"]: c for c in doc["checks"]}["derivation-law-on-all-64-basis-pairs"]
@@ -140,18 +140,18 @@ def test_lemma22_case2_associator_check_reports_first_failing_pair(monkeypatch):
 
     from altalg import suites
 
-    real = suites.lemma22_derivation
+    real = suites.lemma22_case2
 
-    def moved(target, case, **params):
-        dmap, cert = real(target, case, **params)
-        return dmap, replace(cert, x=target.algebra.basis_vec(1))
+    def moved(C, b_space):
+        dmap, cert = real(C, b_space)
+        return dmap, replace(cert, x=C.algebra.basis_vec(1))
 
-    monkeypatch.setattr(suites, "lemma22_derivation", moved)
+    monkeypatch.setattr(suites, "lemma22_case2", moved)
     doc = run_suite("lemma22-case2").to_json(__version__)
     check = {c["name"]: c for c in doc["checks"]}[
         "(a,c,x)=af(c,x)+f(a,x)c+f(x,ac)1-on-basis-pairs"]
     inst = build("gagola-B")
-    first = list(inst.extras["b_space"].rows[0])
+    first = list(inst.b_space.rows[0])
     assert check["verdict"] == "fail" and check["provenance"] == "certified"
     assert check["witness"] == suites._enc(inst.algebra.field, (first, first))
 
@@ -164,12 +164,12 @@ def test_lemma22_case2_bracket_check_reports_the_failing_row(monkeypatch):
 
     inst = build("gagola-B")
     F = inst.algebra.field
-    row = list(inst.extras["b_space"].rows[2])
+    row = list(inst.b_space.rows[2])
     real_bilinear = QuadraticAlgebra.bilinear
-    real = suites.lemma22_derivation
+    real = suites.lemma22_case2
 
-    def shifted(target, case, **params):
-        dmap, cert = real(target, case, **params)
+    def shifted(C, b_space):
+        dmap, cert = real(C, b_space)
 
         def off(q, a, y):
             value = real_bilinear(q, a, y)
@@ -180,7 +180,7 @@ def test_lemma22_case2_bracket_check_reports_the_failing_row(monkeypatch):
         monkeypatch.setattr(QuadraticAlgebra, "bilinear", off)
         return dmap, cert
 
-    monkeypatch.setattr(suites, "lemma22_derivation", shifted)
+    monkeypatch.setattr(suites, "lemma22_case2", shifted)
     doc = run_suite("lemma22-case2").to_json(__version__)
     check = {c["name"]: c for c in doc["checks"]}[
         "[x,a]=f(a,x)1-in-center-on-basis-of-B"]
