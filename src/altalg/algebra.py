@@ -186,13 +186,18 @@ class Algebra:
         """The two-sided unit element, or None.  Cached."""
         if self._unit is not _UNSET:
             return None if self._unit is None else list(self._unit)
-        rows, rhs = [], []
-        for e in self.basis():
-            # R_{e_i} x = x e_i = e_i, then L_{e_i} x = e_i x = e_i
-            for side in ("right", "left"):
-                rows.extend(self.mult_operator(side, e).rows)
+        F, d, rows, rhs = self.field, self.dim, [], []
+        for i, e in enumerate(self.basis()):
+            # R_{e_i} x = x e_i = e_i, then L_{e_i} x = e_i x = e_i: row k
+            # holds the e_k coefficients of e_c e_i (e_i e_c), from the table
+            for right in (True, False):
+                block = [[F.zero] * d for _ in range(d)]
+                for c in range(d):
+                    for k, v in self.table.get((c, i) if right else (i, c), ()):
+                        block[k][c] = v
+                rows.extend(block)
                 rhs.extend(e)
-        x = solve(Matrix(self.field, rows, self.dim), rhs)
+        x = solve(Matrix(F, rows, d), rhs)
         self._unit = None if x is None else tuple(x)
         return None if x is None else list(x)
 
@@ -246,7 +251,8 @@ class _Lifted:
     of ``_LAWS``: products sum over the lifted table and are never lowered.
     In such a law every term has the same degree in each argument and the
     same number of products, so one nonzero factor scales the whole value
-    and the zero test (mod p over GF(p)) is exact."""
+    and the zero test (mod p over GF(p)) is exact; the constructor checks of
+    ``quadratic`` and the sampled laws of ``suites`` scale their sides alike."""
 
     associator = Algebra.associator
     commutator = Algebra.commutator
@@ -262,6 +268,9 @@ class _Lifted:
     def vsub(self, x, y) -> list:
         # over GF(p)(s, t) a coordinate may be the int 0: 0 - b is -b
         return [(a - b if a else -b) if b else a for a, b in zip(x, y)]
+
+    def smul(self, c, x) -> list:
+        return [c * a if a else 0 for a in x] if c else [0] * len(x)
 
     def is_zero_vec(self, x) -> bool:
         return not any(a % self._p for a in x) if self._p else not any(x)

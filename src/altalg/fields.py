@@ -376,6 +376,10 @@ class RatFun:
         return RatFunField._guard(
             None, RatFun.of(p, _mul_terms(p, an, bn), _mul_terms(p, ad, bd)))
 
+    def __rmul__(self, other) -> "RatFun":
+        # lifted values are scaled by their common denominator, here the int 1
+        return self if type(other) is int and other == 1 else NotImplemented
+
     def __neg__(self) -> "RatFun":
         return RatFun(self.num.neg(), self.den)
 
@@ -459,6 +463,8 @@ class Field:
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# the 171 values of RationalField.random_element: row a + 9, column b - 1
+_Q_DRAWS = tuple(tuple(Fraction(a, b) for b in range(1, 10)) for a in range(-9, 10))
 
 
 class PrimeField(Field):
@@ -567,7 +573,8 @@ class RationalField(Field):
         return Fraction(n)
 
     def random_element(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        # Fraction(rng.randint(-9, 9), rng.randint(1, 9)), read from a table
+        return _Q_DRAWS[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1]
 
     def parse(self, obj):
         # only "int" and "num/den": Fraction alone also takes "1.5", " 7 "

@@ -431,6 +431,15 @@ def _kernel(F: Field, rows: list, nc: int) -> "Subspace":
     return Subspace.from_vectors(F, nc, _kernel_vectors(F, rows, nc))
 
 
+def _span(F: Field, rows: list, nc: int) -> "Subspace":
+    """The span of sparse rows in ``_condition_rows``' form, by one RREF."""
+    if F.kind == "ratfun2":
+        red, rank, pivots = _rref_ratfun2(F, rows, nc)
+        return Subspace(F, nc, red[:rank], pivots)
+    red, pivots = _echelon(F.p if F.kind == "prime" else 0, rows)
+    return Subspace(F, nc, _dense(F, red, nc), pivots)
+
+
 def _terms_key(nz: list) -> tuple:
     """Equal for two lists of (column, entry) iff their term dicts are."""
     return tuple((j, frozenset(x.num.terms.items()), frozenset(x.den.terms.items()))

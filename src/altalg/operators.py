@@ -15,9 +15,9 @@ over GF(p)(s, t) drops zero rows only.  ``is_leibniz`` walks the same trie
 for one map, three products per node.  Both sum over the algebra's lifted
 table: integers over GF(p) and Q, unreduced ``RatFun`` sums over GF(p)(s, t).
 The rest is ``linalg``: combinations of maps are ``_combine``, the
-multiplication Lie algebra is a ``Subspace._closure`` under commutators,
-and a map given by the images of a basis is read off one RREF of
-[sources | images].
+multiplication Lie algebra is a ``Subspace._closure`` under brackets with
+its generators, and a map given by the images of a basis is read off one
+RREF of [sources | images].
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import scan
 from .algebra import Algebra, power_chain, search
 from .fields import _lift
 from .linalg import (Matrix, Subspace, _combine, _condition_rows, _kernel,
-                     _multiple, kernel, rref, solve)
+                     _multiple, _span, kernel, rref, solve)
 from .quadratic import (InvolutiveAlgebra, QuadraticAlgebra, cd_inverse,
                         orthocomplement)
 
@@ -180,20 +180,33 @@ def quasider_witness_q(S: OperatorSpace, fmap: Matrix):
 
 
 def mult_lie_algebra(A: Algebra) -> OperatorSpace:
-    """Smallest commutator-closed space containing all L_a and R_a."""
-    F = A.field
-    d = A.dim
-    seeds = [flatten_map(A.mult_operator(side, A.basis_vec(i)))
-             for i in range(d) for side in ("left", "right")]
+    """Smallest commutator-closed space containing all L_a and R_a: by
+    Jacobi, span(L_{e_i}, R_{e_i}) closed under brackets with these 2d
+    generators, read from the lifted table.  A bracket with a basis map M is
+    formed on M lifted (a nonzero multiple), each round's are one RREF."""
+    F, d = A.field, A.dim
+    by_col = _by_col(A)
+    # the entries (r, c, g) of L_{e_i} (column c: e_i e_c) and R_{e_i} (e_c e_i)
+    gens = [entries for i in range(d) for entries in (
+        [(k, c, g) for c in range(d) for k, g in by_col[c][i]],
+        [(k, c, g) for c in range(d) for k, g in by_col[i][c]])]
 
-    def commutators(space):
-        mats = [unflatten_map(F, d, row) for row in space.rows]
-        return Subspace.from_vectors(F, d * d, [
-            [F.sub(x, y) for x, y in zip(flatten_map(a.matmul(b)),
-                                          flatten_map(b.matmul(a)))]
-            for a, b in itertools.combinations(mats, 2)])
+    def brackets(S):
+        rows = []
+        for M in (_lift(F, row)[0] for row in S.rows):
+            Mr = [[(b, x) for b in range(d) if (x := M[c * d + b])] for c in range(d)]
+            Mc = [[(a, x) for a in range(d) if (x := M[a * d + c])] for c in range(d)]
+            for G in gens:
+                out = {}        # [G, M] = GM - MG, one entry (r, c, g) of G at a time
+                for r, c, g in G:
+                    for k, v in [(r * d + b, g * x) for b, x in Mr[c]] + [
+                            (a * d + c, -(x * g)) for a, x in Mc[r]]:
+                        out[k] = out[k] + v if k in out else v
+                rows.append(out)
+        return _span(F, _condition_rows(F, rows), d * d)
 
-    space = Subspace.from_vectors(F, d * d, seeds)._closure(commutators)
+    seeds = [{r * d + c: g for r, c, g in G} for G in gens]
+    space = _span(F, _condition_rows(F, seeds), d * d)._closure(brackets)
     return OperatorSpace(A, space)
 
 

@@ -10,15 +10,22 @@ bilinear form are sums over lifted forms of the form data, lowered once, as
 ``Algebra.mul`` is.  They skip zero coordinates and zero cross terms: that
 changes no integer sum, and it keeps the GF(p)(s, t) term forms, since
 adding 0/den to an unreduced fraction multiplies its denominator by den.
+
+The constructors test their laws on lifted values, each side brought to
+the common scale of Dc (the table's denominator), Dt, Dq (the forms'), Ds
+(the involution's) and Du (the unit's); ``cd_double`` forms each product
+of the double from lifted basis vectors and involution columns.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
-from .algebra import Algebra, search
-from .fields import Field, RationalField, _lift, _lower, make_field
+from .algebra import Algebra, _Lifted, search
+from .fields import Field, _lift, _lower, make_field
 from .linalg import Matrix, Subspace, _multiple, kernel
 
 
@@ -34,7 +41,11 @@ class QuadraticAlgebra:
     __slots__ = ("algebra", "trace_vec", "qform", "unit", "_lifted")
 
     def __init__(self, algebra: Algebra, trace_vec: list, qform: list):
-        F = algebra.field
+        F, d = algebra.field, algebra.dim
+        if len(trace_vec) != d:
+            raise ValueError(f"trace vector must have length {d}")
+        if len(qform) != d or any(len(r) != d for r in qform):
+            raise ValueError(f"norm form must be a {d}x{d} matrix")
         unit = algebra.find_unit()
         if unit is None:
             raise ValueError("quadratic algebra must be unital")
@@ -71,26 +82,30 @@ class QuadraticAlgebra:
         return self.algebra.dim
 
     def trace(self, x):
-        F = self.field
-        T, Dt, _, _ = self._lifted
-        X, Dx = _lift(F, x)
-        return _lower(F, sum(t * X[i] for i, t in T if X[i]), Dt * Dx)
+        X, Dx = _lift(self.field, x)
+        return _lower(self.field, self._trace_lifted(X), self._lifted[1] * Dx)
 
     def norm(self, x):
-        F = self.field
-        _, _, Q, Dq = self._lifted
-        X, Dx = _lift(F, x)
-        return _lower(F, sum(q * X[i] * X[j] for i, j, q in Q if X[i] and X[j]),
-                      Dq * Dx * Dx)
+        X, Dx = _lift(self.field, x)
+        return _lower(self.field, self._norm_lifted(X), self._lifted[3] * Dx * Dx)
 
     def bilinear(self, x, y):
         """f(x, y) = n(x+y) - n(x) - n(y), evaluated from the form data."""
-        F = self.field
-        _, _, Q, Dq = self._lifted
-        X, Dx = _lift(F, x)
-        Y, Dy = _lift(F, y)
-        return _lower(F, sum(q * c for i, j, q in Q
-                             if (c := X[i] * Y[j] + X[j] * Y[i])), Dq * Dx * Dy)
+        X, Dx = _lift(self.field, x)
+        Y, Dy = _lift(self.field, y)
+        return _lower(self.field, self._bilinear_lifted(X, Y),
+                      self._lifted[3] * Dx * Dy)
+
+    # on lifted X and Y, never lowered: t(x) Dt Dx, n(x) Dq Dx^2, f(x, y) Dq Dx Dy
+    def _trace_lifted(self, X):
+        return sum(t * X[i] for i, t in self._lifted[0] if X[i])
+
+    def _norm_lifted(self, X):
+        return sum(q * X[i] * X[j] for i, j, q in self._lifted[2] if X[i] and X[j])
+
+    def _bilinear_lifted(self, X, Y):
+        return sum(q * c for i, j, q in self._lifted[2]
+                   if (c := X[i] * Y[j] + X[j] * Y[i]))
 
     def conjugate(self, x) -> list:
         t = self.trace(x)
@@ -105,9 +120,16 @@ class QuadraticAlgebra:
         return InvolutiveAlgebra(self.algebra, self.conjugation_matrix(), self)
 
     def _verify_quadratic_relation(self):
+        # a probe lifts over 1: x^2, t(x) x and n(x) 1 are over Dc, Dt, Dq Du
         A = self.algebra
+        L, (_, Dt, _, Dq), Dc = _Lifted(A), self._lifted, A._lifted[1]
+        U, Du = _lift(self.field, self.unit)
         for x in A.probes():
-            if not A.is_zero_vec(self.quadratic_residual(x)):
+            X = L.lift(x)
+            r = L.vsub([Dt * Dq * Du * v for v in L.mul(X, X)], L.vsub(
+                L.smul(Dc * Dq * Du * self._trace_lifted(X), X),
+                L.smul(Dc * Dt * self._norm_lifted(X), U)))
+            if not L.is_zero_vec(r):
                 raise ValueError("quadratic relation fails on probe element "
                                  + A.fmt(x))
 
@@ -129,6 +151,8 @@ class InvolutiveAlgebra:
 
     def __init__(self, algebra: Algebra, sigma: Matrix,
                  quadratic: QuadraticAlgebra | None = None):
+        if sigma.nrows != algebra.dim or sigma.ncols != algebra.dim:
+            raise ValueError(f"involution must be a {algebra.dim}x{algebra.dim} matrix")
         if algebra.find_unit() is None:
             raise ValueError("involutive algebra must be unital")
         self.algebra = algebra
@@ -140,17 +164,28 @@ class InvolutiveAlgebra:
         return self.sigma.mulvec(x)
 
     def _verify(self):
+        # sigma(e_i) is column S_i of sigma over Ds, sigma(e_i e_j) combines
+        # them by the table terms of e_i e_j (Dc Ds), S_j S_i is over Dc Ds^2
         A = self.algebra
-        d = A.dim
-        e = [A.basis_vec(i) for i in range(d)]
+        F, d = A.field, A.dim
+        L = _Lifted(A)
+        ints, Ds = _lift(F, [a for row in self.sigma.rows for a in row])
+        cols = [ints[i::d] for i in range(d)]
+        (one,), _ = _lift(F, [F.one])
+
+        def image(terms):       # the sum of c S_k over the terms (k, c)
+            return [sum(c * cols[k][r] for k, c in terms if c and cols[k][r])
+                    for r in range(d)]
+
         for i in range(d):
-            if not A.veq(self.apply(self.apply(e[i])), e[i]):
+            e = [Ds * Ds * one if r == i else 0 for r in range(d)]
+            if not L.is_zero_vec(L.vsub(image(list(enumerate(cols[i]))), e)):
                 raise ValueError("involution does not square to the identity")
+        table = [dict(row) for row in A._lifted[0]]
         for i in range(d):
             for j in range(d):
-                lhs = self.apply(A.mul(e[i], e[j]))
-                rhs = A.mul(self.apply(e[j]), self.apply(e[i]))
-                if not A.veq(lhs, rhs):
+                lhs = [Ds * v for v in image(table[i].get(j, ()))]
+                if not L.is_zero_vec(L.vsub(lhs, L.mul(cols[j], cols[i]))):
                     raise ValueError("involution is not an anti-automorphism "
                                      f"on the basis pair ({i},{j})")
 
@@ -163,59 +198,26 @@ class InvolutiveAlgebra:
 ZORN_BASIS = ("E11", "E22", "u1", "u2", "u3", "v1", "v2", "v3")
 
 
-def _dot(F, x, y):
-    s = F.zero
-    for a, b in zip(x, y):
-        s = F.add(s, F.mul(a, b))
-    return s
-
-
-def _cross(F, x, y):
-    return [
-        F.sub(F.mul(x[1], y[2]), F.mul(x[2], y[1])),
-        F.sub(F.mul(x[2], y[0]), F.mul(x[0], y[2])),
-        F.sub(F.mul(x[0], y[1]), F.mul(x[1], y[0])),
-    ]
-
-
-def zorn_mul_parts(F, a, b):
-    """Vector-matrix product on (alpha, u, v, beta) 4-tuples.
-
-    [alpha u; v beta] * [gamma t; w delta] =
-      [alpha*gamma + (u,w)        alpha*t + delta*u - v x w]
-      [gamma*v + beta*w + u x t   beta*delta + (v,t)]
-    """
-    alpha, u, v, beta = a
-    gamma, t, w, delta = b
-    tl = F.add(F.mul(alpha, gamma), _dot(F, u, w))
-    br = F.add(F.mul(beta, delta), _dot(F, v, t))
-    cr1 = _cross(F, v, w)
-    tr = [F.sub(F.add(F.mul(alpha, t[i]), F.mul(delta, u[i])), cr1[i])
-          for i in range(3)]
-    cr2 = _cross(F, u, t)
-    bl = [F.add(F.add(F.mul(gamma, v[i]), F.mul(beta, w[i])), cr2[i])
-          for i in range(3)]
-    return tl, tr, bl, br
-
-
-def _vec_to_parts(v):
-    return v[0], v[2:5], v[5:8], v[1]
-
-
-def _parts_to_vec(tl, tr, bl, br):
-    return [tl, br] + list(tr) + list(bl)
-
-
 @functools.cache
 def _zorn_ints() -> tuple:
     """The Zorn structure constants, all in {-1, 0, 1}: entry 64 i + 8 j + k
-    is the e_k coefficient of e_i e_j.  Worked out once over Q, and kept as
-    one flat tuple of ints."""
-    Q = RationalField()
-    parts = [_vec_to_parts([Q.one if k == i else Q.zero for k in range(8)])
-             for i in range(8)]
-    return tuple(int(c) for i in range(8) for j in range(8)
-                 for c in _parts_to_vec(*zorn_mul_parts(Q, parts[i], parts[j])))
+    is the e_k coefficient of e_i e_j, worked out once on ints.  For x =
+    [alpha u; v beta] = (x0, x1, x2..x4, x5..x7) and y = [gamma t; w delta],
+    xy = [alpha gamma + (u, w)       alpha t + delta u - v x w]
+         [gamma v + beta w + u x t   beta delta + (v, t)]."""
+    def cross(x, y):
+        return [x[r - 2] * y[r - 1] - x[r - 1] * y[r - 2] for r in range(3)]
+
+    out = []
+    e = [[int(k == i) for k in range(8)] for i in range(8)]
+    for (alpha, beta, *uv), (gamma, delta, *tw) in itertools.product(e, repeat=2):
+        u, v, t, w = uv[:3], uv[3:], tw[:3], tw[3:]
+        vw, ut = cross(v, w), cross(u, t)
+        out += [alpha * gamma + sum(map(operator.mul, u, w)),
+                beta * delta + sum(map(operator.mul, v, t))]
+        out += [alpha * t[r] + delta * u[r] - vw[r] for r in range(3)]
+        out += [gamma * v[r] + beta * w[r] + ut[r] for r in range(3)]
+    return tuple(out)
 
 
 def zorn(field) -> QuadraticAlgebra:
@@ -226,7 +228,8 @@ def zorn(field) -> QuadraticAlgebra:
     """
     F = make_field(field)
     c = _zorn_ints()
-    table = {(i, j): [(k, F.from_int(c[64 * i + 8 * j + k])) for k in range(8)]
+    const = {v: F.from_int(v) for v in (-1, 1)}
+    table = {(i, j): [(k, const[v]) for k in range(8) if (v := c[64 * i + 8 * j + k])]
              for i in range(8) for j in range(8)}
     A = Algebra(F, 8, table, list(ZORN_BASIS))
     trace_vec = [F.one, F.one] + [F.zero] * 6
@@ -262,20 +265,25 @@ def cd_double(B: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
         raise ValueError("doubling parameter gamma must be nonzero")
     m = A.dim
     d = 2 * m
-    e = [A.basis_vec(i) for i in range(m)]
-    sig = [B.apply(e[i]) for i in range(m)]
+    # the lifted basis vectors E_j and columns S_i = sigma(e_i), over Ds
+    ints, Ds = _lift(F, [a for row in B.sigma.rows for a in row])
+    S = [ints[i::m] for i in range(m)]
+    (one,), _ = _lift(F, [F.one])
+    (G,), Dg = _lift(F, [gamma])
+    E = [[one if k == j else 0 for k in range(m)] for j in range(m)]
+    mul, Dc = A._mul_lifted, A._lifted[1]
+
+    def lowered(v, scale, shift):
+        return [(shift + k, _lower(F, a, scale)) for k, a in enumerate(v) if a]
+
     table = {}
-
-    def put(i, j, first, second):
-        table[(i, j)] = list(enumerate(first + second))
-
-    zero = A.zero()
     for i in range(m):
         for j in range(m):
-            put(i, j, A.mul(e[i], e[j]), zero)                          # a1 a2
-            put(i, m + j, zero, A.mul(sig[i], e[j]))                    # v(conj(a1) b2)
-            put(m + i, j, zero, A.mul(e[j], e[i]))                      # v(a2 b1)
-            put(m + i, m + j, A.smul(gamma, A.mul(e[j], sig[i])), zero) # gamma b2 conj(b1)
+            gb = [G * a if a else 0 for a in mul(E[j], S[i])]
+            table[(i, j)] = lowered(mul(E[i], E[j]), Dc, 0)             # a1 a2
+            table[(i, m + j)] = lowered(mul(S[i], E[j]), Ds * Dc, m)    # v(conj(a1) b2)
+            table[(m + i, j)] = lowered(mul(E[j], E[i]), Dc, m)         # v(a2 b1)
+            table[(m + i, m + j)] = lowered(gb, Dg * Ds * Dc, 0)        # gamma b2 conj(b1)
 
     names = None
     if A.names:
@@ -288,7 +296,8 @@ def cd_double(B: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
     sigma = Matrix.zeros(F, d, d)
     for j in range(m):
         for i in range(m):
-            sigma.rows[i][j] = sig[j][i]
+            if S[j][i]:
+                sigma.rows[i][j] = _lower(F, S[j][i], Ds)
         sigma.rows[m + j][m + j] = F.neg(F.one)
 
     quad = None
@@ -350,16 +359,13 @@ def zorn_frame(C: QuadraticAlgebra) -> list:
         raise ValueError("frame construction needs an 8-dimensional algebra")
     if F.char == 2:
         raise ValueError("frame construction divides by traces; char 2 unsupported")
-    x = None
     probes = [A.basis_vec(i) for i in range(8)]
     for i in range(8):
         for j in range(i + 1, 8):
             probes.append(A.vadd(A.basis_vec(i), A.basis_vec(j)))
             probes.append(A.vsub(A.basis_vec(i), A.basis_vec(j)))
-    for cand in probes:
-        if F.is_zero(C.norm(cand)) and not F.is_zero(C.trace(cand)):
-            x = cand
-            break
+    x = next((c for c in probes
+              if F.is_zero(C.norm(c)) and not F.is_zero(C.trace(c))), None)
     if x is None:
         raise ValueError("no isotropic element with nonzero trace among probes")
     e1 = A.smul(F.inv(C.trace(x)), x)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from . import scan
-from .algebra import (IDENTITY_NAMES, _LAWS, _first_failure, _Law,
+from .algebra import (IDENTITY_NAMES, _LAWS, _first_failure, _Law, _Lifted,
                       check_identity, evaluate_identity, permuted, power_chain,
                       search)
 from .catalog import build, field_algebra, zero_algebra
@@ -208,11 +208,13 @@ def suite_quadratic_relation(cfg: Config) -> list:
             f"{label}/jordan-product-expansion-on-basis-pairs", bad is None,
             "certified", witness=bad))
 
-        def hit(x, z, y, w):
-            lhs = F.mul(q.bilinear(x, z), q.bilinear(y, w))
-            rhs = F.add(q.bilinear(A.mul(x, y), A.mul(z, w)),
-                        q.bilinear(A.mul(x, w), A.mul(z, y)))
-            return not F.eq(lhs, rhs)
+        L, B, Dc, Dq = _Lifted(A), q._bilinear_lifted, A._lifted[1], q._lifted[3]
+
+        def hit(x, z, y, w):    # lifted: the left over Dq^2, the right Dq Dc^2
+            X, Z, Y, W = map(L.lift, (x, z, y, w))
+            lhs = B(X, Z) * B(Y, W)
+            rhs = B(L.mul(X, Y), L.mul(Z, W)) + B(L.mul(X, W), L.mul(Z, Y))
+            return not L.is_zero_vec([Dc * Dc * lhs - Dq * rhs])
 
         bad4, provenance = search(F, A.dim, hit, arity=4, seed=cfg.seed,
                                   samples=cfg.samples)
@@ -235,10 +237,14 @@ def suite_norm_multiplicativity(cfg: Config) -> list:
     for label, F in (("GF5", PrimeField(5)), ("Q", RationalField())):
         q = zorn(F)
         A = q.algebra
-        badw, provenance = search(
-            F, A.dim,
-            lambda x, y: not F.eq(q.norm(A.mul(x, y)), F.mul(q.norm(x), q.norm(y))),
-            arity=2, seed=cfg.seed, samples=cfg.samples)
+        L, N, Dc, Dq = _Lifted(A), q._norm_lifted, A._lifted[1], q._lifted[3]
+
+        def hit(x, y):          # lifted: n(xy) over Dq Dc^2, n(x)n(y) over Dq^2
+            X, Y = L.lift(x), L.lift(y)
+            return not L.is_zero_vec([Dq * N(L.mul(X, Y)) - Dc * Dc * N(X) * N(Y)])
+
+        badw, provenance = search(F, A.dim, hit, arity=2, seed=cfg.seed,
+                                  samples=cfg.samples)
         checks.append(CheckResult(
             f"{label}/n(xy)=n(x)n(y)-sampled", badw is None, provenance,
             detail=f"{cfg.samples} seeded pairs",

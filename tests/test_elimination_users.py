@@ -8,12 +8,15 @@ Subspaces and maps must be equal (by field equality); the unit, and every
 combination that ``_combine`` forms, must be byte-identical under
 ``F.encode``, which pins the unreduced GF(2)(s, t) forms too."""
 
+import json
+import os
 import random
 
 import pytest
 from conftest import random_nonzero, reference_dedupe_rows
 
-from altalg.algebra import Algebra, generated, special_subspace, subspace_product
+from altalg.algebra import (Algebra, algebra_from_json, generated, special_subspace,
+                            subspace_product)
 from altalg.fields import PrimeField, RatFunField, RationalField
 from altalg.linalg import Matrix, Subspace, kernel, solve
 from altalg.operators import (_map_from_images, flatten_map, mult_lie_algebra,
@@ -265,6 +268,23 @@ def test_mult_lie_algebra_matches_reference(F):
     # through commutators
     if F.kind != "ratfun2":
         assert dims[2] == 9 and dims[3] < 9
+
+
+@pytest.mark.parametrize("name", ["zorn-Q", "q_fractional", "zorn-GF3"])
+def test_mult_lie_algebra_of_zorn_and_fractional_constants_matches_reference(name):
+    # the generators read from the lifted table: Dc = 1 for zorn, Dc > 1
+    # for the fixture's constants
+    if name == "q_fractional":
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "q_fractional.json")
+        with open(path) as fh:
+            A = algebra_from_json(json.load(fh))
+        assert A._lifted[1] > 1
+    else:
+        A = zorn(RationalField() if name == "zorn-Q" else PrimeField(3)).algebra
+    got = mult_lie_algebra(A).space
+    assert got == reference_mult_lie_algebra(A)
+    if name == "zorn-Q":
+        assert got.dim == 29
 
 
 @FIELDS

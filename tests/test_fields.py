@@ -210,6 +210,29 @@ def test_rational_encoding_roundtrip(rng):
         ["3", "12", "1/2", "7"]
 
 
+def test_rational_draws_are_the_fractions_of_two_randint_calls():
+    # the table of draws makes the same two RNG calls per draw, in order,
+    # and yields the same canonical Fraction
+    from fractions import Fraction
+
+    f = RationalField()
+    for seed in (0, 7, 42):
+        got, want = random.Random(seed), random.Random(seed)
+        draws = [f.random_element(got) for _ in range(10_000)]
+        assert draws == [Fraction(want.randint(-9, 9), want.randint(1, 9))
+                         for _ in range(10_000)]
+        assert got.getstate() == want.getstate()
+        assert all(type(a) is Fraction for a in draws)
+
+
+def test_ratfun_times_the_int_one_keeps_its_terms():
+    # lifted GF(p)(s, t) values are scaled by the common denominator 1
+    a = RatFun(Poly2(3, {(1, 0): 2}), Poly2(3, {(0, 0): 1, (0, 1): 1}))
+    assert 1 * a is a
+    with pytest.raises(TypeError):
+        2 * a
+
+
 @pytest.mark.parametrize("obj", ["1e99999999", "1e9999999", "1.5", "1_0", " 7 ",
                                  "7\n", "1/0", "", "1/", "/2", "1" * 5000,
                                  True, 1.5, None])

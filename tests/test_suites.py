@@ -251,6 +251,62 @@ def test_gf2_norm_witness_is_the_first_failing_pair(monkeypatch):
     assert json.dumps(check.witness) == json.dumps({"x": [0] * 8, "y": y})
 
 
+def reference_sampled_hits(q):
+    """The hits of the two sampled laws by field operations: the 4-tuple
+    law f(x,z)f(y,w) = f(xy,zw) + f(xw,zy) and n(xy) = n(x)n(y)."""
+    A, F = q.algebra, q.field
+
+    def four(x, z, y, w):
+        lhs = F.mul(q.bilinear(x, z), q.bilinear(y, w))
+        rhs = F.add(q.bilinear(A.mul(x, y), A.mul(z, w)),
+                    q.bilinear(A.mul(x, w), A.mul(z, y)))
+        return not F.eq(lhs, rhs)
+
+    def norm(x, y):
+        return not F.eq(q.norm(A.mul(x, y)), F.mul(q.norm(x), q.norm(y)))
+
+    return four, norm
+
+
+@pytest.mark.parametrize("fault", [None, "norm"])
+def test_sampled_laws_match_the_field_operation_hits(monkeypatch, fault):
+    # the lifted hits decide every draw as the field operations do, so the
+    # verdicts and witnesses agree, with the u1 v1 cross term of each zorn
+    # norm off by one too
+    from altalg import suites
+    from altalg.algebra import search
+    from altalg.fields import PrimeField, RationalField
+
+    real = suites.zorn
+
+    def planted(F):
+        q = real(F)
+        if fault == "norm":
+            q.qform[2][5] = F.add(q.qform[2][5], F.one)
+            q._lift_forms()
+        return q
+
+    monkeypatch.setattr(suites, "zorn", planted)
+    cfg = Config(samples=32)
+    checks = {c.name: c for c in suites.suite_quadratic_relation(cfg)
+              + suites.suite_norm_multiplicativity(cfg)}
+    failed = 0
+    for label, F in (("GF2", PrimeField(2)), ("GF3", PrimeField(3)),
+                     ("GF5", PrimeField(5)), ("Q", RationalField())):
+        four, norm = reference_sampled_hits(planted(F))
+        laws = [(f"zorn-{label}/f(x,z)f(y,w)=f(xy,zw)+f(xw,zy)-sampled", four, 4)]
+        if label in ("GF5", "Q"):
+            laws.append((f"{label}/n(xy)=n(x)n(y)-sampled", norm, 2))
+        for name, hit, arity in laws:
+            bad, provenance = search(F, 8, hit, arity=arity, seed=cfg.seed,
+                                     samples=cfg.samples)
+            check = checks[name]
+            assert (check.passed, check.provenance) == (bad is None, provenance)
+            assert check.witness == suites._enc(F, bad)
+            failed += bad is not None
+    assert failed == (6 if fault else 0)
+
+
 # ---- the element-by-element GF(p) sweeps the block predicates replaced -----
 
 def reference_invertibility_checks(Z):
